@@ -18,12 +18,14 @@ to In-Place Appends: Revisiting Out-of-Place Updates on Flash"
 * :mod:`repro.analysis` — update-size CDFs, amplification formulas,
   report rendering;
 * :mod:`repro.testbed` — factories for the paper's two platforms (the
-  16-chip flash emulator and the OpenSSD Jasmine board);
+  16-chip flash emulator and the OpenSSD Jasmine board) and the other
+  backends, plus ``build_engine`` over a device you built;
 * :mod:`repro.session` — the unified construction API: one typed
-  :class:`~repro.session.SessionConfig` plus
+  :class:`~repro.session.SessionConfig`;
+  :func:`~repro.session.open_device` picks a backend by name and
   :func:`~repro.session.open_session` builds the whole stack;
-* :mod:`repro.perfkit` — ``repro bench``: the deterministic hot-path
-  microbenchmark harness with CI regression gating.
+* :mod:`repro.perfkit` — ``repro bench``: the exact simulated-count
+  gate (wall-clock measurement lives in ``bench/`` at the repo root).
 
 Quick start::
 

@@ -383,18 +383,17 @@ def cmd_loadtest(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    """``repro bench``: the deterministic microbenchmark harness.
+    """``repro bench``: the exact simulated-count gate.
 
-    Default mode runs the registered benches and writes a canonical
-    ``BENCH_*.json`` result (wall-clock stats plus simulated-count
-    invariants).  ``--compare BASELINE CURRENT`` instead checks a
-    result file against a committed baseline: counts must match
-    exactly, wall-clock may regress at most ``--threshold``; exits 1
-    on any finding (the CI regression gate).
+    Default mode replays the registered benches (two fresh passes each,
+    counts must agree) and writes a canonical ``BENCH_*.json`` result.
+    ``--compare BASELINE CURRENT`` instead checks a result file against
+    a committed baseline: every simulated count must match exactly;
+    exits 1 on any finding (the CI gate).  Wall-clock measurement lives
+    in ``bench/`` at the repo root, not here.
     """
     from .perfkit import (
         REGISTRY,
-        default_output_name,
         load_results,
         render_comparison,
         render_report,
@@ -406,13 +405,13 @@ def cmd_bench(args) -> int:
         baseline_path, current_path = args.compare
         baseline = load_results(baseline_path)
         current = load_results(current_path)
-        table, problems = render_comparison(baseline, current, args.threshold)
+        table, problems = render_comparison(baseline, current)
         print(table)
         for problem in problems:
             print(f"REGRESSION: {problem}", file=sys.stderr)
         if problems:
             return 1
-        print("comparison passed: counts exact, wall-clock within threshold")
+        print("comparison passed: every simulated count matches exactly")
         return 0
     if args.list:
         for name, bench in REGISTRY.items():
@@ -426,10 +425,9 @@ def cmd_bench(args) -> int:
             print(f"bad --annotate {item!r}; use key=value", file=sys.stderr)
             return 1
         annotations[key] = value
-    payload = run_benchmarks(names, quick=args.quick, annotations=annotations)
+    payload = run_benchmarks(names, annotations=annotations)
     print(render_report(payload))
-    out = args.out or default_output_name(args.quick)
-    target = write_results(payload, out)
+    target = write_results(payload, args.out)
     print(f"wrote {len(payload['benches'])} bench results to {target}")
     return 0
 
@@ -437,10 +435,8 @@ def cmd_bench(args) -> int:
 def cmd_lint(args) -> int:
     """``repro lint``: run the iplint invariant rules over source paths.
 
-    With no paths, lints the installed ``repro`` package itself.  The
-    flow-sensitive pass is on by default; ``--no-flow`` reverts to the
-    purely syntactic rules.  Exits 0 when clean, 1 with findings, 2
-    when a file cannot be parsed.
+    With no paths, lints the installed ``repro`` package itself.  Exits
+    0 when clean, 1 with findings, 2 when a file cannot be parsed.
     """
     from pathlib import Path
 
@@ -448,7 +444,7 @@ def cmd_lint(args) -> int:
 
     paths = args.paths or [str(Path(__file__).resolve().parent)]
     try:
-        findings = run_lint(paths, flow=args.flow)
+        findings = run_lint(paths)
     except SyntaxError as exc:
         print(f"iplint: cannot parse {exc.filename}:{exc.lineno}: {exc.msg}",
               file=sys.stderr)
@@ -609,15 +605,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="[txn level] ops per transaction (0 = profile default)")
     p.set_defaults(func=cmd_loadtest)
 
-    p = sub.add_parser("bench", help="run the perfkit microbenchmark harness")
-    p.add_argument("--quick", action="store_true",
-                   help="CI smoke mode: fewer timed repeats, same workloads "
-                        "(counts stay comparable to a full baseline)")
+    p = sub.add_parser("bench", help="run the perfkit simulated-count gate")
     p.add_argument("--only", default="",
                    help="comma-separated bench names (default: all)")
-    p.add_argument("--out", default=None,
-                   help="result path (default: BENCH_baseline.json, or "
-                        "BENCH_quick.json with --quick)")
+    p.add_argument("--out", default="BENCH_baseline.json",
+                   help="result path (default: BENCH_baseline.json)")
     p.add_argument("--annotate", action="append", default=[],
                    metavar="KEY=VALUE",
                    help="record a key=value annotation in the result file "
@@ -627,8 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compare", nargs=2, metavar=("BASELINE", "CURRENT"),
                    default=None,
                    help="compare two result files instead of running")
-    p.add_argument("--threshold", type=float, default=0.30,
-                   help="allowed wall-clock regression fraction (default 0.30)")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("lint", help="run the iplint invariant linter")
@@ -636,10 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="files/directories to lint (default: the repro package)")
     p.add_argument("--format", choices=("human", "json", "github"),
                    default="human")
-    p.add_argument("--flow", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="flow-sensitive rules (CFG/call-graph pass); "
-                        "--no-flow runs only the syntactic rules")
     p.set_defaults(func=cmd_lint)
 
     p = sub.add_parser("trace-replay", help="replay a trace: IPA vs IPL")

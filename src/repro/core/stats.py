@@ -1,43 +1,16 @@
 """Counters kept by the IPA manager.
 
-Like :class:`~repro.ftl.stats.DeviceStats`, :class:`IPAStats` is a thin
-façade over :class:`~repro.telemetry.metrics.MetricsRegistry` counters:
-a stand-alone instance owns a private registry, :meth:`IPAStats.bind`
-re-homes the counters into a shared telemetry registry, and re-running
-``stats.__init__()`` resets values while keeping the binding.
+Like :class:`~repro.ftl.stats.DeviceStats`, :class:`IPAStats` is a
+:class:`~repro.telemetry.metrics.CounterFacade`: its fields are
+registry counters named ``ipa_*``.
 """
 
 from __future__ import annotations
 
-from ..telemetry.metrics import MetricsRegistry
+from ..telemetry.metrics import CounterFacade
 
 
-def _counter_field(name: str, doc: str) -> property:
-    """A property delegating ``stats.<name>`` to a registry counter."""
-
-    def fget(self):
-        return self._metrics[name].value
-
-    def fset(self, value):
-        self._metrics[name].value = value
-
-    return property(fget, fset, doc=doc)
-
-
-#: field name -> help string; the façade exposes exactly these.
-_IPA_FIELDS = {
-    "ipa_flushes": "Flushes materialized as In-Place Appends",
-    "oop_flushes": "Flushes written out-of-place (full page writes)",
-    "skipped_flushes": "Dirty flushes with an empty tracked diff: no I/O",
-    "delta_records_written": "Delta records written across all IPA flushes",
-    "delta_bytes_written": "Payload bytes of all delta records",
-    "device_fallbacks": "IPA attempts rejected by the device",
-    "budget_overflows": "Flushes gone out-of-place on [N x M] budget overflow",
-    "ecc_corrected_bits": "Bits corrected by ECC during loads",
-}
-
-
-class IPAStats:
+class IPAStats(CounterFacade):
     """Flush-path outcomes of one engine run.
 
     Field semantics (see also the registry help strings):
@@ -52,75 +25,17 @@ class IPAStats:
       because the tracked changes overflowed the [N x M] budget.
     """
 
-    ipa_flushes = _counter_field("ipa_flushes", _IPA_FIELDS["ipa_flushes"])
-    oop_flushes = _counter_field("oop_flushes", _IPA_FIELDS["oop_flushes"])
-    skipped_flushes = _counter_field(
-        "skipped_flushes", _IPA_FIELDS["skipped_flushes"]
-    )
-    delta_records_written = _counter_field(
-        "delta_records_written", _IPA_FIELDS["delta_records_written"]
-    )
-    delta_bytes_written = _counter_field(
-        "delta_bytes_written", _IPA_FIELDS["delta_bytes_written"]
-    )
-    device_fallbacks = _counter_field(
-        "device_fallbacks", _IPA_FIELDS["device_fallbacks"]
-    )
-    budget_overflows = _counter_field(
-        "budget_overflows", _IPA_FIELDS["budget_overflows"]
-    )
-    ecc_corrected_bits = _counter_field(
-        "ecc_corrected_bits", _IPA_FIELDS["ecc_corrected_bits"]
-    )
-
-    def __init__(
-        self,
-        ipa_flushes: int = 0,
-        oop_flushes: int = 0,
-        skipped_flushes: int = 0,
-        delta_records_written: int = 0,
-        delta_bytes_written: int = 0,
-        device_fallbacks: int = 0,
-        budget_overflows: int = 0,
-        ecc_corrected_bits: int = 0,
-        registry: MetricsRegistry | None = None,
-    ) -> None:
-        if registry is None:
-            registry = getattr(self, "_registry", None) or MetricsRegistry()
-        self._registry = registry
-        self._metrics = {
-            name: registry.counter(f"ipa_{name}", help=help_text)
-            for name, help_text in _IPA_FIELDS.items()
-        }
-        self.ipa_flushes = ipa_flushes
-        self.oop_flushes = oop_flushes
-        self.skipped_flushes = skipped_flushes
-        self.delta_records_written = delta_records_written
-        self.delta_bytes_written = delta_bytes_written
-        self.device_fallbacks = device_fallbacks
-        self.budget_overflows = budget_overflows
-        self.ecc_corrected_bits = ecc_corrected_bits
-
-    def bind(self, registry: MetricsRegistry) -> None:
-        """Re-home the counters into ``registry``, keeping their values."""
-        if registry is self._registry:
-            return
-        for metric in self._metrics.values():
-            registry.adopt(metric)
-        self._registry = registry
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IPAStats):
-            return NotImplemented
-        return all(
-            getattr(self, name) == getattr(other, name) for name in _IPA_FIELDS
-        )
-
-    def __repr__(self) -> str:
-        fields = ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in _IPA_FIELDS
-        )
-        return f"IPAStats({fields})"
+    PREFIX = "ipa_"
+    FIELDS = {
+        "ipa_flushes": "Flushes materialized as In-Place Appends",
+        "oop_flushes": "Flushes written out-of-place (full page writes)",
+        "skipped_flushes": "Dirty flushes with an empty tracked diff: no I/O",
+        "delta_records_written": "Delta records written across all IPA flushes",
+        "delta_bytes_written": "Payload bytes of all delta records",
+        "device_fallbacks": "IPA attempts rejected by the device",
+        "budget_overflows": "Flushes gone out-of-place on [N x M] budget overflow",
+        "ecc_corrected_bits": "Bits corrected by ECC during loads",
+    }
 
     @property
     def flushes(self) -> int:
@@ -140,6 +55,6 @@ class IPAStats:
 
     def snapshot(self) -> dict:
         """Plain-dict copy including the derived IPA fraction."""
-        data = {name: getattr(self, name) for name in _IPA_FIELDS}
+        data = super().snapshot()
         data["ipa_fraction"] = self.ipa_fraction
         return data

@@ -31,10 +31,10 @@ protocol, so the whole engine stack — buffer pool, IPA manager,
 workloads, CLI — runs unmodified on top of the black-box device; the
 host-visible region view it publishes reflects the internal FTL's IPA
 mode so the storage layer reserves delta areas exactly as it would on
-native flash.  :class:`BlockSSDStats` follows the registry-façade
-pattern of :class:`~repro.ftl.stats.DeviceStats`: its counters live in
-a metrics registry, so ``rmw_fraction`` inputs and the delta-command
-counters export via ``repro metrics`` next to the NoFTL counters.
+native flash.  :class:`BlockSSDStats` is a registry façade like
+:class:`~repro.ftl.stats.DeviceStats`: its counters live in a metrics
+registry, so ``rmw_fraction`` inputs and the delta-command counters
+export via ``repro metrics`` next to the NoFTL counters.
 """
 
 from __future__ import annotations
@@ -44,94 +44,29 @@ import contextlib
 from ..errors import DeltaWriteError, FTLError
 from ..flash.constants import CellType
 from ..flash.memory import FlashMemory
-from ..telemetry.metrics import MetricsRegistry
+from ..telemetry.metrics import CounterFacade
 from .device import HostIO, HostRegionView
 from .noftl import NoFTL, single_region_device
 from .region import IPAMode, RegionConfig
 
 
-#: field name -> help string; the façade exposes exactly these.
-_SSD_FIELDS = {
-    "reads": "Block-device read commands served",
-    "writes": "Block-device write commands served",
-    "delta_commands": "write_delta commands received by the device",
-    "deltas_in_place": "Delta commands served as true In-Place Appends",
-    "deltas_rmw": "Delta commands absorbed as internal read-modify-writes",
-}
+class BlockSSDStats(CounterFacade):
+    """Host-visible counters of the block device (``blockssd_*``)."""
 
-
-def _ssd_counter(name: str) -> property:
-    """A property delegating ``stats.<name>`` to a registry counter."""
-
-    def fget(self):
-        return self._metrics[name].value
-
-    def fset(self, value):
-        self._metrics[name].value = value
-
-    return property(fget, fset, doc=_SSD_FIELDS[name])
-
-
-class BlockSSDStats:
-    """Host-visible counters of the block device.
-
-    A registry façade like :class:`~repro.ftl.stats.DeviceStats`:
-    attribute reads and writes delegate to counters named
-    ``blockssd_*``, ``stats.__init__()`` resets while keeping the
-    registry home, and :meth:`bind` re-homes the counters into a shared
-    telemetry registry without losing values.
-    """
-
-    reads = _ssd_counter("reads")
-    writes = _ssd_counter("writes")
-    delta_commands = _ssd_counter("delta_commands")
-    deltas_in_place = _ssd_counter("deltas_in_place")
-    deltas_rmw = _ssd_counter("deltas_rmw")
-
-    def __init__(
-        self,
-        reads: int = 0,
-        writes: int = 0,
-        delta_commands: int = 0,
-        deltas_in_place: int = 0,
-        deltas_rmw: int = 0,
-        registry: MetricsRegistry | None = None,
-    ) -> None:
-        if registry is None:
-            registry = getattr(self, "_registry", None) or MetricsRegistry()
-        self._registry = registry
-        self._metrics = {
-            name: registry.counter(f"blockssd_{name}", help=help_text)
-            for name, help_text in _SSD_FIELDS.items()
-        }
-        self.reads = reads
-        self.writes = writes
-        self.delta_commands = delta_commands
-        self.deltas_in_place = deltas_in_place
-        self.deltas_rmw = deltas_rmw
-
-    def bind(self, registry: MetricsRegistry) -> None:
-        """Re-home the counters into ``registry``, keeping their values."""
-        if registry is self._registry:
-            return
-        for metric in self._metrics.values():
-            registry.adopt(metric)
-        self._registry = registry
+    PREFIX = "blockssd_"
+    FIELDS = {
+        "reads": "Block-device read commands served",
+        "writes": "Block-device write commands served",
+        "delta_commands": "write_delta commands received by the device",
+        "deltas_in_place": "Delta commands served as true In-Place Appends",
+        "deltas_rmw": "Delta commands absorbed as internal read-modify-writes",
+    }
 
     @property
     def rmw_fraction(self) -> float:
         if self.delta_commands == 0:
             return 0.0
         return self.deltas_rmw / self.delta_commands
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BlockSSDStats):
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in _SSD_FIELDS)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in _SSD_FIELDS)
-        return f"BlockSSDStats({fields})"
 
 
 class BlockSSD:

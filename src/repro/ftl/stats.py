@@ -4,149 +4,45 @@ These counters are the raw material for every table in the paper's
 evaluation: host reads/writes, delta writes (In-Place Appends), garbage
 collection page migrations and erases, and host-observed latencies.
 
-Since the telemetry subsystem landed, :class:`DeviceStats` is a thin
-façade over :class:`~repro.telemetry.metrics.MetricsRegistry` counters:
-attribute reads and writes (``stats.host_reads += 1``) delegate to
-registry-owned :class:`~repro.telemetry.metrics.Counter` objects, so
-one Prometheus dump of the registry carries the device counters next to
-the latency histograms.  A stand-alone ``DeviceStats()`` owns a private
-registry; :meth:`DeviceStats.bind` re-homes the counters into a shared
-telemetry registry without losing accumulated values.  Re-running
-``stats.__init__()`` (the driver's reset idiom) zeroes the counters but
-keeps the binding.
+Since the telemetry subsystem landed, :class:`DeviceStats` is a
+:class:`~repro.telemetry.metrics.CounterFacade`: attribute reads and
+writes (``stats.host_reads += 1``) delegate to registry-owned
+:class:`~repro.telemetry.metrics.Counter` objects named ``device_*``
+(``shard<i>_device_*`` inside a sharded device), so one Prometheus dump
+of the registry carries the device counters next to the latency
+histograms.
 """
 
 from __future__ import annotations
 
-from ..telemetry.metrics import MetricsRegistry
+from ..telemetry.metrics import CounterFacade
 
 
-def _counter_field(name: str, doc: str) -> property:
-    """A property delegating ``stats.<name>`` to a registry counter."""
-
-    def fget(self):
-        return self._metrics[name].value
-
-    def fset(self, value):
-        self._metrics[name].value = value
-
-    return property(fget, fset, doc=doc)
-
-
-#: field name -> help string; the façade exposes exactly these.
-_DEVICE_FIELDS = {
-    "host_reads": "Host read commands served",
-    "host_page_writes": "Full-page out-of-place host writes",
-    "delta_writes": "write_delta commands executed as In-Place Appends",
-    "gc_page_migrations": "Valid pages migrated by garbage collection",
-    "gc_erases": "Blocks erased by garbage collection",
-    "bytes_host_read": "Payload bytes returned to the host",
-    "bytes_page_written": "Payload bytes of out-of-place page writes",
-    "bytes_delta_written": "Payload bytes of in-place delta appends",
-    "read_latency_us_total": "Sum of observed host read latencies (us)",
-    "write_latency_us_total": "Sum of observed host write latencies (us)",
-    "gc_time_us_total": "Total time consumed by GC rounds (us)",
-}
-
-
-class DeviceStats:
+class DeviceStats(CounterFacade):
     """Counters of one NoFTL device (or one region, when split).
 
-    Field access is backwards compatible with the original dataclass
-    (keyword construction, ``+=`` updates, ``__init__()`` reset); the
-    values themselves live in a metrics registry (see module docs).
+    Keyword construction, ``+=`` updates, the ``__init__()`` reset and
+    :meth:`bind` come from the façade base (see its docs); this class
+    adds the field table and the ratios the paper's tables report.
     """
 
-    host_reads = _counter_field("host_reads", _DEVICE_FIELDS["host_reads"])
-    host_page_writes = _counter_field(
-        "host_page_writes", _DEVICE_FIELDS["host_page_writes"]
-    )
-    delta_writes = _counter_field("delta_writes", _DEVICE_FIELDS["delta_writes"])
-    gc_page_migrations = _counter_field(
-        "gc_page_migrations", _DEVICE_FIELDS["gc_page_migrations"]
-    )
-    gc_erases = _counter_field("gc_erases", _DEVICE_FIELDS["gc_erases"])
-    bytes_host_read = _counter_field(
-        "bytes_host_read", _DEVICE_FIELDS["bytes_host_read"]
-    )
-    bytes_page_written = _counter_field(
-        "bytes_page_written", _DEVICE_FIELDS["bytes_page_written"]
-    )
-    bytes_delta_written = _counter_field(
-        "bytes_delta_written", _DEVICE_FIELDS["bytes_delta_written"]
-    )
-    read_latency_us_total = _counter_field(
-        "read_latency_us_total", _DEVICE_FIELDS["read_latency_us_total"]
-    )
-    write_latency_us_total = _counter_field(
-        "write_latency_us_total", _DEVICE_FIELDS["write_latency_us_total"]
-    )
-    gc_time_us_total = _counter_field(
-        "gc_time_us_total", _DEVICE_FIELDS["gc_time_us_total"]
-    )
-
-    def __init__(
-        self,
-        host_reads: int = 0,
-        host_page_writes: int = 0,
-        delta_writes: int = 0,
-        gc_page_migrations: int = 0,
-        gc_erases: int = 0,
-        bytes_host_read: int = 0,
-        bytes_page_written: int = 0,
-        bytes_delta_written: int = 0,
-        read_latency_us_total: float = 0.0,
-        write_latency_us_total: float = 0.0,
-        gc_time_us_total: float = 0.0,
-        registry: MetricsRegistry | None = None,
-        prefix: str | None = None,
-    ) -> None:
-        if registry is None:
-            # Re-running __init__() on a live instance resets the
-            # counters but keeps their registry home.
-            registry = getattr(self, "_registry", None) or MetricsRegistry()
-        if prefix is None:
-            # Same idiom for the label: re-init keeps the prefix (set by
-            # composite devices so per-shard counters do not collide).
-            prefix = getattr(self, "_prefix", "")
-        self._registry = registry
-        self._prefix = prefix
-        self._metrics = {
-            name: registry.counter(f"{prefix}device_{name}", help=help_text)
-            for name, help_text in _DEVICE_FIELDS.items()
-        }
-        self.host_reads = host_reads
-        self.host_page_writes = host_page_writes
-        self.delta_writes = delta_writes
-        self.gc_page_migrations = gc_page_migrations
-        self.gc_erases = gc_erases
-        self.bytes_host_read = bytes_host_read
-        self.bytes_page_written = bytes_page_written
-        self.bytes_delta_written = bytes_delta_written
-        self.read_latency_us_total = read_latency_us_total
-        self.write_latency_us_total = write_latency_us_total
-        self.gc_time_us_total = gc_time_us_total
-
-    def bind(self, registry: MetricsRegistry) -> None:
-        """Re-home the counters into ``registry``, keeping their values."""
-        if registry is self._registry:
-            return
-        for metric in self._metrics.values():
-            registry.adopt(metric)
-        self._registry = registry
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DeviceStats):
-            return NotImplemented
-        return all(
-            getattr(self, name) == getattr(other, name) for name in _DEVICE_FIELDS
-        )
-
-    def __repr__(self) -> str:
-        fields = ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in _DEVICE_FIELDS
-        )
-        return f"DeviceStats({fields})"
+    PREFIX = "device_"
+    FIELDS = {
+        "host_reads": "Host read commands served",
+        "host_page_writes": "Full-page out-of-place host writes",
+        "delta_writes": "write_delta commands executed as In-Place Appends",
+        "gc_page_migrations": "Valid pages migrated by garbage collection",
+        "gc_erases": "Blocks erased by garbage collection",
+        "bytes_host_read": "Payload bytes returned to the host",
+        "bytes_page_written": "Payload bytes of out-of-place page writes",
+        "bytes_delta_written": "Payload bytes of in-place delta appends",
+        "read_latency_us_total": "Sum of observed host read latencies (us)",
+        "write_latency_us_total": "Sum of observed host write latencies (us)",
+        "gc_time_us_total": "Total time consumed by GC rounds (us)",
+    }
+    FLOAT_FIELDS = frozenset({
+        "read_latency_us_total", "write_latency_us_total", "gc_time_us_total",
+    })
 
     @property
     def host_writes(self) -> int:

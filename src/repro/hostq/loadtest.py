@@ -24,12 +24,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from ..analysis.cdf import CDF, sample_percentile
+from ..analysis.cdf import CDF
 from ..analysis.report import format_table
 from ..errors import ReproError
 from ..session import SessionConfig, open_device
 from ..telemetry.metrics import LATENCY_BUCKETS_US, MetricsRegistry
 from ..workloads.sessions import PROFILES
+from ._harness import (
+    DieMeter,
+    backend_label,
+    publish_totals,
+    summarize,
+    validate_common,
+)
 from .clients import ClosedLoopClient, OpenLoopArrivals, build_sessions
 from .groupcommit import GroupCommitGate, GroupCommitStats
 from .queueing import ADMISSION_POLICIES, QueueStats, SubmissionQueue
@@ -43,9 +50,6 @@ __all__ = [
     "sweep_queue_depth",
     "format_sweep",
 ]
-
-#: Reported latency quantiles, in report order.
-QUANTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99), ("p999", 0.999))
 
 
 @dataclass(frozen=True)
@@ -77,23 +81,17 @@ class LoadTestConfig:
             raise ReproError(f"arrival must be 'closed' or 'open', got {self.arrival!r}")
         if self.admission not in ADMISSION_POLICIES:
             raise ReproError(f"admission must be one of {ADMISSION_POLICIES}")
-        if self.profile not in PROFILES:
-            raise ReproError(
-                f"unknown profile {self.profile!r}; choose from {sorted(PROFILES)}"
-            )
-        if self.clients < 1:
-            raise ReproError("need at least one client")
+        validate_common(self)
         if self.requests < 1:
             raise ReproError("need at least one request")
+        if self.arrival == "open" and self.rate_rps <= 0.0:
+            raise ReproError(f"arrival rate must be positive, got {self.rate_rps}")
 
     def label(self, with_depth: bool = True) -> str:
         """One-line run descriptor used in report titles."""
-        backend = self.backend
-        if backend == "sharded":
-            backend = f"sharded[{self.shards}]"
         depth = f"depth={self.queue_depth} " if with_depth else ""
         return (
-            f"backend={backend} clients={self.clients} {depth}"
+            f"backend={backend_label(self)} clients={self.clients} {depth}"
             f"arrival={self.arrival} profile={self.profile} seed={self.seed}"
         )
 
@@ -236,17 +234,6 @@ class LoadTestResult:
         )
 
 
-def _total_busy_us(device) -> float:
-    """Sum of per-chip accumulated command time across the device."""
-    scratch = MetricsRegistry()
-    device.collect_gauges(scratch)
-    return sum(
-        metric.value
-        for metric in scratch
-        if "chip_" in metric.name and metric.name.endswith("_busy_time_us")
-    )
-
-
 def run_loadtest(config: LoadTestConfig, registry: MetricsRegistry | None = None) -> LoadTestResult:
     """Run one configuration end to end; deterministic for a fixed seed."""
     config.validate()
@@ -260,8 +247,8 @@ def run_loadtest(config: LoadTestConfig, registry: MetricsRegistry | None = None
     executor = DeviceExecutor(device, profile.delta_area_bytes)
     executor.prefill(config.logical_pages)
     device.reset_stats()
-    t0 = max(device.occupancy())
-    busy0 = _total_busy_us(device)
+    meter = DieMeter(device)
+    t0 = meter.t0
 
     queue = SubmissionQueue(config.queue_depth, policy=config.admission)
     gate = GroupCommitGate(
@@ -335,38 +322,29 @@ def run_loadtest(config: LoadTestConfig, registry: MetricsRegistry | None = None
         scheduler.on_complete = on_complete_open
         scheduler.schedule(t0 + arrivals.interarrival_us(), open_arrival)
 
-    end = scheduler.run()
-    makespan = max(end - t0, 1e-9)
-    busy1 = _total_busy_us(device)
-    channels = len(device.occupancy())
-    utilization = min(1.0, (busy1 - busy0) / (channels * makespan))
-    ordered = sorted(samples)
+    makespan, channels, utilization = meter.stop(scheduler.run())
     completed = len(samples)
     rejected = len(scheduler.rejected)
+    mean_latency, max_latency, percentiles = summarize(samples)
 
-    registry.counter(
-        "hostq_requests_total", help="Requests generated by the load clients"
-    ).inc(generated)
-    registry.counter(
-        "hostq_completed_total", help="Requests completed end to end"
-    ).inc(completed)
-    registry.counter(
-        "hostq_rejected_total", help="Requests refused by admission control"
-    ).inc(rejected)
-    registry.counter(
-        "hostq_blocked_total", help="Requests that waited behind backpressure"
-    ).inc(queue.stats.blocked)
-    registry.counter(
-        "hostq_delta_fallbacks_total",
-        help="Delta requests degraded to full-page rewrites",
-    ).inc(executor.delta_fallbacks)
-    registry.counter(
-        "hostq_commit_forces_total", help="WAL forces issued by the commit gate"
-    ).inc(gate.stats.forces)
-    registry.counter(
-        "hostq_holb_bypasses_total",
-        help="Dispatches that overtook a request stuck behind a busy die",
-    ).inc(queue.stats.holb_bypasses)
+    publish_totals(registry, [
+        ("hostq_requests_total",
+         "Requests generated by the load clients", generated),
+        ("hostq_completed_total",
+         "Requests completed end to end", completed),
+        ("hostq_rejected_total",
+         "Requests refused by admission control", rejected),
+        ("hostq_blocked_total",
+         "Requests that waited behind backpressure", queue.stats.blocked),
+        ("hostq_delta_fallbacks_total",
+         "Delta requests degraded to full-page rewrites",
+         executor.delta_fallbacks),
+        ("hostq_commit_forces_total",
+         "WAL forces issued by the commit gate", gate.stats.forces),
+        ("hostq_holb_bypasses_total",
+         "Dispatches that overtook a request stuck behind a busy die",
+         queue.stats.holb_bypasses),
+    ])
 
     return LoadTestResult(
         config=config,
@@ -375,9 +353,9 @@ def run_loadtest(config: LoadTestConfig, registry: MetricsRegistry | None = None
         rejected=rejected,
         makespan_us=makespan,
         throughput_rps=completed / (makespan / 1e6),
-        mean_latency_us=sum(ordered) / completed if completed else 0.0,
-        max_latency_us=ordered[-1] if ordered else 0.0,
-        percentiles={name: sample_percentile(ordered, q) for name, q in QUANTILES},
+        mean_latency_us=mean_latency,
+        max_latency_us=max_latency,
+        percentiles=percentiles,
         kind_counts=kind_counts,
         delta_fallbacks=executor.delta_fallbacks,
         channels=channels,

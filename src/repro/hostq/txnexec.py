@@ -46,7 +46,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from dataclasses import replace as dataclass_replace
 
-from ..analysis.cdf import sample_percentile
 from ..analysis.report import format_table
 from ..core.scheme import NxMScheme, SCHEME_OFF
 from ..errors import ReproError
@@ -56,9 +55,15 @@ from ..storage.program import CommandKind, DeviceCommand
 from ..telemetry.metrics import LATENCY_BUCKETS_US, MetricsRegistry
 from ..session import SessionConfig, open_session
 from ..workloads.sessions import PROFILES, ClientSession
+from ._harness import (
+    DieMeter,
+    backend_label,
+    publish_totals,
+    summarize,
+    validate_common,
+)
 from .clients import ClosedLoopClient
 from .groupcommit import GroupCommitGate
-from .loadtest import QUANTILES, _total_busy_us
 from .queueing import SubmissionQueue
 from .request import OpKind, Request
 from .scheduler import HostScheduler
@@ -152,12 +157,7 @@ class TxnLoadTestConfig:
 
     def validate(self) -> None:
         """Reject configurations the harness cannot run (ReproError)."""
-        if self.profile not in PROFILES:
-            raise ReproError(
-                f"unknown profile {self.profile!r}; choose from {sorted(PROFILES)}"
-            )
-        if self.clients < 1:
-            raise ReproError("need at least one client")
+        validate_common(self)
         if self.txns < 1:
             raise ReproError("need at least one transaction")
         if not 0.0 < self.buffer_fraction <= 1.0:
@@ -177,11 +177,9 @@ class TxnLoadTestConfig:
 
     def label(self) -> str:
         """One-line run descriptor used in report titles."""
-        backend = self.backend
-        if backend == "sharded":
-            backend = f"sharded[{self.shards}]"
         return (
-            f"backend={backend} clients={self.clients} depth={self.queue_depth} "
+            f"backend={backend_label(self)} clients={self.clients} "
+            f"depth={self.queue_depth} "
             f"profile={self.profile} scheme={self.scheme} seed={self.seed}"
         )
 
@@ -623,9 +621,8 @@ def run_txn_loadtest(
         page = SlottedPage.format(lpn, device.page_size, area)
         device.write(lpn, bytes(page.image), 0.0)
     device.reset_stats()
-    t0 = max(device.occupancy())
-    busy0 = _total_busy_us(device)
-    clock.sync_to(t0)
+    meter = DieMeter(device)
+    clock.sync_to(meter.t0)
 
     queue = SubmissionQueue(config.queue_depth, policy="block")
     gate = GroupCommitGate(max_group=config.group_commit, log=engine.log)
@@ -634,33 +631,30 @@ def run_txn_loadtest(
         for index in range(config.clients)
     ]
     executor = TxnExecutor(engine, clock, queue, gate, sessions, config)
-    executor.start(t0)
+    executor.start(meter.t0)
     end = executor.run()
     # Pin-leak assertion: every completed operation released its pins.
     engine.pool.assert_no_pins()
 
-    makespan = max(end - t0, 1e-9)
-    busy1 = _total_busy_us(device)
-    channels = len(device.occupancy())
-    ordered = sorted(executor.samples)
+    makespan, channels, utilization = meter.stop(end)
     committed = executor.txns_committed
+    mean_latency, max_latency, percentiles = summarize(executor.samples)
 
-    registry.counter(
-        "txn_started_total", help="Transactions started by the load clients"
-    ).inc(executor.txns_started)
-    registry.counter(
-        "txn_committed_total", help="Transactions committed end to end"
-    ).inc(committed)
-    registry.counter(
-        "txn_aborted_total", help="Transactions rolled back (deliberate or failed)"
-    ).inc(executor.txns_aborted)
-    registry.counter(
-        "txn_retried_total", help="Transaction attempts retried after a failure"
-    ).inc(executor.txns_retried)
-    registry.counter(
-        "txn_conflict_waits_total",
-        help="Operation-lock acquisitions that had to wait",
-    ).inc(executor.conflict_waits)
+    publish_totals(registry, [
+        ("txn_started_total",
+         "Transactions started by the load clients", executor.txns_started),
+        ("txn_committed_total",
+         "Transactions committed end to end", committed),
+        ("txn_aborted_total",
+         "Transactions rolled back (deliberate or failed)",
+         executor.txns_aborted),
+        ("txn_retried_total",
+         "Transaction attempts retried after a failure",
+         executor.txns_retried),
+        ("txn_conflict_waits_total",
+         "Operation-lock acquisitions that had to wait",
+         executor.conflict_waits),
+    ])
     latency_hist = registry.histogram(
         "txn_latency_us", buckets=LATENCY_BUCKETS_US,
         help="End-to-end committed-transaction latency",
@@ -678,9 +672,9 @@ def run_txn_loadtest(
         conflict_waits=executor.conflict_waits,
         makespan_us=makespan,
         throughput_tps=committed / (makespan / 1e6),
-        mean_latency_us=sum(ordered) / committed if committed else 0.0,
-        max_latency_us=ordered[-1] if ordered else 0.0,
-        percentiles={name: sample_percentile(ordered, q) for name, q in QUANTILES},
+        mean_latency_us=mean_latency,
+        max_latency_us=max_latency,
+        percentiles=percentiles,
         log_forces=log.forces,
         commits_grouped=log.commits_grouped,
         commits_per_force=(
@@ -692,6 +686,6 @@ def run_txn_loadtest(
         skipped_flushes=engine.ipa.stats.skipped_flushes,
         buffer_hit_ratio=engine.pool.stats.hit_ratio,
         channels=channels,
-        die_utilization=min(1.0, (busy1 - busy0) / (channels * makespan)),
+        die_utilization=utilization,
         samples=list(executor.samples),
     )

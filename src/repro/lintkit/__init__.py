@@ -9,16 +9,17 @@ invariants this codebase rests on (DESIGN.md §9):
   :class:`~repro.ftl.device.FlashDevice` protocol is imported, never a
   concrete controller;
 * **determinism** — no wall clocks, no process-global ``random.*``;
-* **telemetry-guard** — event emission sits behind ``events.active``;
 * **counter-naming** — metric names follow ``{layer}_{noun}``;
 * **exception-discipline** — no bare/blind ``except``.
 
-A flow-sensitive pass (:mod:`repro.lintkit.flow`, on by default) adds
-CFG- and call-graph-backed rules — **yield-discipline**,
-**lock-ordering**, **crash-window**, **transitive-layering**, and a
-dominator-based **telemetry-guard** (DESIGN.md §13).
+The flow-sensitive layer (:mod:`repro.lintkit.flow`) adds the CFG- and
+call-graph-backed rules — **yield-discipline**, **lock-ordering**,
+**crash-window**, **transitive-layering**, and **telemetry-guard**
+(every event emit is dominated by an ``events.active`` check;
+DESIGN.md §13).  Each rule id has one implementation and the whole set
+always runs.
 
-Run it as ``repro lint [--format json|github] [--no-flow] [paths...]``
+Run it as ``repro lint [--format json|github] [paths...]``
 (CI does), or programmatically::
 
     from repro.lintkit import run_lint

@@ -55,9 +55,6 @@ _SUPPRESS_RE = re.compile(r"#\s*iplint:\s*(disable|disable-file)=([A-Za-z0-9_,\s
 #: are the product, not an accident.
 PATH_EXEMPTIONS: dict[str, tuple[str, ...]] = {
     "exception-discipline": ("repro.crashkit.harness",),
-    # The benchmark harness *measures* wall time; its readings never
-    # feed back into a simulation (runs replay identically regardless).
-    "determinism": ("repro.perfkit",),
 }
 
 
@@ -259,14 +256,11 @@ def run_lint(
     paths: Iterable[str | Path],
     rules: Sequence[Rule] | None = None,
     root: str | Path | None = None,
-    flow: bool = True,
 ) -> list[Finding]:
     """Lint files/directories with the given rules (default: all).
 
-    Returns every unsuppressed finding sorted by location.  ``flow``
-    selects the default rule set (flow-sensitive pass on/off) and is
-    ignored when explicit ``rules`` are given.  All modules are parsed
-    up front so flow rules share one analysis context (one call-graph
+    Returns every unsuppressed finding sorted by location.  All modules
+    are parsed up front so flow rules share one analysis context (one call-graph
     build per run).  The imports of the rule set and the flow layer
     live here (not module top) so the engine stays importable from the
     rule modules without a cycle.
@@ -274,7 +268,7 @@ def run_lint(
     if rules is None:
         from .rules import default_rules
 
-        rules = default_rules(flow=flow)
+        rules = default_rules()
     root_path = Path(root) if root is not None else None
     modules = [
         load_module(path, root_path)

@@ -11,9 +11,6 @@ at a time; this package adds the machinery to judge *paths*:
   :class:`FlowContext` (cached CFGs, one call-graph build per run) and
   the :class:`FlowRule` base class;
 * :mod:`~repro.lintkit.flow.rules` — the five flow rules.
-
-Flow rules are on by default (``repro lint``); ``--no-flow`` drops
-back to the purely syntactic rule set.
 """
 
 from __future__ import annotations

@@ -12,11 +12,6 @@ rule id                   invariant
 ``telemetry-guard``       emits dominated by an ``.active`` check
 ``transitive-layering``   no call chain into concrete backends
 ========================  ============================================
-
-``telemetry-guard`` deliberately reuses the syntactic rule's id: it is
-the same contract, enforced precisely, and existing suppressions keep
-working.  ``default_rules(flow=True)`` swaps the syntactic
-implementation out for this one.
 """
 
 from __future__ import annotations
@@ -24,14 +19,14 @@ from __future__ import annotations
 from .crash_window import CrashWindowRule
 from .layering import TransitiveLayeringRule
 from .lock_order import LockOrderingRule
-from .telemetry_guard import FlowTelemetryGuardRule
+from .telemetry_guard import TelemetryGuardRule
 from .yield_discipline import YieldDisciplineRule
 
 __all__ = [
     "CrashWindowRule",
     "FLOW_RULE_CLASSES",
-    "FlowTelemetryGuardRule",
     "LockOrderingRule",
+    "TelemetryGuardRule",
     "TransitiveLayeringRule",
     "YieldDisciplineRule",
 ]
@@ -41,6 +36,6 @@ FLOW_RULE_CLASSES = (
     YieldDisciplineRule,
     LockOrderingRule,
     CrashWindowRule,
-    FlowTelemetryGuardRule,
+    TelemetryGuardRule,
     TransitiveLayeringRule,
 )

@@ -13,8 +13,9 @@ definitions reachable through resolved call edges and flags any chain
 that lands in a concrete backend module (or an unresolved external
 symbol living there).  ``repro.testbed`` is the sanctioned composition
 root — edges into it are not expanded, so ``hostq`` calling
-``make_device`` (which legitimately builds backends) stays clean,
-exactly as DESIGN.md's layering section prescribes.
+``open_device``, which picks one of the testbed ``*_device`` factories
+(and those legitimately build backends), stays clean, exactly as
+DESIGN.md's layering section prescribes.
 
 The finding is anchored at the first call of the offending chain (the
 only line the watched module controls) and the message spells out the

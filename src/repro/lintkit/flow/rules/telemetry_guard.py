@@ -2,13 +2,12 @@
 
 The telemetry bus contract (DESIGN.md §9) is that a disabled bus costs
 nothing: every ``.emit(...)`` call sits behind an ``if ...active:``
-guard so the event tuple is never even built on the cold path.  The
-original syntactic rule approximated "behind a guard" with line spans,
-which produced false negatives (an emit after the guarded block, but
-on the same line range) and could not see bail-outs.
+guard so the event tuple is never even built on the cold path.
 
-The flow version states the contract exactly: the basic block holding
-the emit statement must be **dominated** by a branch edge that implies
+"Behind a guard" is a dominance property, not a line-span one (an emit
+*after* a guarded block, or after a bail-out ``return``, sits on lines
+a syntactic check misjudges), so the rule states the contract exactly:
+the basic block holding the emit statement must be **dominated** by a branch edge that implies
 the bus is active.  Because the CFG gives every branch outcome its own
 synthetic entry block, all the idioms reduce to plain dominance::
 
@@ -37,7 +36,7 @@ from ..base import FlowRule
 from ..cfg import CFG, own_nodes
 from .common import scope_functions
 
-__all__ = ["FlowTelemetryGuardRule", "implies_active"]
+__all__ = ["TelemetryGuardRule", "implies_active"]
 
 
 def _mentions_active(test: ast.expr) -> bool:
@@ -80,7 +79,7 @@ def _emit_calls(stmt: ast.stmt) -> Iterator[ast.Call]:
             yield node
 
 
-class FlowTelemetryGuardRule(FlowRule):
+class TelemetryGuardRule(FlowRule):
     """Every emit block must be dominated by an active-implying edge."""
 
     id = "telemetry-guard"

@@ -7,10 +7,10 @@ the set the CLI, the CI job and the regression test run over
 to :data:`RULE_CLASSES`, and give it passing/failing fixtures in
 ``tests/test_lintkit_rules.py``.
 
-With the flow pass enabled (the default), the flow rules from
-:mod:`repro.lintkit.flow.rules` join the set and the dominator-based
-``telemetry-guard`` replaces the syntactic line-span heuristic; with
-``flow=False`` the original purely syntactic seven run alone.
+The syntactic rules listed here judge one AST node at a time; the
+flow rules from :mod:`repro.lintkit.flow.rules` (CFG and call-graph
+backed, ``telemetry-guard`` among them) complete the default set.
+Every rule id has exactly one implementing class.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .determinism import DeterminismRule
 from .exceptions import ExceptionDisciplineRule
 from .ispp import IsppSafetyRule
 from .layering import DeviceLayeringRule
-from .telemetry import CounterNamingRule, TelemetryGuardRule
+from .telemetry import CounterNamingRule
 
 __all__ = [
     "RULE_CLASSES",
@@ -31,50 +31,31 @@ __all__ = [
     "DeviceLayeringRule",
     "ExceptionDisciplineRule",
     "IsppSafetyRule",
-    "TelemetryGuardRule",
     "default_rules",
     "rule_by_id",
 ]
 
-#: Every shipped rule class, in report order.
+#: Every syntactic rule class, in report order.
 RULE_CLASSES: tuple[type[Rule], ...] = (
     IsppSafetyRule,
     DeviceLayeringRule,
     DeterminismRule,
-    TelemetryGuardRule,
     CounterNamingRule,
     ExceptionDisciplineRule,
     ClockDisciplineRule,
 )
 
 
-def default_rules(flow: bool = True) -> list[Rule]:
-    """Fresh instances of the default rule set.
-
-    ``flow=True`` (the default) adds the flow-sensitive rules and
-    swaps the syntactic :class:`TelemetryGuardRule` for its
-    dominator-based replacement (same rule id, precise semantics).
-    """
-    if not flow:
-        return [cls() for cls in RULE_CLASSES]
+def default_rules() -> list[Rule]:
+    """Fresh instances of the default rule set: syntactic, then flow."""
     from ..flow.rules import FLOW_RULE_CLASSES  # late: avoids a cycle
 
-    rules: list[Rule] = [
-        cls() for cls in RULE_CLASSES if cls is not TelemetryGuardRule
-    ]
-    rules.extend(cls() for cls in FLOW_RULE_CLASSES)
-    return rules
+    return [cls() for cls in RULE_CLASSES + FLOW_RULE_CLASSES]
 
 
 def rule_by_id(rule_id: str) -> Rule:
-    """Instantiate one rule by its id (raises KeyError when unknown).
-
-    Syntactic rules win a tie — ``telemetry-guard`` resolves to the
-    original implementation, matching ``--no-flow`` behaviour.
-    """
-    from ..flow.rules import FLOW_RULE_CLASSES  # late: avoids a cycle
-
-    for cls in RULE_CLASSES + FLOW_RULE_CLASSES:
-        if cls.id == rule_id:
-            return cls()
+    """Instantiate one rule by its id (raises KeyError when unknown)."""
+    for rule in default_rules():
+        if rule.id == rule_id:
+            return rule
     raise KeyError(f"no lint rule with id {rule_id!r}")

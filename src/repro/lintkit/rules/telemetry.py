@@ -1,25 +1,13 @@
-"""telemetry-guard and counter-naming: telemetry discipline rules.
+"""counter-naming: registry metric names follow ``{layer}_{noun}``.
 
-**telemetry-guard** — the telemetry subsystem's contract (DESIGN.md §7)
-is that a run with no subscriber allocates nothing: event objects are
-built only behind an ``events.active`` check.  Every ``<bus>.emit(...)``
-call site must therefore be guarded, either lexically::
-
-    if self.events.active:
-        self.events.emit(HostIOEvent(...))
-
-or by an early bail-out at the top of the function::
-
-    if not self.events.active:
-        return
-    self.events.emit(HostIOEvent(...))
-
-**counter-naming** — registry metric names follow ``{layer}_{noun}``:
-the first segment names the owning layer (``device_``, ``blockssd_``,
+The first segment names the owning layer (``device_``, ``blockssd_``,
 ``ipa_``, ``gc_``, ``flash_``, ``buffer_``, ...), optionally preceded
 by a composite-device prefix (``shard<i>_`` or a runtime ``{prefix}``
 slot), and the rest is lower_snake.  The rule checks every literal or
 f-string name passed to ``.counter()`` / ``.gauge()`` / ``.histogram()``.
+
+(The other telemetry discipline rule, **telemetry-guard**, needs
+dominance and lives in :mod:`repro.lintkit.flow.rules.telemetry_guard`.)
 """
 
 from __future__ import annotations
@@ -44,82 +32,6 @@ _LAYER_HEAD_RE = re.compile(
     r"^(shard\d+_)?(" + "|".join(sorted(METRIC_LAYERS)) + r")_"
 )
 _CHARSET_RE = re.compile(r"^[a-z0-9_]*$")
-
-
-def _mentions_active(node: ast.AST) -> bool:
-    """Whether a test expression references an ``active`` flag."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Attribute) and sub.attr == "active":
-            return True
-        if isinstance(sub, ast.Name) and sub.id == "active":
-            return True
-    return False
-
-
-def _terminates(body: list[ast.stmt]) -> bool:
-    """Whether a block ends by leaving the enclosing function/loop."""
-    return bool(body) and isinstance(
-        body[-1], (ast.Return, ast.Raise, ast.Continue, ast.Break)
-    )
-
-
-class TelemetryGuardRule(Rule):
-    """Event emission must sit behind an ``events.active`` check."""
-
-    id = "telemetry-guard"
-    description = (
-        "telemetry .emit() calls must be guarded by an events.active "
-        "check so the no-subscriber path allocates nothing"
-    )
-
-    def check(self, module: LintModule) -> Iterable[Finding]:
-        """Flag unguarded ``.emit()`` calls, function by function."""
-        if module.module == "repro.telemetry.events":
-            # The bus itself: emit() is defined (and tested) here.
-            return
-        for func in ast.walk(module.tree):
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_function(module, func)
-
-    def _check_function(self, module, func) -> Iterable[Finding]:
-        guarded_lines = self._guarded_spans(func)
-        for node in ast.walk(func):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "emit"
-                and not self._is_guarded(node, guarded_lines, func)
-            ):
-                yield self.finding(
-                    module, node,
-                    "emits a telemetry event outside an `events.active` "
-                    "guard; the disabled path must stay allocation-free",
-                )
-
-    def _guarded_spans(self, func) -> list[tuple[int, int]]:
-        """Line spans lying inside an ``if ...active...:`` body."""
-        spans: list[tuple[int, int]] = []
-        for node in ast.walk(func):
-            if isinstance(node, ast.If) and _mentions_active(node.test):
-                is_bailout = (
-                    isinstance(node.test, ast.UnaryOp)
-                    and isinstance(node.test.op, ast.Not)
-                    and _terminates(node.body)
-                )
-                if is_bailout:
-                    # `if not ...active: return` — everything after the
-                    # guard (to the end of the function) is protected.
-                    spans.append((node.end_lineno or node.lineno,
-                                  func.end_lineno or node.lineno))
-                else:
-                    first, last = node.body[0], node.body[-1]
-                    spans.append((first.lineno, last.end_lineno or last.lineno))
-        return spans
-
-    @staticmethod
-    def _is_guarded(node: ast.Call, spans, func) -> bool:
-        line = node.lineno
-        return any(start <= line <= end for start, end in spans)
 
 
 class CounterNamingRule(Rule):

@@ -1,6 +1,6 @@
-"""The stock hot-path benches ``repro bench`` ships with.
+"""The stock benches ``repro bench`` ships with.
 
-One bench per hot path the optimization pass touches:
+One bench per hot path whose simulated behaviour must not move:
 
 * ``ispp_program`` — raw :class:`~repro.flash.page.FlashPage`
   programming: first-program image installs, delta-tail appends, and
@@ -15,16 +15,15 @@ One bench per hot path the optimization pass touches:
   array, driving mapping updates and greedy GC;
 * ``hostq_events`` — the discrete-event scheduler and NCQ queue on a
   stub device (pure event-loop overhead);
-* ``device_loadtest`` — the end-to-end device-level load test at the
-  profiling configuration (the ≥2x acceptance gate of the optimization
-  pass measures here);
+* ``device_loadtest`` — the end-to-end device-level load test (8
+  clients, queue depth 8): the golden pin of dispatch order;
 * ``txn_loadtest`` — the transaction-level load test at the CI smoke
-  configuration (buffer pool + WAL + group commit under the scheduler).
+  configuration (buffer pool + WAL + group commit under the scheduler):
+  the golden pin of group-commit accounting.
 
 Every bench draws from seeded :class:`random.Random` instances and
 fixed sizes, so its ``counts`` are identical on every machine and
-Python version; the quick/full distinction lives entirely in the
-runner's repeat count.
+Python version.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import random
 import zlib
 
 from ..core import NxMScheme, apply_pairs, decode_area, encode_record
-from ..flash.ecc import CODE_SIZE, EccSegment, SegmentedEcc, compute_code
+from ..flash.ecc import CODE_SIZE, compute_code
 from ..flash.page import FlashPage
 from ..hostq import (
     HostScheduler,
@@ -61,9 +60,10 @@ _OOB_SIZE = 128
 # ispp_program
 # ----------------------------------------------------------------------
 
-def _ispp_setup(quick: bool) -> dict:
+def _ispp_program() -> dict:
     rng = random.Random(11)
-    body = bytes(rng.randrange(0x100) for _ in range(_PAGE_SIZE - 512))
+    tail_start = _PAGE_SIZE - 512
+    body = bytes(rng.randrange(0x100) for _ in range(tail_start))
     base = body + b"\xff" * 512  # erased delta tail
     appends = [
         bytes(rng.randrange(0x100) for _ in range(24)) for _ in range(16)
@@ -71,21 +71,8 @@ def _ispp_setup(quick: bool) -> dict:
     # A legal AND-merge image: every byte only clears bits of the final
     # state (new = current & mask).
     mask = bytes(rng.randrange(0x100) for _ in range(_PAGE_SIZE))
-    return {
-        "page": FlashPage(_PAGE_SIZE, _OOB_SIZE),
-        "base": base,
-        "appends": appends,
-        "mask": mask,
-        "trials": 200,
-    }
-
-
-def _ispp_run(state: dict) -> int:
-    page: FlashPage = state["page"]
-    base, appends, mask = state["base"], state["appends"], state["mask"]
-    tail_start = _PAGE_SIZE - 512
-    ops = 0
-    for __ in range(state["trials"]):
+    page = FlashPage(_PAGE_SIZE, _OOB_SIZE)
+    for __ in range(200):
         page.erase()
         page.program(base)
         offset = tail_start
@@ -94,12 +81,6 @@ def _ispp_run(state: dict) -> int:
             offset += len(record)
         current = page.read()
         page.program(bytes(a & b for a, b in zip(current, mask)))
-        ops += 2 + len(appends)
-    return ops
-
-
-def _ispp_counts(state: dict) -> dict:
-    page: FlashPage = state["page"]
     return {
         "programs": page.program_count,
         "image_crc": zlib.crc32(page.read()),
@@ -110,7 +91,7 @@ def _ispp_counts(state: dict) -> dict:
 # delta_codec
 # ----------------------------------------------------------------------
 
-def _codec_setup(quick: bool) -> dict:
+def _delta_codec() -> dict:
     scheme = NxMScheme(4, 8)
     rng = random.Random(23)
     change_sets = [
@@ -120,28 +101,12 @@ def _codec_setup(quick: bool) -> dict:
         ]
         for _ in range(600)
     ]
-    segments = [EccSegment(0, _PAGE_SIZE - scheme.area_size)] + [
-        EccSegment(scheme.area_offset(_PAGE_SIZE) + index * scheme.record_size,
-                   scheme.record_size)
-        for index in range(scheme.n)
-    ]
-    return {
-        "scheme": scheme,
-        "change_sets": change_sets,
-        "ecc": SegmentedEcc(segments, _OOB_SIZE),
-        "image": bytearray(b"\x00" * (_PAGE_SIZE - scheme.area_size)
-                           + b"\xff" * scheme.area_size),
-        "code_crc": 0,
-    }
-
-
-def _codec_run(state: dict) -> int:
-    scheme: NxMScheme = state["scheme"]
-    image: bytearray = state["image"]
     area_start = scheme.area_offset(_PAGE_SIZE)
-    code_crc = state["code_crc"]
+    image = bytearray(b"\x00" * (_PAGE_SIZE - scheme.area_size)
+                      + b"\xff" * scheme.area_size)
+    code_crc = 0
     slot = 0
-    for pairs in state["change_sets"]:
+    for pairs in change_sets:
         if slot == scheme.n:
             image[area_start:] = b"\xff" * scheme.area_size
             slot = 0
@@ -152,15 +117,10 @@ def _codec_run(state: dict) -> int:
         code_crc = zlib.crc32(compute_code(record), code_crc)
         decoded, __ = decode_area(scheme, bytes(image), _PAGE_SIZE)
         apply_pairs(image, decoded)
-    state["code_crc"] = code_crc
-    return len(state["change_sets"])
-
-
-def _codec_counts(state: dict) -> dict:
     return {
-        "records": len(state["change_sets"]),
-        "image_crc": zlib.crc32(bytes(state["image"])),
-        "code_crc": state["code_crc"],
+        "records": len(change_sets),
+        "image_crc": zlib.crc32(bytes(image)),
+        "code_crc": code_crc,
         "code_size": CODE_SIZE,
     }
 
@@ -169,7 +129,7 @@ def _codec_counts(state: dict) -> dict:
 # buffer_pool
 # ----------------------------------------------------------------------
 
-def _pool_setup(quick: bool) -> dict:
+def _buffer_pool() -> dict:
     def loader(lpn: int, now: float):
         return SlottedPage.format(lpn, _PAGE_SIZE, 0), 0, 25.0
 
@@ -183,21 +143,12 @@ def _pool_setup(quick: bool) -> dict:
         rng.randrange(64) if rng.random() < 0.8 else rng.randrange(512)
         for _ in range(4000)
     ]
-    return {"pool": pool, "accesses": accesses}
-
-
-def _pool_run(state: dict) -> int:
-    pool: BufferPool = state["pool"]
-    for index, lpn in enumerate(state["accesses"]):
+    for index, lpn in enumerate(accesses):
         pool.fetch(lpn, 0.0)
         pool.unpin(lpn, dirty=index % 3 == 0)
         if index % 64 == 63:
             pool.clean(0.0)
-    return len(state["accesses"])
-
-
-def _pool_counts(state: dict) -> dict:
-    stats = state["pool"].stats
+    stats = pool.stats
     return {
         "fetches": stats.fetches,
         "hits": stats.hits,
@@ -212,42 +163,30 @@ def _pool_counts(state: dict) -> dict:
 # wal_group_commit
 # ----------------------------------------------------------------------
 
-def _wal_setup(quick: bool) -> dict:
+def _wal_group_commit() -> dict:
     log = LogManager(capacity_bytes=2_000_000, group_commit=8)
     rng = random.Random(41)
     updates = [
         (rng.randrange(256), rng.randrange(4096), bytes(8), bytes(8))
         for _ in range(5000)
     ]
-    return {"log": log, "updates": updates, "checkpoints": 0}
-
-
-def _wal_run(state: dict) -> int:
-    log: LogManager = state["log"]
-    ops = 0
-    for index, (txn, offset, old, new) in enumerate(state["updates"]):
+    checkpoints = 0
+    for index, (txn, offset, old, new) in enumerate(updates):
         log.append(txn, LogKind.UPDATE, lpn=txn, payload=((offset, old, new),))
-        ops += 1
         if index % 4 == 3:
             log.append(txn, LogKind.COMMIT)
             log.force()
-            ops += 1
         if log.space_consumed_fraction() > 0.5:
             log.note_checkpoint()
-            state["checkpoints"] += 1
+            checkpoints += 1
     log.flush_group()
-    return ops
-
-
-def _wal_counts(state: dict) -> dict:
-    log: LogManager = state["log"]
     return {
         "appended": log.appended,
         "forces": log.forces,
         "commits_grouped": log.commits_grouped,
         "bytes_written": log.bytes_written,
         "last_lsn": log.last_lsn,
-        "checkpoints": state["checkpoints"],
+        "checkpoints": checkpoints,
     }
 
 
@@ -255,7 +194,7 @@ def _wal_counts(state: dict) -> dict:
 # noftl_write_gc
 # ----------------------------------------------------------------------
 
-def _noftl_setup(quick: bool) -> dict:
+def _noftl_write_gc() -> dict:
     device = open_device(SessionConfig(backend="noftl", logical_pages=256))
     rng = random.Random(53)
     writes = [
@@ -263,24 +202,12 @@ def _noftl_setup(quick: bool) -> dict:
          rng.randrange(0x100))
         for _ in range(3000)
     ]
-    return {"device": device, "writes": writes}
-
-
-def _noftl_run(state: dict) -> int:
-    device = state["device"]
     page_size = device.page_size
-    ops = 0
-    for index, (lpn, fill) in enumerate(state["writes"]):
+    for index, (lpn, fill) in enumerate(writes):
         device.write(lpn, bytes([fill]) * page_size, 0.0)
-        ops += 1
         if index % 7 == 0:
             device.read(lpn, 0.0)
-            ops += 1
-    return ops
-
-
-def _noftl_counts(state: dict) -> dict:
-    snapshot = state["device"].snapshot()
+    snapshot = device.snapshot()
     return {
         key: snapshot[key]
         for key in ("host_reads", "host_page_writes", "gc_erases",
@@ -313,7 +240,7 @@ class _StubDevice:
         return latency
 
 
-def _hostq_setup(quick: bool) -> dict:
+def _hostq_events() -> dict:
     device = _StubDevice(8)
     queue = SubmissionQueue(16)
     scheduler = HostScheduler(device, queue, device.execute)
@@ -330,18 +257,7 @@ def _hostq_setup(quick: bool) -> dict:
             scheduler.submit(request, now)
 
         scheduler.schedule(arrival, submit)
-    return {"scheduler": scheduler, "queue": queue}
-
-
-def _hostq_run(state: dict) -> int:
-    scheduler: HostScheduler = state["scheduler"]
     scheduler.run()
-    return len(scheduler.completed)
-
-
-def _hostq_counts(state: dict) -> dict:
-    scheduler: HostScheduler = state["scheduler"]
-    queue: SubmissionQueue = state["queue"]
     return {
         "events": scheduler.stats.events,
         "polls": scheduler.stats.polls,
@@ -356,22 +272,11 @@ def _hostq_counts(state: dict) -> dict:
 # device_loadtest / txn_loadtest
 # ----------------------------------------------------------------------
 
-def _device_loadtest_setup(quick: bool) -> dict:
-    return {
-        "config": LoadTestConfig(
-            backend="noftl", clients=8, queue_depth=8, requests=4000,
-            logical_pages=512, profile="uniform", seed=7,
-        ),
-    }
-
-
-def _device_loadtest_run(state: dict) -> int:
-    state["result"] = run_loadtest(state["config"])
-    return state["result"].completed
-
-
-def _device_loadtest_counts(state: dict) -> dict:
-    result = state["result"]
+def _device_loadtest() -> dict:
+    result = run_loadtest(LoadTestConfig(
+        backend="noftl", clients=8, queue_depth=8, requests=4000,
+        logical_pages=512, profile="uniform", seed=7,
+    ))
     return {
         "generated": result.generated,
         "completed": result.completed,
@@ -384,22 +289,11 @@ def _device_loadtest_counts(state: dict) -> dict:
     }
 
 
-def _txn_loadtest_setup(quick: bool) -> dict:
-    return {
-        "config": TxnLoadTestConfig(
-            backend="noftl", clients=4, queue_depth=4, txns=60,
-            logical_pages=128, profile="tpcb", scheme=NxMScheme(2, 4), seed=7,
-        ),
-    }
-
-
-def _txn_loadtest_run(state: dict) -> int:
-    state["result"] = run_txn_loadtest(state["config"])
-    return state["result"].committed
-
-
-def _txn_loadtest_counts(state: dict) -> dict:
-    result = state["result"]
+def _txn_loadtest() -> dict:
+    result = run_txn_loadtest(TxnLoadTestConfig(
+        backend="noftl", clients=4, queue_depth=4, txns=60,
+        logical_pages=128, profile="tpcb", scheme=NxMScheme(2, 4), seed=7,
+    ))
     return {
         "started": result.started,
         "committed": result.committed,
@@ -418,40 +312,40 @@ def register_default_benches() -> None:
     register(Bench(
         "ispp_program",
         "FlashPage programming: image installs, tail appends, AND-merges",
-        _ispp_setup, _ispp_run, _ispp_counts,
+        _ispp_program,
     ))
     register(Bench(
         "delta_codec",
         "delta-record encode/decode + segment ECC over an [N x M] area",
-        _codec_setup, _codec_run, _codec_counts,
+        _delta_codec,
     ))
     register(Bench(
         "buffer_pool",
         "buffer-pool fetch/evict/clean cycling with a synthetic loader",
-        _pool_setup, _pool_run, _pool_counts,
+        _buffer_pool,
     ))
     register(Bench(
         "wal_group_commit",
         "WAL appends with group-commit forces and log-space checkpoints",
-        _wal_setup, _wal_run, _wal_counts,
+        _wal_group_commit,
     ))
     register(Bench(
         "noftl_write_gc",
         "NoFTL page writes driving mapping updates and greedy GC",
-        _noftl_setup, _noftl_run, _noftl_counts,
+        _noftl_write_gc,
     ))
     register(Bench(
         "hostq_events",
         "discrete-event scheduler + NCQ queue on a stub device",
-        _hostq_setup, _hostq_run, _hostq_counts,
+        _hostq_events,
     ))
     register(Bench(
         "device_loadtest",
-        "device-level loadtest, profiling configuration (8 clients, qd 8)",
-        _device_loadtest_setup, _device_loadtest_run, _device_loadtest_counts,
+        "device-level loadtest (8 clients, qd 8): dispatch order",
+        _device_loadtest,
     ))
     register(Bench(
         "txn_loadtest",
-        "transaction-level loadtest, CI smoke configuration",
-        _txn_loadtest_setup, _txn_loadtest_run, _txn_loadtest_counts,
+        "transaction-level loadtest, CI smoke configuration: group commit",
+        _txn_loadtest,
     ))

@@ -1,14 +1,10 @@
-"""The regression comparator behind ``repro bench --compare``.
+"""The count gate behind ``repro bench --compare``.
 
-Two result files compare on two axes with different contracts:
-
-* **counts** — simulated invariants; must match *exactly*.  A count
-  drift means the simulation itself changed (different victim choices,
-  different event order, different bytes) — that is never a timing
-  matter and always a finding.
-* **wall-clock** — machine measurements; the current ``best_us`` may
-  regress up to ``threshold`` (default 30%) over the baseline before it
-  is a finding.  Improvements and noise below the threshold pass.
+Two result files compare on one axis with one contract: **counts** are
+simulated invariants and must match *exactly*.  A count drift means the
+simulation itself changed (different victim choices, different event
+order, different bytes) — that is never a timing matter and always a
+finding.
 
 A bench present in the baseline but missing from the current run is a
 finding (coverage must not silently shrink); benches only present in
@@ -19,79 +15,57 @@ from __future__ import annotations
 
 from ..analysis.report import format_table
 
-__all__ = ["DEFAULT_THRESHOLD", "compare_results", "render_comparison"]
-
-DEFAULT_THRESHOLD = 0.30
+__all__ = ["compare_results", "render_comparison"]
 
 
-def compare_results(
-    baseline: dict, current: dict, threshold: float = DEFAULT_THRESHOLD
-) -> list[str]:
-    """Every regression finding, as human-readable strings (empty = pass)."""
+def _drifted(base: dict, entry: dict) -> list[str]:
+    """Invariant names whose values differ (or exist on one side only)."""
+    return sorted(
+        key
+        for key in set(base["counts"]) | set(entry["counts"])
+        if base["counts"].get(key) != entry["counts"].get(key)
+    )
+
+
+def compare_results(baseline: dict, current: dict) -> list[str]:
+    """Every count-gate finding, as human-readable strings (empty = pass)."""
     problems: list[str] = []
-    base_benches = baseline.get("benches", {})
     current_benches = current.get("benches", {})
-    for name, base in base_benches.items():
+    for name, base in baseline.get("benches", {}).items():
         entry = current_benches.get(name)
         if entry is None:
             problems.append(f"{name}: missing from the current run")
             continue
-        if entry["counts"] != base["counts"]:
-            drifted = sorted(
-                key
-                for key in set(base["counts"]) | set(entry["counts"])
-                if base["counts"].get(key) != entry["counts"].get(key)
-            )
-            for key in drifted:
-                problems.append(
-                    f"{name}: count {key!r} drifted "
-                    f"{base['counts'].get(key)} -> {entry['counts'].get(key)} "
-                    "(simulated invariants must match exactly)"
-                )
-        limit = base["best_us"] * (1.0 + threshold)
-        if entry["best_us"] > limit:
-            ratio = entry["best_us"] / base["best_us"]
+        for key in _drifted(base, entry):
             problems.append(
-                f"{name}: wall-clock regression {ratio:.2f}x "
-                f"({base['best_us']:.1f}us -> {entry['best_us']:.1f}us, "
-                f"threshold {threshold:.0%})"
+                f"{name}: count {key!r} drifted "
+                f"{base['counts'].get(key)} -> {entry['counts'].get(key)} "
+                "(simulated invariants must match exactly)"
             )
     return problems
 
 
-def render_comparison(
-    baseline: dict, current: dict, threshold: float = DEFAULT_THRESHOLD
-) -> tuple[str, list[str]]:
+def render_comparison(baseline: dict, current: dict) -> tuple[str, list[str]]:
     """The comparison table plus the finding list."""
-    problems = compare_results(baseline, current, threshold)
+    problems = compare_results(baseline, current)
     base_benches = baseline.get("benches", {})
     current_benches = current.get("benches", {})
     rows = []
     for name, base in base_benches.items():
         entry = current_benches.get(name)
         if entry is None:
-            rows.append([name, base["best_us"] / 1000.0, "-", "-", "MISSING"])
+            rows.append([name, len(base["counts"]), "-", "MISSING"])
             continue
-        ratio = entry["best_us"] / base["best_us"] if base["best_us"] else 0.0
-        counts_ok = entry["counts"] == base["counts"]
-        wall_ok = entry["best_us"] <= base["best_us"] * (1.0 + threshold)
-        status = "ok" if counts_ok and wall_ok else (
-            "COUNTS" if not counts_ok else "SLOW"
-        )
+        drifted = len(_drifted(base, entry))
         rows.append([
-            name,
-            base["best_us"] / 1000.0,
-            entry["best_us"] / 1000.0,
-            f"{ratio:.2f}x",
-            status,
+            name, len(base["counts"]), drifted, "COUNTS" if drifted else "ok",
         ])
-    for name in current_benches:
+    for name, entry in current_benches.items():
         if name not in base_benches:
-            rows.append([name, "-", current_benches[name]["best_us"] / 1000.0,
-                         "-", "new"])
+            rows.append([name, len(entry["counts"]), "-", "new"])
     table = format_table(
-        ["bench", "baseline [ms]", "current [ms]", "ratio", "status"],
+        ["bench", "invariants", "drifted", "status"],
         rows,
-        title=f"bench comparison (threshold {threshold:.0%})",
+        title="bench comparison (simulated counts, exact)",
     )
     return table, problems

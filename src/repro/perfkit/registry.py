@@ -1,31 +1,23 @@
-"""The microbenchmark registry: named, self-describing hot-path benches.
+"""The bench registry: named, self-describing simulated-count pins.
 
-A bench is three callables sharing a *state* object:
+A bench is one callable, ``replay()``: it builds its workload state —
+devices, pools, request lists — from seeded :class:`random.Random`
+instances and fixed sizes, drives the hot path under test over it, and
+returns the bench's *simulated-count invariants* — deterministic
+integers/floats (program counts, GC erases, event-loop totals, CRCs of
+produced bytes) that must be byte-equal across passes, runs, machines
+and Python versions.  The runner enforces the across-pass half of
+that; CI (and tier-1) compare the rest against the committed baseline.
 
-* ``setup(quick)`` builds the workload state — devices, pools, request
-  lists — outside the timed region.  ``quick`` selects the CI smoke
-  variant; benches keep their **simulated workload identical** in both
-  variants (only the runner's repeat count changes), so the invariant
-  counts a quick CI run produces are comparable 1:1 against a committed
-  full baseline.
-* ``run(state)`` is the timed region; it returns the number of logical
-  operations it performed (the denominator of ``ops_per_sec``).
-* ``counts(state)`` reports the bench's *simulated-count invariants* —
-  deterministic integers/floats (program counts, GC erases, event-loop
-  totals, CRCs of produced bytes) that must be byte-equal across
-  repeats, runs, machines and Python versions.  The runner enforces the
-  across-repeat half of that; CI compares the rest against the
-  committed baseline.
-
-Wall-clock numbers measure the *implementation*; the counts pin the
-*simulation*.  Together they make a hot-path optimization checkable:
-the counts must not move, the wall-clock should.
+The counts pin the *simulation*: a hot-path optimization is checkable
+because they must not move.  How fast the implementation runs is not
+this package's business — ``bench/`` at the repo root measures that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Callable
 
 from ..errors import ReproError
 
@@ -34,13 +26,11 @@ __all__ = ["Bench", "REGISTRY", "all_benches", "get_bench", "register"]
 
 @dataclass(frozen=True)
 class Bench:
-    """One registered microbenchmark (see module docstring)."""
+    """One registered bench (see module docstring)."""
 
     name: str
     description: str
-    setup: Callable[[bool], Any]
-    run: Callable[[Any], int]
-    counts: Callable[[Any], dict]
+    replay: Callable[[], dict]
 
 
 #: name -> Bench, in registration order (the report order).

@@ -1,46 +1,35 @@
-"""The bench runner: time the registry, emit canonical ``BENCH_*.json``.
+"""The bench runner: replay the registry, emit canonical ``BENCH_*.json``.
 
-For every bench and every repeat the runner rebuilds the state from
-scratch (``setup`` is untimed), times one ``run``, and collects the
-bench's simulated-count invariants.  Counts must be identical across
-repeats — a bench whose counts drift between repeats is nondeterministic
-and fails the run immediately, which is the whole point: wall-clock
-numbers are only trustworthy over a simulation that replays exactly.
+For every bench the runner makes two passes, each a fresh
+``bench.replay()`` from scratch.  The two passes' counts must be
+identical — a bench whose counts drift between passes is
+nondeterministic and fails the run immediately, which is the whole
+point: the simulation must replay exactly.
 
-The emitted payload is the repo's canonical benchmark result format::
+The emitted payload is the repo's canonical count-pin format::
 
     {
-      "schema": "repro-perfkit/1",
-      "repro_version": "1.0.0",
-      "quick": false,
+      "schema": "repro-perfkit/2",
+      "repro_version": "1.1.0",
       "annotations": {"...": "..."},
       "benches": {
         "<name>": {
           "description": "...",
-          "repeats": 3,
-          "ops": 4000,
-          "wall_us": [<per-repeat wall microseconds>],
-          "best_us": ..., "mean_us": ..., "ops_per_sec": ...,
           "counts": {"<invariant>": <exact value>, ...}
         }
       }
     }
 
-``counts`` compare exactly across machines; ``wall_us`` and friends are
-measurements of *this* machine and compare under a threshold (see
-:mod:`repro.perfkit.compare`).
-
-This module is the one place in ``src/repro`` allowed to read the wall
-clock (``PATH_EXEMPTIONS`` waives the determinism lint rule for
-``repro.perfkit``): measuring wall time is its purpose, and the readings
-never feed back into any simulation.
+``counts`` compare exactly across machines and Python versions (see
+:mod:`repro.perfkit.compare`).  Nothing here reads the wall clock:
+schema ``/1`` also carried per-bench timings gated at ±30 % against a
+one-sample baseline, which could not tell a regression from host noise;
+wall-clock claims belong to ``bench/`` (ten seeds, spread-aware bounds).
 """
 
 from __future__ import annotations
 
 import json
-import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -50,9 +39,7 @@ from ..errors import ReproError
 from .registry import Bench, all_benches, get_bench
 
 __all__ = [
-    "BenchResult",
     "SCHEMA",
-    "default_output_name",
     "load_results",
     "render_report",
     "run_bench",
@@ -60,81 +47,23 @@ __all__ = [
     "write_results",
 ]
 
-SCHEMA = "repro-perfkit/1"
-
-#: Timed repeats per bench (full / quick runs).
-REPEATS = 3
-QUICK_REPEATS = 2
+SCHEMA = "repro-perfkit/2"
 
 
-@dataclass
-class BenchResult:
-    """One bench's measurements: wall stats plus invariant counts."""
-
-    name: str
-    description: str
-    repeats: int
-    ops: int
-    wall_us: list[float]
-    counts: dict
-
-    @property
-    def best_us(self) -> float:
-        return min(self.wall_us)
-
-    @property
-    def mean_us(self) -> float:
-        return sum(self.wall_us) / len(self.wall_us)
-
-    @property
-    def ops_per_sec(self) -> float:
-        """Throughput at the best repeat (the least-noisy sample)."""
-        return self.ops / (self.best_us / 1e6) if self.best_us > 0 else 0.0
-
-    def to_dict(self) -> dict:
-        """JSON shape of one bench entry in a ``BENCH_*.json`` payload."""
-        return {
-            "description": self.description,
-            "repeats": self.repeats,
-            "ops": self.ops,
-            "wall_us": [round(us, 1) for us in self.wall_us],
-            "best_us": round(self.best_us, 1),
-            "mean_us": round(self.mean_us, 1),
-            "ops_per_sec": round(self.ops_per_sec, 1),
-            "counts": self.counts,
-        }
-
-
-def run_bench(bench: Bench, quick: bool = False) -> BenchResult:
-    """Run one bench: fresh state per repeat, counts must replay."""
-    repeats = QUICK_REPEATS if quick else REPEATS
-    wall_us: list[float] = []
-    ops = 0
-    counts: dict | None = None
-    for __ in range(repeats):
-        state = bench.setup(quick)
-        t0 = time.perf_counter()
-        ops = bench.run(state)
-        t1 = time.perf_counter()
-        wall_us.append((t1 - t0) * 1e6)
-        repeat_counts = bench.counts(state)
-        if counts is None:
-            counts = repeat_counts
-        elif repeat_counts != counts:
-            raise ReproError(
-                f"bench {bench.name!r} is nondeterministic: counts changed "
-                f"between repeats ({counts} != {repeat_counts})"
-            )
-    assert counts is not None
-    return BenchResult(
-        name=bench.name, description=bench.description, repeats=repeats,
-        ops=ops, wall_us=wall_us, counts=counts,
-    )
+def run_bench(bench: Bench) -> dict:
+    """Replay one bench twice; returns its counts, which must agree."""
+    counts = bench.replay()
+    replayed = bench.replay()
+    if replayed != counts:
+        raise ReproError(
+            f"bench {bench.name!r} is nondeterministic: counts changed "
+            f"between passes ({counts} != {replayed})"
+        )
+    return counts
 
 
 def run_benchmarks(
     names: Iterable[str] | None = None,
-    quick: bool = False,
     annotations: dict[str, str] | None = None,
 ) -> dict:
     """Run the selected benches (default: all); returns the payload."""
@@ -146,10 +75,13 @@ def run_benchmarks(
     return {
         "schema": SCHEMA,
         "repro_version": __version__,
-        "quick": quick,
         "annotations": dict(annotations or {}),
         "benches": {
-            bench.name: run_bench(bench, quick).to_dict() for bench in benches
+            bench.name: {
+                "description": bench.description,
+                "counts": run_bench(bench),
+            }
+            for bench in benches
         },
     }
 
@@ -157,26 +89,14 @@ def run_benchmarks(
 def render_report(payload: dict) -> str:
     """The human-readable table ``repro bench`` prints."""
     rows = [
-        [
-            name,
-            result["ops"],
-            result["best_us"] / 1000.0,
-            result["ops_per_sec"],
-            len(result["counts"]),
-        ]
+        [name, len(result["counts"]), result["description"]]
         for name, result in payload["benches"].items()
     ]
-    mode = "quick" if payload.get("quick") else "full"
     return format_table(
-        ["bench", "ops", "best [ms]", "ops/sec", "invariants"],
+        ["bench", "invariants", "description"],
         rows,
-        title=f"repro bench ({mode}, {len(rows)} benches)",
+        title=f"repro bench ({len(rows)} benches, counts replayed twice)",
     )
-
-
-def default_output_name(quick: bool) -> str:
-    """The canonical result filename at the repo root."""
-    return "BENCH_quick.json" if quick else "BENCH_baseline.json"
 
 
 def write_results(payload: dict, path: str | Path) -> Path:

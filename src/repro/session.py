@@ -5,9 +5,7 @@ the load tests, the crash matrix — needs the same three objects wired
 together: a :class:`~repro.ftl.device.FlashDevice` (one of the testbed
 backends), a :class:`~repro.storage.engine.StorageEngine` on top of it,
 and optionally a :class:`~repro.telemetry.Telemetry` instrument spanning
-both.  Historically each harness called the :mod:`repro.testbed`
-factories with its own argument plumbing; this module replaces that
-with one typed configuration record and one constructor:
+both.  This module does that from one typed configuration record:
 
     from repro import SessionConfig, open_session
 
@@ -19,9 +17,12 @@ with one typed configuration record and one constructor:
 :class:`SessionConfig` captures *everything* that selects an
 experimental setup — backend, platform, shard count, [N x M] scheme,
 buffer sizing, eviction policy, telemetry, clock, seed — so a config
-value is a complete, comparable description of a run.  The old
-``testbed.make_device`` / ``testbed.build_engine`` entry points remain
-as thin wrappers over this module.
+value is a complete, comparable description of a run.
+
+Construction has one function per job: :func:`open_device` picks a
+backend by name, :func:`repro.testbed.build_engine` puts an engine over
+a device the caller built (the per-backend ``*_device`` factories), and
+:func:`open_session` does both.
 """
 
 from __future__ import annotations
@@ -34,10 +35,11 @@ from .errors import ReproError
 from .flash.constants import CellType
 from .ftl.device import FlashDevice
 from .ftl.region import IPAMode
-from .storage.engine import EngineConfig, StorageEngine
+from .storage.engine import StorageEngine
 from .testbed import (
     BACKENDS,
     blockssd_device,
+    build_engine,
     emulator_device,
     openssd_device,
     sharded_device,
@@ -133,10 +135,10 @@ class Session:
 def open_device(config: SessionConfig) -> FlashDevice:
     """Build just the storage backend a config describes.
 
-    This is the single dispatch point behind ``testbed.make_device``:
-    ``noftl`` honours the platform choice (emulator or openssd),
-    ``blockssd`` mirrors the platform's flash technology behind a
-    black-box interface, ``sharded`` stripes over emulator-style shards.
+    This is the single backend-by-name dispatch point: ``noftl``
+    honours the platform choice (emulator or openssd), ``blockssd``
+    mirrors the platform's flash technology behind a black-box
+    interface, ``sharded`` stripes over emulator-style shards.
     """
     config.validate()
     if config.backend == "noftl":
@@ -171,26 +173,6 @@ def open_device(config: SessionConfig) -> FlashDevice:
     )
 
 
-def build_session_engine(device: FlashDevice, config: SessionConfig) -> StorageEngine:
-    """An engine over an already-built device, per the config.
-
-    Split out of :func:`open_session` so ``testbed.build_engine`` (whose
-    callers bring their own device) can delegate here.
-    """
-    buffer_pages = config.buffer_pages
-    if buffer_pages is None:
-        buffer_pages = max(8, device.logical_pages // 2)
-    engine_config = EngineConfig(
-        buffer_pages=buffer_pages,
-        scheme=config.scheme,
-        eviction=config.eviction,
-        **config.engine,
-    )
-    return StorageEngine(
-        device, engine_config, telemetry=config.telemetry, clock=config.clock
-    )
-
-
 def open_session(config: SessionConfig | None = None, **overrides: Any) -> Session:
     """Build the full stack a config describes; the one-call entry.
 
@@ -204,5 +186,9 @@ def open_session(config: SessionConfig | None = None, **overrides: Any) -> Sessi
         config = config.with_overrides(**overrides)
     config.validate()
     device = open_device(config)
-    engine = build_session_engine(device, config)
+    engine = build_engine(
+        device, scheme=config.scheme, buffer_pages=config.buffer_pages,
+        eviction=config.eviction, telemetry=config.telemetry,
+        clock=config.clock, **config.engine,
+    )
     return Session(config=config, device=device, engine=engine)

@@ -1,11 +1,13 @@
 """Metrics primitives: counters, gauges, fixed-bucket histograms.
 
 The :class:`MetricsRegistry` is the single home for every number the
-simulator reports.  The legacy aggregate dataclasses
+simulator reports.  The aggregate stats objects
 (:class:`~repro.ftl.stats.DeviceStats`,
-:class:`~repro.core.stats.IPAStats`) are thin façades over registry
-counters, so one registry snapshot — or one Prometheus dump — carries
-the whole stack's accounting.
+:class:`~repro.core.stats.IPAStats`,
+:class:`~repro.ftl.blockdev.BlockSSDStats`) are :class:`CounterFacade`
+subclasses — attribute access delegating to registry counters — so one
+registry snapshot, or one Prometheus dump, carries the whole stack's
+accounting.
 
 Histograms use **fixed** bucket boundaries chosen at creation time
 (Prometheus-style cumulative ``le`` buckets at export).  Three default
@@ -234,3 +236,101 @@ class MetricsRegistry:
         """Zero every registered metric (run boundaries)."""
         for metric in self._metrics.values():
             metric.reset()
+
+
+def _counter_property(name: str, doc: str) -> property:
+    """A property delegating ``stats.<name>`` to a registry counter."""
+
+    def fget(self):
+        return self._metrics[name].value
+
+    def fset(self, value):
+        self._metrics[name].value = value
+
+    return property(fget, fset, doc=doc)
+
+
+class CounterFacade:
+    """Attribute façade over registry counters, driven by a field table.
+
+    A subclass declares :attr:`FIELDS` (field name -> help string) and
+    the metric-name :attr:`PREFIX` of its layer; every field becomes a
+    property over the registry :class:`Counter` named
+    ``{prefix}{PREFIX}{field}``, so ``stats.host_reads += 1`` updates
+    the number a Prometheus dump of the registry exports.
+
+    A stand-alone instance owns a private registry; :meth:`bind`
+    re-homes the counters into a shared telemetry registry without
+    losing accumulated values.  Re-running ``stats.__init__()`` (the
+    reset idiom of the drivers and the devices' ``reset_stats``) zeroes
+    the counters but keeps the registry home and the ``prefix`` label
+    (set by composite devices so per-shard counters do not collide).
+    """
+
+    #: field name -> help string; the façade exposes exactly these.
+    FIELDS: dict[str, str] = {}
+    #: Layer segment of the metric names (``device_``, ``ipa_``, ...).
+    PREFIX = ""
+    #: Fields that start (and reset) at ``0.0``: time sums, which
+    #: reports print as floats even while still zero.
+    FLOAT_FIELDS: frozenset[str] = frozenset()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        for name, help_text in cls.FIELDS.items():
+            setattr(cls, name, _counter_property(name, help_text))
+
+    def __init__(
+        self,
+        registry: MetricsRegistry | None = None,
+        prefix: str | None = None,
+        **initial,
+    ) -> None:
+        unknown = sorted(initial.keys() - self.FIELDS.keys())
+        if unknown:
+            raise TypeError(
+                f"{type(self).__name__} has no counter field(s) {unknown}"
+            )
+        if registry is None:
+            registry = getattr(self, "_registry", None) or MetricsRegistry()
+        if prefix is None:
+            prefix = getattr(self, "_prefix", "")
+        self._registry = registry
+        self._prefix = prefix
+        self._metrics = {
+            name: registry.counter(f"{prefix}{self.PREFIX}{name}", help=help_text)
+            for name, help_text in self.FIELDS.items()
+        }
+        for name, metric in self._metrics.items():
+            zero = 0.0 if name in self.FLOAT_FIELDS else 0
+            metric.value = initial.get(name, zero)
+
+    def bind(self, registry: MetricsRegistry) -> None:
+        """Re-home the counters into ``registry``, keeping their values."""
+        if registry is self._registry:
+            return
+        for metric in self._metrics.values():
+            registry.adopt(metric)
+        self._registry = registry
+
+    def snapshot(self) -> dict:
+        """Plain dict of the raw counter values, in field-table order.
+
+        Subclasses with derived values extend or replace this; the key
+        order is part of the contract (reports iterate it).
+        """
+        return {name: metric.value for name, metric in self._metrics.items()}
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return all(
+            metric.value == other._metrics[name].value
+            for name, metric in self._metrics.items()
+        )
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={metric.value!r}" for name, metric in self._metrics.items()
+        )
+        return f"{type(self).__name__}({fields})"

@@ -10,12 +10,13 @@
   retrofitted ``write_delta`` command (paper Section 7).
 * :func:`sharded_device` — K independent NoFTL controllers behind one
   striped logical space (the scale-out backend).
-* :func:`make_device` — backend selection by name, the CLI's entry.
-* :func:`build_engine` / :func:`load_scaled` — engine construction and
-  the buffer-fraction protocol every benchmark table uses ("buffer size
-  X% of the initial DB-size").
+* :func:`build_engine` / :func:`load_scaled` — an engine over a device
+  you built, and the buffer-fraction protocol every benchmark table
+  uses ("buffer size X% of the initial DB-size").
 
-Every factory returns a :class:`~repro.ftl.device.FlashDevice`; the
+Backend selection *by name* lives in :func:`repro.session.open_device`,
+and :func:`repro.session.open_session` builds device and engine in one
+call.  Every factory returns a :class:`~repro.ftl.device.FlashDevice`; the
 engine and drivers never see a concrete controller class, which is what
 turns each benchmark into a backend-comparison harness.
 """
@@ -34,7 +35,7 @@ from .ftl.device import FlashDevice
 from .ftl.noftl import single_region_device
 from .ftl.region import IPAMode
 from .ftl.sharded import ShardedDevice
-from .storage.engine import StorageEngine
+from .storage.engine import EngineConfig, StorageEngine
 from .workloads.base import Driver, Workload
 
 #: Storage backends selectable by name (CLI ``--backend``).
@@ -178,27 +179,6 @@ def sharded_device(
     return ShardedDevice(children, telemetry=telemetry)
 
 
-def make_device(
-    backend: str,
-    logical_pages: int,
-    platform: str = "emulator",
-    mode: IPAMode = IPAMode.ODD_MLC,
-    shards: int = 4,
-    telemetry=None,
-) -> FlashDevice:
-    """Build a storage backend by name (the CLI's ``--backend`` entry).
-
-    Thin wrapper over :func:`repro.session.open_device` (the session
-    API owns backend dispatch); kept for the published surface.
-    """
-    from .session import SessionConfig, open_device
-
-    return open_device(SessionConfig(
-        backend=backend, logical_pages=logical_pages, platform=platform,
-        mode=mode, shards=shards, telemetry=telemetry,
-    ))
-
-
 def build_engine(
     device: FlashDevice,
     scheme: NxMScheme = SCHEME_OFF,
@@ -210,18 +190,20 @@ def build_engine(
 ) -> StorageEngine:
     """An engine over ``device``; buffer defaults to half the device.
 
-    Thin wrapper over :func:`repro.session.build_session_engine`.  Pass
-    a :class:`~repro.telemetry.Telemetry` instance to instrument the
-    whole stack (flash array, NoFTL, IPA manager, buffer pool), and a
-    :class:`~repro.storage.clock.Clock` to run the engine under an
+    Pass a :class:`~repro.telemetry.Telemetry` instance to instrument
+    the whole stack (flash array, NoFTL, IPA manager, buffer pool), and
+    a :class:`~repro.storage.clock.Clock` to run the engine under an
     external event loop (``None`` keeps the standalone scalar clock).
+    Further keyword arguments go to
+    :class:`~repro.storage.engine.EngineConfig` verbatim.
     """
-    from .session import SessionConfig, build_session_engine
-
-    return build_session_engine(device, SessionConfig(
-        scheme=scheme, buffer_pages=buffer_pages, eviction=eviction,
-        engine=dict(config_kwargs), telemetry=telemetry, clock=clock,
-    ))
+    if buffer_pages is None:
+        buffer_pages = max(8, device.logical_pages // 2)
+    config = EngineConfig(
+        buffer_pages=buffer_pages, scheme=scheme, eviction=eviction,
+        **config_kwargs,
+    )
+    return StorageEngine(device, config, telemetry=telemetry, clock=clock)
 
 
 def load_scaled(
@@ -244,12 +226,3 @@ def load_scaled(
     engine.flush_all()
     driver._reset_measurements()
     return driver
-
-
-def loaded_db_pages(engine: StorageEngine) -> int:
-    """Pages allocated by the load phase across all regions.
-
-    Thin wrapper over :meth:`StorageEngine.loaded_pages`, kept for the
-    published surface.
-    """
-    return engine.loaded_pages()

@@ -150,3 +150,23 @@ class TestCLI:
             "loadtest", "--sweep", "1,two",
         ]) == 1
         assert "bad --sweep" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--queue-depth", "0"], "queue depth must be >= 1"),
+        (["--arrival", "open", "--rate", "0"], "arrival rate must be positive"),
+        (["--group-commit", "0"], "group commit must be >= 1"),
+        (["--level", "txn", "--queue-depth", "0"], "queue depth must be >= 1"),
+        (["--level", "txn", "--group-commit", "0"], "group commit must be >= 1"),
+    ])
+    def test_out_of_range_flags_exit_cleanly(self, capsys, monkeypatch, flags, message):
+        """Rejected by ``validate()`` as ReproError, before any device exists."""
+        def no_device(*args, **kwargs):
+            raise AssertionError("validation must precede construction")
+
+        monkeypatch.setattr("repro.hostq.loadtest.open_device", no_device)
+        monkeypatch.setattr("repro.hostq.txnexec.open_session", no_device)
+        assert main(["loadtest", "--pages", "64", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+        assert captured.out == ""

@@ -239,11 +239,14 @@ class TestLintCli:
             "        yield _Acquire(lpn)\n"
         )
         (pkg / "bad.py").write_text(src)
-        # Module names resolve via the src layout anchor; the flow
-        # pass fires on the hostq module, --no-flow does not.
+        # Module names resolve via the src layout anchor, so the flow
+        # rules fire on the hostq module — and there is no switch that
+        # turns them off.
         assert main(["lint", str(tmp_path)]) == 1
         assert "lock-ordering" in capsys.readouterr().out
-        assert main(["lint", "--no-flow", str(tmp_path)]) == 0
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", "--no-flow", str(tmp_path)])
+        assert excinfo.value.code == 2
 
 
 def test_src_repro_is_iplint_clean():

@@ -15,11 +15,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.lintkit import LintModule, Suppressions, lint_module, run_lint
+from repro.lintkit import RULE_CLASSES, LintModule, Suppressions, lint_module, run_lint
 from repro.lintkit.flow import FlowContext
 from repro.lintkit.flow.rules import (
     CrashWindowRule,
-    FlowTelemetryGuardRule,
+    TelemetryGuardRule,
     LockOrderingRule,
     TransitiveLayeringRule,
     YieldDisciplineRule,
@@ -309,7 +309,7 @@ class TestCrashWindow:
 
 class TestTelemetryGuardV2:
     def rule_findings(self, source, module="repro.core.fixture"):
-        return lint_snippet(source, FlowTelemetryGuardRule(), module=module)
+        return lint_snippet(source, TelemetryGuardRule(), module=module)
 
     def test_unguarded_emit_flagged(self):
         source = """
@@ -532,7 +532,9 @@ class TestFlowContextCaching:
         )
         findings = run_lint([tmp_path], root=tmp_path)
         assert any(f.rule == "lock-ordering" for f in findings)
-        without_flow = run_lint([tmp_path], root=tmp_path, flow=False)
+        # An explicit rule list is still honoured as given.
+        syntactic = [cls() for cls in RULE_CLASSES]
+        without_flow = run_lint([tmp_path], rules=syntactic, root=tmp_path)
         assert all(f.rule != "lock-ordering" for f in without_flow)
 
 

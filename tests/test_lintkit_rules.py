@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.lintkit import LintModule, Suppressions, lint_module
+from repro.lintkit import FLOW_RULE_CLASSES, LintModule, Suppressions, lint_module
+from repro.lintkit.flow.rules import CrashWindowRule, TelemetryGuardRule
 from repro.lintkit.rules import (
     RULE_CLASSES,
     ClockDisciplineRule,
@@ -21,7 +22,6 @@ from repro.lintkit.rules import (
     DeviceLayeringRule,
     ExceptionDisciplineRule,
     IsppSafetyRule,
-    TelemetryGuardRule,
     default_rules,
     rule_by_id,
 )
@@ -212,7 +212,8 @@ class TestDeterminism:
 
 
 # ----------------------------------------------------------------------
-# telemetry-guard
+# telemetry-guard (the dominator rule; its CFG edge cases are in
+# test_lintkit_flow_rules.py)
 # ----------------------------------------------------------------------
 
 GUARD_FAIL = """
@@ -460,23 +461,17 @@ class TestClockDiscipline:
 class TestRegistry:
     def test_every_rule_has_unique_id_and_description(self):
         ids = [cls.id for cls in RULE_CLASSES]
-        assert len(set(ids)) == len(ids) == 7
+        assert len(set(ids)) == len(ids) == 6
         assert all(cls.description for cls in RULE_CLASSES)
 
     def test_default_rules_instantiates_all_syntactic(self):
-        assert {type(rule) for rule in default_rules(flow=False)} == set(
-            RULE_CLASSES
-        )
+        assert {type(rule) for rule in default_rules()} >= set(RULE_CLASSES)
 
-    def test_default_rules_with_flow_swaps_telemetry_guard(self):
-        from repro.lintkit.flow.rules import FLOW_RULE_CLASSES
-
-        classes = {type(rule) for rule in default_rules()}
-        assert TelemetryGuardRule not in classes
-        assert set(FLOW_RULE_CLASSES) <= classes
-        assert classes >= set(RULE_CLASSES) - {TelemetryGuardRule}
-        ids = [rule.id for rule in default_rules()]
-        assert len(ids) == len(set(ids))
+    def test_one_class_per_rule_id(self):
+        classes = RULE_CLASSES + FLOW_RULE_CLASSES
+        assert [type(rule) for rule in default_rules()] == list(classes)
+        ids = [cls.id for cls in classes]
+        assert len(ids) == len(set(ids)) == 11
 
     def test_rule_by_id(self):
         assert isinstance(rule_by_id("ispp-safety"), IsppSafetyRule)
@@ -485,8 +480,6 @@ class TestRegistry:
             rule_by_id("no-such-rule")
 
     def test_rule_by_id_finds_flow_rules(self):
-        from repro.lintkit.flow.rules import CrashWindowRule
-
         assert isinstance(rule_by_id("crash-window"), CrashWindowRule)
 
     def test_full_set_on_multi_violation_snippet(self):

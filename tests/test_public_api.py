@@ -15,14 +15,14 @@ SURFACE = {
     ],
     "repro.session": [
         "PLATFORMS", "Session", "SessionConfig",
-        "build_session_engine", "open_device", "open_session",
+        "open_device", "open_session",
     ],
     "repro.perfkit": [
-        "Bench", "BenchResult", "REGISTRY", "SCHEMA", "DEFAULT_THRESHOLD",
+        "Bench", "REGISTRY", "SCHEMA",
         "all_benches", "get_bench", "register", "register_default_benches",
         "run_bench", "run_benchmarks", "render_report",
         "compare_results", "render_comparison",
-        "load_results", "write_results", "default_output_name",
+        "load_results", "write_results",
     ],
     "repro.flash": [
         "FlashGeometry", "FlashMemory", "CellType", "PageKind",
@@ -71,8 +71,7 @@ SURFACE = {
     ],
     "repro.testbed": [
         "emulator_device", "openssd_device", "build_engine",
-        "load_scaled", "loaded_db_pages", "blockssd_device",
-        "sharded_device", "make_device", "BACKENDS",
+        "load_scaled", "blockssd_device", "sharded_device", "BACKENDS",
     ],
     "repro.cli": ["main", "build_parser", "parse_scheme"],
     "repro.lintkit": [

@@ -1,23 +1,21 @@
 """The unified session-construction API (repro.session).
 
 ``SessionConfig`` + ``open_session`` is the one construction path every
-harness uses; these tests pin its behaviour and prove the deprecated
-``testbed`` entry points are faithful thin wrappers over it.
+harness uses; these tests pin its behaviour and that it is exactly
+``open_device`` followed by ``testbed.build_engine``.
 """
 
 import pytest
 
 from repro import Session, SessionConfig, open_device, open_session
-from repro.core import NxMScheme, SCHEME_OFF
+from repro.core import NxMScheme
 from repro.errors import ReproError
 from repro.ftl.blockdev import BlockSSD
-from repro.ftl.region import IPAMode
 from repro.ftl.sharded import ShardedDevice
 from repro.storage.engine import StorageEngine
 from repro.telemetry import Telemetry
-from repro.testbed import build_engine, loaded_db_pages, make_device
+from repro.testbed import build_engine, load_scaled
 from repro.workloads import TPCB, TPCBConfig
-from repro.testbed import load_scaled
 
 
 def test_open_session_defaults():
@@ -77,37 +75,24 @@ def test_telemetry_threads_through_device_and_engine():
     assert session.engine.telemetry is telemetry
 
 
-@pytest.mark.parametrize("backend,platform", [
-    ("noftl", "emulator"),
-    ("noftl", "openssd"),
-    ("blockssd", "emulator"),
-    ("blockssd", "openssd"),
-    ("sharded", "emulator"),
-])
-def test_make_device_wrapper_matches_open_device(backend, platform):
-    config = SessionConfig(
-        backend=backend, logical_pages=96, platform=platform,
-        mode=IPAMode.PSLC, shards=2,
-    )
-    via_session = open_device(config)
-    via_testbed = make_device(
-        backend, 96, platform=platform, mode=IPAMode.PSLC, shards=2
-    )
-    assert type(via_testbed) is type(via_session)
-    assert via_testbed.logical_pages == via_session.logical_pages
-    assert via_testbed.occupancy() == via_session.occupancy()
-    assert len(via_testbed.regions) == len(via_session.regions)
-
-
 def test_build_engine_wrapper_delegates():
-    device = make_device("noftl", 64)
-    engine = build_engine(device, scheme=SCHEME_OFF, log_capacity_bytes=777)
-    assert isinstance(engine, StorageEngine)
+    """``open_session`` wraps ``build_engine``: same engine as calling it."""
+    config = SessionConfig(
+        logical_pages=64, scheme=NxMScheme(2, 4), eviction="non-eager",
+        engine=dict(log_capacity_bytes=777),
+    )
+    session = open_session(config)
+    engine = build_engine(
+        open_device(config), scheme=NxMScheme(2, 4), eviction="non-eager",
+        log_capacity_bytes=777,
+    )
+    assert type(engine.device) is type(session.device)
+    assert engine.config == session.engine.config
     assert engine.config.log_capacity_bytes == 777
     assert engine.pool.capacity == max(8, 64 // 2)
 
 
-def test_loaded_pages_accessor_matches_wrapper():
+def test_loaded_pages_accessor_matches_cursors():
     session = open_session(SessionConfig(
         logical_pages=400, scheme=NxMScheme(2, 4), buffer_pages=400,
     ))
@@ -117,7 +102,6 @@ def test_loaded_pages_accessor_matches_wrapper():
     )
     loaded = session.engine.loaded_pages()
     assert loaded > 0
-    assert loaded_db_pages(session.engine) == loaded
     # The accessor equals the per-region cursor arithmetic it replaced.
     assert loaded == sum(
         session.engine._region_cursors[region.name] - region.lpn_start

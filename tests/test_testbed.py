@@ -7,14 +7,13 @@ from repro.errors import ReproError
 from repro.flash.constants import CellType
 from repro.ftl import BlockSSD, ShardedDevice
 from repro.ftl.region import IPAMode
+from repro.session import SessionConfig, open_device
 from repro.testbed import (
     BACKENDS,
     blockssd_device,
     build_engine,
     emulator_device,
     load_scaled,
-    loaded_db_pages,
-    make_device,
     openssd_device,
     sharded_device,
 )
@@ -51,6 +50,13 @@ class TestOpenSSDDevice:
         pslc = openssd_device(logical_pages=256, mode=IPAMode.PSLC)
         assert (pslc.flash.geometry.total_blocks
                 > odd.flash.geometry.total_blocks)
+
+
+def make_device(backend, logical_pages, **config):
+    """A backend by name: ``open_device`` over a ``SessionConfig``."""
+    return open_device(SessionConfig(
+        backend=backend, logical_pages=logical_pages, **config
+    ))
 
 
 class TestBackendFactories:
@@ -121,7 +127,7 @@ class TestLoadScaled:
         engine = build_engine(device, buffer_pages=400)
         workload = TPCB(TPCBConfig(accounts_per_branch=4000))
         driver = load_scaled(engine, workload, buffer_fraction=0.5)
-        pages = loaded_db_pages(engine)
+        pages = engine.loaded_pages()
         assert pages > 50
         assert engine.pool.capacity == int(pages * 0.5)
         # measurement counters were reset after the load

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import NxMScheme
 from repro.errors import WorkloadError
-from repro.testbed import build_engine, emulator_device, load_scaled, loaded_db_pages
+from repro.testbed import build_engine, emulator_device, load_scaled
 from repro.workloads import (
     Driver,
     LinkBench,
@@ -240,7 +240,7 @@ class TestDriverProtocol:
         engine = small_engine(pages=300)
         workload = TPCB(TPCBConfig(accounts_per_branch=2000))
         load_scaled(engine, workload, buffer_fraction=0.25)
-        pages = loaded_db_pages(engine)
+        pages = engine.loaded_pages()
         assert engine.pool.capacity == max(8, int(pages * 0.25))
 
     def test_measurement_excludes_load(self):
