@@ -50,7 +50,7 @@ from .telemetry.export import (
     prometheus_text,
     read_jsonl_trace,
 )
-from .session import SessionConfig, open_session
+from .session import SessionConfig, backend_label, open_session
 from .testbed import BACKENDS, load_scaled
 from .workloads import (
     LinkBench,
@@ -128,20 +128,13 @@ def _run_rows(result):
     ]
 
 
-def _backend_label(args) -> str:
-    backend = getattr(args, "backend", "noftl")
-    if backend == "sharded":
-        return f"sharded[{getattr(args, 'shards', 4)}]"
-    return backend
-
-
 def cmd_run(args) -> int:
     """``repro run``: one configuration, one stats table."""
     engine, driver, __, __ = _build(args, args.scheme)
     result = driver.run(args.txns)
     print(format_table(
         ["metric", "value"], _run_rows(result),
-        title=(f"{args.workload} on {args.platform} ({_backend_label(args)}), "
+        title=(f"{args.workload} on {args.platform} ({backend_label(args)}), "
                f"scheme {args.scheme}, buffer {args.buffer:.0%}, "
                f"{args.eviction} eviction"),
     ))
@@ -157,7 +150,7 @@ def cmd_compare(args) -> int:
         results[label] = driver.run(args.txns)
     base_rows = _run_rows(results["base"])
     ipa_rows = _run_rows(results["ipa"])
-    backend = _backend_label(args)
+    backend = backend_label(args)
     for (name, base), (__, ipa) in zip(base_rows, ipa_rows):
         rows.append([backend, name, base, ipa, relative_change(base, ipa)])
     print(format_table(
@@ -307,7 +300,7 @@ def cmd_crashtest(args) -> int:
     print(format_table(
         ["crash @op", "site", "committed", "recoveries", "undone", "divergences"],
         rows,
-        title=(f"crash matrix: {_backend_label(args)}, scheme {args.scheme}, "
+        title=(f"crash matrix: {backend_label(args)}, scheme {args.scheme}, "
                f"seed {args.seed}, {result.total_ops} ops probed"),
     ))
     for case in result.cases:

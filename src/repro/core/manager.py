@@ -152,19 +152,24 @@ class IPAManager:
     # Flush path
     # ------------------------------------------------------------------
 
-    def plan_flush(self, frame) -> str:
-        """Advisory flush classification: ``"skip"``, ``"ipa"`` or ``"oop"``.
+    def _classify(self, frame, stamp_checksum: bool):
+        """The one flush decision: ``(kind, mapped, body, meta)``.
 
-        Mirrors :meth:`flush`'s decision chain without device I/O or
-        frame mutation, so a scheduler can label a queued write-back
-        command.  Advisory only: it runs before checksum stamping and
-        never attempts the append, so the device may still force an
-        out-of-place fallback at execution time.
+        ``kind`` is ``"skip"`` (nothing changed relative to the flash
+        image), ``"ipa"`` (eligible and within the [N x M] budget) or
+        ``"oop"``.  ``body``/``meta`` are the classified tracked offsets
+        of an IPA-eligible page and ``None`` otherwise — so an ``"oop"``
+        that carries them is a budget overflow.  ``stamp_checksum`` is
+        the only side effect, reserved for :meth:`flush`: the checksum
+        stamp is itself a tracked change, so it has to land between the
+        skip test and the budget test.
         """
         page = frame.page
         mapped = self.device.is_mapped(frame.lpn)
         if mapped and not page.tracked and not page.track_overflowed and not frame.ipa_disabled:
-            return "skip"
+            return "skip", mapped, None, None
+        if stamp_checksum and self.page_checksum and hasattr(page, "update_checksum"):
+            page.update_checksum()
         if (
             self.scheme.enabled
             and mapped
@@ -173,9 +178,20 @@ class IPAManager:
             and not frame.ipa_disabled
         ):
             body, meta = page.classify_tracked()
-            if self.scheme.fits(len(body), len(meta), frame.slots_used):
-                return "ipa"
-        return "oop"
+            fits = self.scheme.fits(len(body), len(meta), frame.slots_used)
+            return ("ipa" if fits else "oop"), mapped, body, meta
+        return "oop", mapped, None, None
+
+    def plan_flush(self, frame) -> str:
+        """Advisory flush classification: ``"skip"``, ``"ipa"`` or ``"oop"``.
+
+        :meth:`flush`'s own decision, without device I/O or frame
+        mutation, so a scheduler can label a queued write-back command.
+        Advisory only: it runs before checksum stamping and never
+        attempts the append, so the device may still force an
+        out-of-place fallback at execution time.
+        """
+        return self._classify(frame, stamp_checksum=False)[0]
 
     def flush(self, frame, now: float = 0.0) -> tuple[str, float]:
         """Materialize a dirty frame; returns ``(kind, device_latency_us)``.
@@ -183,9 +199,8 @@ class IPAManager:
         ``kind`` is ``"ipa"``, ``"oop"`` or ``"skip"`` (nothing actually
         changed relative to the flash image: no I/O issued).
         """
-        page = frame.page
-        mapped = self.device.is_mapped(frame.lpn)
-        if mapped and not page.tracked and not page.track_overflowed and not frame.ipa_disabled:
+        kind, mapped, body, meta = self._classify(frame, stamp_checksum=True)
+        if kind == "skip":
             self.stats.skipped_flushes += 1
             self._observe(frame.lpn, "skip", 0, 0, False)
             if self.telemetry is not None:
@@ -194,26 +209,16 @@ class IPAManager:
                     0, frame.slots_used, 0, 0.0,
                 )
             return "skip", 0.0
-        if self.page_checksum and hasattr(page, "update_checksum"):
-            page.update_checksum()
-        fallback = budget_overflow = False
-        if (
-            self.scheme.enabled
-            and mapped
-            and page.delta_area_size == self.scheme.area_size
-            and not page.track_overflowed
-            and not frame.ipa_disabled
-        ):
-            body, meta = page.classify_tracked()
-            if self.scheme.fits(len(body), len(meta), frame.slots_used):
-                result = self._flush_ipa(frame, body, meta, now)
-                if result is not None:
-                    return result
-                self.stats.device_fallbacks += 1
-                fallback = True
-            else:
-                self.stats.budget_overflows += 1
-                budget_overflow = True
+        fallback = False
+        if kind == "ipa":
+            result = self._flush_ipa(frame, body, meta, now)
+            if result is not None:
+                return result
+            self.stats.device_fallbacks += 1
+            fallback = True
+        budget_overflow = kind == "oop" and body is not None
+        if budget_overflow:
+            self.stats.budget_overflows += 1
         return self._flush_oop(
             frame, now, fresh=not mapped,
             fallback=fallback, budget_overflow=budget_overflow,

@@ -31,6 +31,7 @@ from typing import Iterator, Protocol, Sequence, runtime_checkable
 
 from ..flash.constants import CellType
 from .region import IPAMode, RegionConfig
+from .stats import DERIVED_RATIOS, derived_ratio
 
 
 @dataclass
@@ -206,13 +207,7 @@ class FlashDevice(Protocol):
 
 #: ``snapshot()`` keys derived from the raw counters; merging backends
 #: (sharding) sum the raw keys and recompute these.
-DERIVED_SNAPSHOT_KEYS: tuple[str, ...] = (
-    "migrations_per_host_write",
-    "erases_per_host_write",
-    "ipa_fraction",
-    "mean_read_latency_us",
-    "mean_write_latency_us",
-)
+DERIVED_SNAPSHOT_KEYS: tuple[str, ...] = tuple(DERIVED_RATIOS)
 
 
 def merge_snapshots(snapshots: Sequence[dict]) -> dict:
@@ -234,23 +229,7 @@ def merge_snapshots(snapshots: Sequence[dict]) -> dict:
     merged = {
         key: sum(snap.get(key, 0) for snap in snapshots) for key in raw_keys
     }
-    host_writes = merged.get("host_writes", 0)
-    host_reads = merged.get("host_reads", 0)
-    merged["migrations_per_host_write"] = (
-        merged.get("gc_page_migrations", 0) / host_writes if host_writes else 0.0
-    )
-    merged["erases_per_host_write"] = (
-        merged.get("gc_erases", 0) / host_writes if host_writes else 0.0
-    )
-    merged["ipa_fraction"] = (
-        merged.get("delta_writes", 0) / host_writes if host_writes else 0.0
-    )
-    merged["mean_read_latency_us"] = (
-        merged.get("read_latency_us_total", 0) / host_reads if host_reads else 0.0
-    )
-    merged["mean_write_latency_us"] = (
-        merged.get("write_latency_us_total", 0) / host_writes if host_writes else 0.0
-    )
+    merged.update((key, derived_ratio(merged, key)) for key in DERIVED_SNAPSHOT_KEYS)
     return merged
 
 

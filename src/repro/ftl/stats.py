@@ -15,7 +15,26 @@ histograms.
 
 from __future__ import annotations
 
+from typing import Mapping
+
 from ..telemetry.metrics import CounterFacade
+
+#: ``snapshot()`` key derived from raw counters -> (numerator, denominator).
+DERIVED_RATIOS = {
+    "migrations_per_host_write": ("gc_page_migrations", "host_writes"),
+    "erases_per_host_write": ("gc_erases", "host_writes"),
+    "ipa_fraction": ("delta_writes", "host_writes"),
+    "mean_read_latency_us": ("read_latency_us_total", "host_reads"),
+    "mean_write_latency_us": ("write_latency_us_total", "host_writes"),
+}
+
+
+def derived_ratio(raw: Mapping, key: str) -> float:
+    """One :data:`DERIVED_RATIOS` value from a dict of raw counters — a
+    device's own or the sum over shards (0.0 on an empty denominator)."""
+    numerator, denominator = DERIVED_RATIOS[key]
+    base = raw.get(denominator, 0)
+    return raw.get(numerator, 0) / base if base else 0.0
 
 
 class DeviceStats(CounterFacade):
@@ -59,41 +78,21 @@ class DeviceStats(CounterFacade):
     @property
     def ipa_fraction(self) -> float:
         """Fraction of write requests served as In-Place Appends."""
-        if self.host_writes == 0:
-            return 0.0
-        return self.delta_writes / self.host_writes
+        return self.snapshot()["ipa_fraction"]
 
     @property
     def migrations_per_host_write(self) -> float:
         """GC page migrations amortized over host write requests."""
-        if self.host_writes == 0:
-            return 0.0
-        return self.gc_page_migrations / self.host_writes
+        return self.snapshot()["migrations_per_host_write"]
 
     @property
     def erases_per_host_write(self) -> float:
         """GC erases amortized over host write requests."""
-        if self.host_writes == 0:
-            return 0.0
-        return self.gc_erases / self.host_writes
-
-    @property
-    def mean_read_latency_us(self) -> float:
-        """Mean observed host read latency in microseconds."""
-        if self.host_reads == 0:
-            return 0.0
-        return self.read_latency_us_total / self.host_reads
-
-    @property
-    def mean_write_latency_us(self) -> float:
-        """Mean observed host write latency in microseconds."""
-        if self.host_writes == 0:
-            return 0.0
-        return self.write_latency_us_total / self.host_writes
+        return self.snapshot()["erases_per_host_write"]
 
     def snapshot(self) -> dict:
         """Plain dict of raw and derived values for reporting."""
-        return {
+        snap = {
             "host_reads": self.host_reads,
             "host_writes": self.host_writes,
             "host_page_writes": self.host_page_writes,
@@ -106,9 +105,6 @@ class DeviceStats(CounterFacade):
             "read_latency_us_total": self.read_latency_us_total,
             "write_latency_us_total": self.write_latency_us_total,
             "gc_time_us_total": self.gc_time_us_total,
-            "migrations_per_host_write": self.migrations_per_host_write,
-            "erases_per_host_write": self.erases_per_host_write,
-            "ipa_fraction": self.ipa_fraction,
-            "mean_read_latency_us": self.mean_read_latency_us,
-            "mean_write_latency_us": self.mean_write_latency_us,
         }
+        snap.update((key, derived_ratio(snap, key)) for key in DERIVED_RATIOS)
+        return snap

@@ -19,13 +19,6 @@ from ..workloads.sessions import PROFILES
 QUANTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99), ("p999", 0.999))
 
 
-def backend_label(config) -> str:
-    """The backend name as report titles print it (``sharded[K]``)."""
-    if config.backend == "sharded":
-        return f"sharded[{config.shards}]"
-    return config.backend
-
-
 def validate_common(config) -> None:
     """Reject the fields both load-test configs share (ReproError).
 

@@ -27,12 +27,11 @@ from dataclasses import dataclass, field, replace
 from ..analysis.cdf import CDF
 from ..analysis.report import format_table
 from ..errors import ReproError
-from ..session import SessionConfig, open_device
+from ..session import SessionConfig, backend_label, open_device
 from ..telemetry.metrics import LATENCY_BUCKETS_US, MetricsRegistry
 from ..workloads.sessions import PROFILES
 from ._harness import (
     DieMeter,
-    backend_label,
     publish_totals,
     summarize,
     validate_common,

@@ -53,11 +53,10 @@ from ..storage.clock import DeferredClock
 from ..storage.page_layout import HEADER_SIZE, SlottedPage
 from ..storage.program import CommandKind, DeviceCommand
 from ..telemetry.metrics import LATENCY_BUCKETS_US, MetricsRegistry
-from ..session import SessionConfig, open_session
+from ..session import SessionConfig, backend_label, open_session
 from ..workloads.sessions import PROFILES, ClientSession
 from ._harness import (
     DieMeter,
-    backend_label,
     publish_totals,
     summarize,
     validate_common,

@@ -45,7 +45,10 @@ from .testbed import (
     sharded_device,
 )
 
-__all__ = ["PLATFORMS", "Session", "SessionConfig", "open_device", "open_session"]
+__all__ = [
+    "PLATFORMS", "Session", "SessionConfig", "backend_label", "open_device",
+    "open_session",
+]
 
 #: Evaluation platforms selectable by name (paper Section 8.1).
 PLATFORMS = ("emulator", "openssd")
@@ -130,6 +133,14 @@ class Session:
     def telemetry(self) -> Any:
         """The telemetry handle the stack was instrumented with (or None)."""
         return self.config.telemetry
+
+
+def backend_label(config: Any) -> str:
+    """The backend name as report titles print it (``sharded[K]``), for
+    anything carrying ``backend`` and ``shards`` (configs, CLI args)."""
+    if config.backend == "sharded":
+        return f"sharded[{config.shards}]"
+    return config.backend
 
 
 def open_device(config: SessionConfig) -> FlashDevice:

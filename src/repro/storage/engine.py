@@ -26,6 +26,11 @@ programs* (``pin_program``, ``commit_program``, ``read_program``,
 ``update_program``); the synchronous entry points drive them to
 completion on the engine clock via
 :func:`~repro.storage.program.run_on_clock`.
+
+Logged page changes are written once too: table operations, raw byte
+updates and undo compensations all go through
+:meth:`StorageEngine.log_page_change`, and restart redo applies the
+records it logged with the same :func:`~repro.storage.wal.apply_record`.
 """
 
 from __future__ import annotations
@@ -35,8 +40,9 @@ from typing import Callable
 
 from ..core.manager import IPAManager
 from ..core.scheme import NxMScheme, SCHEME_OFF
-from ..errors import StorageError, TransactionError
+from ..errors import StorageError
 from ..ftl.device import FlashDevice
+from ..ftl.region import IPAMode
 from .buffer import BufferPool, Frame
 from .clock import Clock, ScalarClock
 from .heap import RID, Table
@@ -44,7 +50,7 @@ from .page_layout import SlottedPage
 from .program import StorageProgram, log_force_command, run_on_clock
 from .schema import Schema
 from .txn import Transaction, TransactionManager
-from .wal import LogKind, LogManager
+from .wal import LogKind, LogManager, LogRecord, apply_record, inverse_of
 
 
 @dataclass
@@ -264,14 +270,7 @@ class StorageEngine:
         )
 
     def allocate_page(self, table: Table) -> int:
-        """Allocate and format the next page of a table's region.
-
-        Selective IPA (the paper's contribution II): pages of objects
-        placed in a non-IPA region reserve **no** delta area — the
-        space cost is only paid where appends can happen.
-        """
-        from ..ftl.region import IPAMode
-
+        """Allocate and format the next page of a table's region."""
         region = table.region
         cursor = self._region_cursors[region.name]
         if cursor >= region.lpn_end:
@@ -279,16 +278,27 @@ class StorageEngine:
                 f"region {region.name!r} is full ({region.config.logical_pages} pages)"
             )
         self._region_cursors[region.name] = cursor + 1
-        delta_size = (
-            self.config.scheme.area_size
-            if region.ipa_mode is not IPAMode.NONE
-            else 0
-        )
-        page = SlottedPage.format(cursor, self.page_size, delta_size)
-        self.pool.put_new(cursor, page, self.clock)
-        self.pool.unpin(cursor, dirty=True)
+        self.format_page(cursor)
         self._page_table[cursor] = table
         return cursor
+
+    def format_page(self, lpn: int) -> None:
+        """Put a freshly formatted, dirty page into the pool.
+
+        The one page-format rule, for allocation and for recovery's
+        re-creation of a page that never reached flash.  Selective IPA
+        (the paper's contribution II): pages of objects placed in a
+        non-IPA region reserve **no** delta area — the space cost is
+        only paid where appends can happen.
+        """
+        delta_size = (
+            self.config.scheme.area_size
+            if self.device.region_of(lpn).ipa_mode is not IPAMode.NONE
+            else 0
+        )
+        page = SlottedPage.format(lpn, self.page_size, delta_size)
+        self.pool.put_new(lpn, page, self.clock)
+        self.pool.unpin(lpn, dirty=True)
 
     def charge_cpu(self) -> None:
         """Advance the clock by one record-operation CPU cost."""
@@ -302,6 +312,32 @@ class StorageEngine:
 
     def _flush(self, frame: Frame, now: float):
         return self.ipa.flush(frame, now)
+
+    def log_page_change(
+        self, page: SlottedPage, lpn: int, slot: int, kind: LogKind, payload: tuple,
+        txn: Transaction | None = None, compensates: LogRecord | None = None,
+    ) -> LogRecord:
+        """The one logged page mutation: apply, append, stamp the PageLSN.
+
+        ``page`` is the caller's pinned page ``lpn``.  A forward change
+        is chained to ``txn`` for rollback; an undo step passes the
+        record it ``compensates`` instead, which makes the new record a
+        CLR (never undone itself).  Nothing is logged when the change
+        does not apply (e.g. :class:`~repro.errors.PageFullError`).
+        """
+        apply_record(page, kind, slot, payload)
+        if compensates is not None:
+            record = self.log.append(
+                compensates.txn_id, kind, lpn, slot, payload, compensates.lsn
+            )
+        else:
+            record = self.log.append(
+                txn.txn_id if txn is not None else 0, kind, lpn, slot, payload
+            )
+        page.set_lsn(record.lsn)
+        if txn is not None:
+            txn.note_undo(record)
+        return record
 
     # ------------------------------------------------------------------
     # Transactions
@@ -354,16 +390,11 @@ class StorageEngine:
         page = frame.page
         try:
             old = bytes(page.image[offset : offset + len(payload)])
-            page.write_bytes(offset, payload)
-            record = self.log.append(
-                txn.txn_id, LogKind.UPDATE, lpn, -1, ((offset, old, bytes(payload)),)
+            record = self.log_page_change(
+                page, lpn, -1, LogKind.UPDATE, ((offset, old, bytes(payload)),), txn
             )
-            page.set_lsn(record.lsn)
-            txn.note_undo(record)
-        except Exception:
+        finally:
             self.pool.unpin(lpn, dirty=True)
-            raise
-        self.pool.unpin(lpn, dirty=True)
         self.charge_cpu()
         return record.lsn
 
@@ -371,12 +402,12 @@ class StorageEngine:
         """Roll back a transaction by applying its log records' inverses."""
         txn.require_active()
         for record in reversed(txn.undo):
-            self._apply_inverse(record)
+            self.undo(record)
         self.log.append(txn.txn_id, LogKind.ABORT)
         self.txns.finish_abort(txn, self.clock)
         self.maintenance()
 
-    def _apply_inverse(self, record) -> None:
+    def undo(self, record: LogRecord) -> None:
         """Undo one log record, writing a compensation record (CLR).
 
         The CLR carries ``compensates=record.lsn`` so a restart after a
@@ -388,88 +419,26 @@ class StorageEngine:
             # recovery's undo pass funnel through here, so this one
             # window exercises crash-during-rollback everywhere.
             self.crashkit.site("engine.undo")
-        frame = self.pin(record.lpn)
+        lpn, slot = record.lpn, record.slot
+        frame = self.pin(lpn)
         page = frame.page
-        table = self._page_table.get(record.lpn)
-        rid = RID(record.lpn, record.slot)
-        has_secondary = table is not None and getattr(table, "secondary_indexes", None)
+        table = self._page_table.get(lpn)
         try:
-            if record.kind is LogKind.UPDATE:
-                before = (
-                    table.schema.unpack(page.read_record(record.slot))
-                    if has_secondary else None
-                )
-                compensation = tuple(
-                    (offset, new, old) for offset, old, new in record.payload
-                )
-                for offset, __, old in compensation:
-                    page.write_bytes(offset, old)
-                clr = self.log.append(
-                    record.txn_id, LogKind.UPDATE, record.lpn, record.slot, compensation,
-                    compensates=record.lsn,
-                )
-                if has_secondary:
-                    after = table.schema.unpack(page.read_record(record.slot))
-                    for secondary in table.secondary_indexes:
-                        secondary.note_update(before, after, rid)
+            kind, payload = inverse_of(page, record)
+            if table is None:
+                self.log_page_change(page, lpn, slot, kind, payload, compensates=record)
             elif record.kind is LogKind.INSERT:
-                if table is not None and (table.index is not None or has_secondary):
-                    values = table.schema.unpack(page.read_record(record.slot))
-                    if table.index is not None:
-                        table.index.pop(table.key_of(values), None)
-                    for secondary in table.secondary_indexes:
-                        secondary.note_delete(values, rid)
-                offset, length = page.record_extent(record.slot)
-                page.delete_record(record.slot)
-                clr = self.log.append(
-                    record.txn_id, LogKind.DELETE, record.lpn, record.slot,
-                    (offset, length), compensates=record.lsn,
-                )
-                if table is not None:
-                    table.row_count -= 1
+                table.row_removed(RID(lpn, slot), table.index_values(page, slot))
+                self.log_page_change(page, lpn, slot, kind, payload, compensates=record)
             elif record.kind is LogKind.DELETE:
-                offset, length = record.payload
-                # The compensation must replay as exactly what happens
-                # here — a slot-entry restoration — so it is logged as a
-                # byte patch.  (An INSERT-style CLR would redo at the
-                # heap's free pointer, moving the record to a different
-                # offset than the original timeline and invalidating
-                # later UPDATE records' absolute offsets.)
-                entry_offset, old_entry = page.slot_entry_extent(record.slot)
-                page.restore_slot(record.slot, offset, length)
-                __, new_entry = page.slot_entry_extent(record.slot)
-                restored = page.read_record(record.slot)
-                clr = self.log.append(
-                    record.txn_id, LogKind.UPDATE, record.lpn, record.slot,
-                    ((entry_offset, old_entry, new_entry),), compensates=record.lsn,
-                )
-                if table is not None:
-                    table.row_count += 1
-                    if table.index is not None or has_secondary:
-                        values = table.schema.unpack(restored)
-                        if table.index is not None:
-                            table.index[table.key_of(values)] = rid
-                        for secondary in table.secondary_indexes:
-                            secondary.note_insert(values, rid)
-            elif record.kind is LogKind.REPLACE:
-                old_record, new_record = record.payload
-                page.replace_record(record.slot, old_record)
-                clr = self.log.append(
-                    record.txn_id, LogKind.REPLACE, record.lpn, record.slot,
-                    (new_record, old_record), compensates=record.lsn,
-                )
-                if has_secondary:
-                    for secondary in table.secondary_indexes:
-                        secondary.note_update(
-                            table.schema.unpack(new_record),
-                            table.schema.unpack(old_record),
-                            rid,
-                        )
+                self.log_page_change(page, lpn, slot, kind, payload, compensates=record)
+                table.row_added(RID(lpn, slot), table.index_values(page, slot))
             else:
-                raise TransactionError(f"cannot undo a {record.kind.value} record")
-            page.set_lsn(clr.lsn)
+                before = table.index_values(page, slot)
+                self.log_page_change(page, lpn, slot, kind, payload, compensates=record)
+                table.row_changed(RID(lpn, slot), before, table.index_values(page, slot))
         finally:
-            self.unpin(record.lpn, dirty=True)
+            self.unpin(lpn, dirty=True)
 
     # ------------------------------------------------------------------
     # Maintenance: cleaner + log-space reclamation

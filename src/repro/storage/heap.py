@@ -2,8 +2,11 @@
 
 A :class:`Table` owns a growing list of database pages, a free-space
 map, and (optionally) an in-memory hash index on its primary key.  All
-page access goes through the engine's buffer pool; all modifications
-are logged and chained to the running transaction for rollback.
+page access goes through the engine's buffer pool.  An operation never
+writes page bytes itself: it builds the log payload that describes the
+change and hands it to the engine's one logged page mutation
+(:meth:`~repro.storage.engine.StorageEngine.log_page_change`), which
+applies, logs and chains it to the running transaction for rollback.
 
 Update granularity is the whole point of the reproduction: a
 fixed-column update patches exactly the bytes of that column inside the
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-from ..errors import PageFullError, RecordNotFoundError, SchemaError
+from ..errors import PageFormatError, PageFullError, RecordNotFoundError, SchemaError
 from .page_layout import SLOT_SIZE
 from .schema import Schema
 from .wal import LogKind
@@ -78,6 +81,39 @@ class Table:
             raise RecordNotFoundError(f"{self.name}: no key {key}") from exc
 
     # ------------------------------------------------------------------
+    # Index maintenance — the one place that keeps the primary-key
+    # index, every secondary index and ``row_count`` in step with the
+    # heap; the forward operations below and the engine's undo call it.
+    # ------------------------------------------------------------------
+
+    def index_values(self, page, slot: int):
+        """Row values at a live slot if the table keeps an index, else ``None``."""
+        if self.index is not None or self.secondary_indexes:
+            return self.schema.unpack(page.read_record(slot))
+        return None
+
+    def row_added(self, rid: RID, values) -> None:
+        """A row appeared at ``rid`` (``values`` as from :meth:`index_values`)."""
+        if self.index is not None:
+            self.index[self.key_of(values)] = rid
+        for secondary in self.secondary_indexes:
+            secondary.note_insert(values, rid)
+        self.row_count += 1
+
+    def row_removed(self, rid: RID, values) -> None:
+        """The row at ``rid`` is going away."""
+        if self.index is not None:
+            self.index.pop(self.key_of(values), None)
+        for secondary in self.secondary_indexes:
+            secondary.note_delete(values, rid)
+        self.row_count -= 1
+
+    def row_changed(self, rid: RID, old_values, new_values) -> None:
+        """Non-key columns of the row at ``rid`` changed."""
+        for secondary in self.secondary_indexes:
+            secondary.note_update(old_values, new_values, rid)
+
+    # ------------------------------------------------------------------
     # Operations
     # ------------------------------------------------------------------
 
@@ -90,26 +126,17 @@ class Table:
             lpn = self._page_with_space(needed)
             frame = engine.pin(lpn)
             try:
-                slot = frame.page.insert(record)
+                slot = frame.page.slot_for_insert(record)
             except PageFullError:
                 self._free[lpn] = 0
                 engine.unpin(lpn, dirty=False)
                 continue
             break
-        log_record = engine.log.append(
-            txn.txn_id if txn else 0, LogKind.INSERT, lpn, slot, (record,)
-        )
-        frame.page.set_lsn(log_record.lsn)
-        if txn is not None:
-            txn.note_undo(log_record)
+        engine.log_page_change(frame.page, lpn, slot, LogKind.INSERT, (record,), txn)
         self._free[lpn] = frame.page.free_space
         engine.unpin(lpn, dirty=True)
         rid = RID(lpn, slot)
-        if self.index is not None:
-            self.index[self.key_of(values)] = rid
-        for secondary in self.secondary_indexes:
-            secondary.note_insert(values, rid)
-        self.row_count += 1
+        self.row_added(rid, values)
         engine.charge_cpu()
         return rid
 
@@ -149,8 +176,7 @@ class Table:
             new_values = list(old_values)
             for column_index, value in indexed.items():
                 new_values[column_index] = value
-            for secondary in self.secondary_indexes:
-                secondary.note_update(old_values, tuple(new_values), rid)
+            self.row_changed(rid, old_values, tuple(new_values))
         self._engine.charge_cpu()
 
     def _update_fixed(self, txn, rid: RID, indexed: dict) -> None:
@@ -158,7 +184,7 @@ class Table:
         frame = engine.pin(rid.lpn)
         page = frame.page
         try:
-            record_offset, __ = page.record_extent(rid.slot)
+            record_offset, length = page.record_extent(rid.slot)
             patches = []
             for column_index, value in indexed.items():
                 field_offset = self.schema.fixed_offset(column_index)
@@ -167,18 +193,15 @@ class Table:
                 old = bytes(page.image[page_offset : page_offset + len(new)])
                 if old == new:
                     continue
-                page.update_record_bytes(rid.slot, field_offset, new)
+                if field_offset + len(new) > length:
+                    raise PageFormatError("field write beyond record bounds")
                 patches.append((page_offset, old, new))
             if not patches:
                 engine.unpin(rid.lpn, dirty=False)
                 return
-            log_record = engine.log.append(
-                txn.txn_id if txn else 0, LogKind.UPDATE, rid.lpn, rid.slot,
-                tuple(patches),
+            engine.log_page_change(
+                page, rid.lpn, rid.slot, LogKind.UPDATE, tuple(patches), txn
             )
-            page.set_lsn(log_record.lsn)
-            if txn is not None:
-                txn.note_undo(log_record)
         except Exception:
             engine.unpin(rid.lpn, dirty=True)
             raise
@@ -190,19 +213,16 @@ class Table:
         frame = engine.pin(rid.lpn)
         page = frame.page
         try:
-            old_record = page.read_record(rid.slot)
+            offset, length = page.record_extent(rid.slot)
+            old_record = bytes(page.image[offset : offset + length])
             values = list(self.schema.unpack(old_record))
             for column_index, value in indexed.items():
                 values[column_index] = value
             new_record = self.schema.pack(values)
-            page.replace_record(rid.slot, new_record)
-            log_record = engine.log.append(
-                txn.txn_id if txn else 0, LogKind.REPLACE, rid.lpn, rid.slot,
-                (old_record, new_record),
+            engine.log_page_change(
+                page, rid.lpn, rid.slot, LogKind.REPLACE,
+                (old_record, new_record, offset), txn,
             )
-            page.set_lsn(log_record.lsn)
-            if txn is not None:
-                txn.note_undo(log_record)
             self._free[rid.lpn] = page.free_space
         except PageFullError:
             engine.unpin(rid.lpn, dirty=True)
@@ -222,28 +242,16 @@ class Table:
         frame = engine.pin(rid.lpn)
         page = frame.page
         try:
-            offset, length = page.record_extent(rid.slot)
-            values = None
-            if self.index is not None or self.secondary_indexes:
-                values = self.schema.unpack(page.read_record(rid.slot))
-            if self.index is not None:
-                self.index.pop(self.key_of(values), None)
-            for secondary in self.secondary_indexes:
-                secondary.note_delete(values, rid)
-            page.delete_record(rid.slot)
-            log_record = engine.log.append(
-                txn.txn_id if txn else 0, LogKind.DELETE, rid.lpn, rid.slot,
-                (offset, length),
+            extent = page.record_extent(rid.slot)
+            self.row_removed(rid, self.index_values(page, rid.slot))
+            engine.log_page_change(
+                page, rid.lpn, rid.slot, LogKind.DELETE, extent, txn
             )
-            page.set_lsn(log_record.lsn)
-            if txn is not None:
-                txn.note_undo(log_record)
             self._note_space_freed(rid.lpn, page.free_space)
         except Exception:
             engine.unpin(rid.lpn, dirty=True)
             raise
         engine.unpin(rid.lpn, dirty=True)
-        self.row_count -= 1
         engine.charge_cpu()
 
     def scan(self) -> Iterator[tuple[RID, tuple]]:

@@ -257,16 +257,15 @@ class SlottedPage:
     # Records
     # ------------------------------------------------------------------
 
-    def insert(self, record: bytes) -> int:
-        """Store a record; returns its slot number.
-
-        Deleted slots are reused.  Raises :class:`PageFullError` when
-        neither heap space nor a slot is available.
-        """
+    def slot_for_insert(self, record: bytes) -> int:
+        """Slot the next insert of ``record`` will use: the first deleted
+        slot, else a new one.  Raises :class:`PageFullError` when neither
+        heap space nor a slot is available."""
         if not record:
             raise PageFormatError("empty record")
+        slot_count = self.slot_count
         reuse = None
-        for slot in range(self.slot_count):
+        for slot in range(slot_count):
             offset, _ = self._read_slot(slot)
             if offset == 0:
                 reuse = slot
@@ -276,16 +275,31 @@ class SlottedPage:
             raise PageFullError(
                 f"record of {len(record)}B does not fit ({self.free_space}B free)"
             )
+        return slot_count if reuse is None else reuse
+
+    def insert(self, record: bytes) -> int:
+        """Store a record; returns its slot number (deleted slots are
+        reused, see :meth:`slot_for_insert`)."""
+        slot = self.slot_for_insert(record)
+        self.place_record(slot, record)
+        return slot
+
+    def place_record(self, slot: int, record: bytes) -> None:
+        """Put ``record`` at the heap's free pointer and point ``slot`` at it.
+
+        The one insert placement, forward and redo: deterministic given
+        the pre-insert page state, so recovery repeating history lands
+        the record at the same heap offset as the original.
+        """
         offset = self.free_ptr
+        slot_count = self.slot_count
+        if self.delta_area_offset - SLOT_SIZE * max(slot_count, slot + 1) - offset < len(record):
+            raise PageFullError("record placement does not fit; page state diverged")
         self.write_bytes(offset, record)
         self._set_free_ptr(offset + len(record))
-        if reuse is None:
-            slot = self.slot_count
+        if slot >= slot_count:
             self._set_slot_count(slot + 1)
-        else:
-            slot = reuse
         self._write_slot(slot, offset, len(record))
-        return slot
 
     def read_record(self, slot: int) -> bytes:
         """Bytes of a live record."""
@@ -328,38 +342,17 @@ class SlottedPage:
         self.record_extent(slot)  # raises if already gone
         self._write_slot(slot, 0, 0)
 
-    def restore_slot(self, slot: int, offset: int, length: int) -> None:
-        """Resurrect a mark-deleted record by restoring its slot entry.
-
-        Mark-delete leaves heap bytes in place, so undo of a delete is
-        just the slot entry.  Only valid while the heap bytes have not
-        been reused (no compaction in between).
-        """
-        if not 0 <= slot < self.slot_count:
-            raise RecordNotFoundError(f"slot {slot} out of range")
-        self._write_slot(slot, offset, length)
-
-    def slot_entry_extent(self, slot: int) -> tuple[int, bytes]:
-        """``(page_offset, current_bytes)`` of a slot-table entry."""
+    def slot_entry_patch(self, slot: int, offset: int, length: int) -> tuple[int, bytes, bytes]:
+        """``(page_offset, current_bytes, new_bytes)`` that points ``slot``
+        at ``(offset, length)`` — a slot-table change as a byte patch."""
         if not 0 <= slot < self.slot_count:
             raise RecordNotFoundError(f"slot {slot} out of range")
         base = self._slot_entry_offset(slot)
-        return base, bytes(self.image[base : base + SLOT_SIZE])
-
-    def redo_insert(self, slot: int, record: bytes) -> None:
-        """Replay an insert during recovery (deterministic placement).
-
-        Recovery repeats history from the exact pre-insert page state,
-        so the record lands at the same heap offset as the original.
-        """
-        offset = self.free_ptr
-        if self.delta_area_offset - SLOT_SIZE * max(self.slot_count, slot + 1) - offset < len(record):
-            raise PageFullError("redo_insert does not fit; page state diverged")
-        self.write_bytes(offset, record)
-        self._set_free_ptr(offset + len(record))
-        if slot >= self.slot_count:
-            self._set_slot_count(slot + 1)
-        self._write_slot(slot, offset, len(record))
+        return (
+            base,
+            bytes(self.image[base : base + SLOT_SIZE]),
+            offset.to_bytes(2, "big") + length.to_bytes(2, "big"),
+        )
 
     def compact(self) -> None:
         """Rewrite the record heap densely, reclaiming holes.

@@ -6,15 +6,19 @@ retained write-ahead log:
 * **Analysis** — partition transactions into winners (a ``COMMIT`` or
   ``ABORT`` record exists; aborted transactions already logged their
   compensations) and losers (in flight at the crash).
-* **Redo** — repeat history: every page-modifying record is re-applied
-  unless the page's ``PageLSN`` shows the effect already reached flash.
-  Pages whose first materialization never happened are re-formatted.
-* **Undo** — losers' records are inverted newest-first through the same
-  compensation path the online abort uses.  Each inverse logs a
-  compensation record (CLR) carrying ``compensates=<undone LSN>``; on a
-  restart *during* undo, analysis collects the already-compensated LSNs
-  and skips them, and CLRs themselves are redo-only — so the undo pass
-  is restartable and never double-applies an inverse.
+* **Redo** — repeat history with the function that made it: every
+  page-modifying record is re-applied by
+  :func:`~repro.storage.wal.apply_record`, the forward path's own page
+  writer, unless the page's ``PageLSN`` shows the effect already reached
+  flash.  Pages whose first materialization never happened are
+  re-formatted by the engine's allocation formatter.
+* **Undo** — losers' records are inverted newest-first through
+  :meth:`StorageEngine.undo`, which the online abort uses too.  Each
+  inverse logs a compensation record (CLR) carrying
+  ``compensates=<undone LSN>``; on a restart *during* undo, analysis
+  collects the already-compensated LSNs and skips them, and CLRs
+  themselves are redo-only — so the undo pass is restartable and never
+  double-applies an inverse.
 
 IPA interacts with recovery exactly as Section 6.2 describes: a page
 whose last materialization was a delta append is simply read back (the
@@ -33,10 +37,7 @@ from dataclasses import dataclass
 
 from ..errors import StorageError
 from .engine import StorageEngine
-from .page_layout import SlottedPage
-from .wal import LogKind, LogRecord
-
-_PAGE_KINDS = (LogKind.UPDATE, LogKind.REPLACE, LogKind.INSERT, LogKind.DELETE)
+from .wal import PAGE_KINDS, LogKind, LogRecord, apply_record
 
 
 @dataclass
@@ -66,7 +67,7 @@ def recover(engine: StorageEngine) -> RecoveryReport:
     for record in records:
         if record.kind in (LogKind.COMMIT, LogKind.ABORT):
             finished.add(record.txn_id)
-        elif record.kind in _PAGE_KINDS and record.txn_id != 0:
+        elif record.kind in PAGE_KINDS and record.txn_id != 0:
             seen.setdefault(record.txn_id, []).append(record)
     losers = {txn_id: recs for txn_id, recs in seen.items() if txn_id not in finished}
     report.winners = len(seen) - len(losers)
@@ -74,7 +75,7 @@ def recover(engine: StorageEngine) -> RecoveryReport:
 
     crashkit = engine.crashkit
     for record in records:
-        if record.kind in _PAGE_KINDS:
+        if record.kind in PAGE_KINDS:
             if crashkit is not None:
                 crashkit.site("recovery.redo")
             if _redo(engine, record):
@@ -99,7 +100,7 @@ def recover(engine: StorageEngine) -> RecoveryReport:
                 continue
             if crashkit is not None:
                 crashkit.site("recovery.undo")
-            engine._apply_inverse(record)
+            engine.undo(record)
             report.undone += 1
         engine.log.append(txn_id, LogKind.ABORT)
 
@@ -114,24 +115,13 @@ def _redo(engine: StorageEngine, record: LogRecord) -> bool:
     lpn = record.lpn
     if not engine.device.is_mapped(lpn) and lpn not in engine.pool:
         # The page never reached flash: recreate it empty and replay.
-        page = SlottedPage.format(lpn, engine.page_size, engine.config.scheme.area_size)
-        engine.pool.put_new(lpn, page, engine.clock)
-        engine.pool.unpin(lpn, dirty=True)
+        engine.format_page(lpn)
     frame = engine.pin(lpn)
     page = frame.page
     try:
         if page.lsn >= record.lsn:
             return False
-        if record.kind is LogKind.UPDATE:
-            for offset, __, new in record.payload:
-                page.write_bytes(offset, new)
-        elif record.kind is LogKind.REPLACE:
-            __, new_record = record.payload
-            page.replace_record(record.slot, new_record)
-        elif record.kind is LogKind.INSERT:
-            page.redo_insert(record.slot, record.payload[0])
-        elif record.kind is LogKind.DELETE:
-            page.delete_record(record.slot)
+        apply_record(page, record.kind, record.slot, record.payload)
         page.set_lsn(record.lsn)
         return True
     finally:

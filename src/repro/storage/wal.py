@@ -19,8 +19,10 @@ Record kinds and payloads:
 ``UPDATE``
     byte patches on one page: ``[(page_offset, old_bytes, new_bytes)]``.
 ``REPLACE``
-    whole-record replacement (variable-length growth):
-    ``(old_record, new_record)``.
+    whole-record replacement (variable-length change):
+    ``(old_record, new_record, old_heap_offset)`` — the offset is what
+    lets undo restore the slot entry, as ``DELETE``'s does; it rides in
+    the fixed header of the size estimate.
 ``INSERT``
     a record landing in a slot: ``(record_bytes,)``.
 ``DELETE``
@@ -28,6 +30,11 @@ Record kinds and payloads:
     the slot entry, since mark-delete leaves the heap bytes in place.
 ``COMMIT`` / ``ABORT`` / ``CHECKPOINT``
     transaction control, no payload.
+
+:func:`apply_record` is the only code that turns such a payload into
+page bytes — forward operations, restart redo and undo compensations all
+go through it — and :func:`inverse_of` the only code that derives a
+record's compensation (always a byte patch or a mark-delete).
 
 Log writes are sequential I/O to a dedicated device, as in Shore-MT;
 they are modelled as byte counters plus a configurable force latency,
@@ -40,6 +47,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
+from ..errors import TransactionError
+
 
 class LogKind(Enum):
     """Record kinds; payload formats are in the module docstring."""
@@ -51,6 +60,10 @@ class LogKind(Enum):
     COMMIT = "commit"
     ABORT = "abort"
     CHECKPOINT = "checkpoint"
+
+
+#: The kinds that modify a page (what redo repeats and undo inverts).
+PAGE_KINDS = (LogKind.UPDATE, LogKind.REPLACE, LogKind.INSERT, LogKind.DELETE)
 
 
 #: Fixed serialized overhead per log record (header fields).
@@ -81,14 +94,69 @@ class LogRecord:
         if self.kind is LogKind.UPDATE:
             for __, old, new in self.payload:
                 payload_bytes += 4 + len(old) + len(new)
-        elif self.kind in (LogKind.REPLACE,):
-            old, new = self.payload
-            payload_bytes = len(old) + len(new)
+        elif self.kind is LogKind.REPLACE:
+            payload_bytes = len(self.payload[0]) + len(self.payload[1])
         elif self.kind is LogKind.INSERT:
             payload_bytes = len(self.payload[0])
         elif self.kind is LogKind.DELETE:
             payload_bytes = 4
         return _RECORD_HEADER_BYTES + payload_bytes
+
+
+def apply_record(page, kind: LogKind, slot: int, payload: tuple) -> None:
+    """Perform on ``page`` the change a page-modifying record describes.
+
+    Do = redo = undo: a forward operation builds its payload and calls
+    this, recovery calls it with a logged payload, and undo calls it
+    with the payload :func:`inverse_of` derived.
+    """
+    if kind is LogKind.UPDATE:
+        for offset, __, new in payload:
+            page.write_bytes(offset, new)
+    elif kind is LogKind.INSERT:
+        page.place_record(slot, payload[0])
+    elif kind is LogKind.REPLACE:
+        page.replace_record(slot, payload[1])
+    elif kind is LogKind.DELETE:
+        page.delete_record(slot)
+    else:
+        raise TransactionError(f"a {kind.value} record does not modify a page")
+
+
+def inverse_of(page, record: LogRecord) -> tuple[LogKind, tuple]:
+    """``(kind, payload)`` of the compensation that undoes ``record``.
+
+    ``page`` must be in the state ``record`` left it in (later changes
+    already undone).  Every inverse puts the slot entry and the record
+    bytes back exactly where they were — which is why a later undo on
+    the same slot can rely on that state in turn, and why undo never
+    needs heap space.
+    """
+    kind, slot, payload = record.kind, record.slot, record.payload
+    if kind is LogKind.UPDATE:
+        return LogKind.UPDATE, tuple((offset, new, old) for offset, old, new in payload)
+    if kind is LogKind.INSERT:
+        return LogKind.DELETE, page.record_extent(slot)
+    if kind is LogKind.DELETE:
+        # The compensation must replay as exactly what happens here — a
+        # slot-entry restoration — so it is logged as a byte patch.  (An
+        # INSERT-style CLR would redo at the heap's free pointer, moving
+        # the record to a different offset than the original timeline
+        # and invalidating later UPDATE records' absolute offsets.)
+        offset, length = payload
+        return LogKind.UPDATE, (page.slot_entry_patch(slot, offset, length),)
+    if kind is LogKind.REPLACE:
+        # Same reasoning: heap space is only handed out at the free
+        # pointer, so the old extent is still the record's — whether the
+        # replacement shrank it in place or relocated a grown copy —
+        # and putting it back is a byte patch that cannot run out of room.
+        old_record, __, offset = payload
+        end = offset + len(old_record)
+        return LogKind.UPDATE, (
+            (offset, bytes(page.image[offset:end]), old_record),
+            page.slot_entry_patch(slot, offset, len(old_record)),
+        )
+    raise TransactionError(f"cannot undo a {kind.value} record")
 
 
 class LogManager:

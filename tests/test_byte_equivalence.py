@@ -11,7 +11,9 @@ oracles, parametrized across SLC/MLC/pSLC modes and torn-write cases.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core import NxMScheme
 from repro.flash.ecc import (
     CODE_SIZE,
     ERASED_CODE,
@@ -22,10 +24,23 @@ from repro.flash.page import FlashPage
 from repro.ftl.gc import greedy
 from repro.ftl.region import IPAMode
 from repro.session import SessionConfig, open_device
+from repro.storage import (
+    Column,
+    EngineConfig,
+    Int32,
+    Int64,
+    LogKind,
+    Schema,
+    StorageEngine,
+    VarChar,
+    recover,
+)
 from repro.storage.buffer import BufferPool
 from repro.storage.page_layout import SlottedPage
 from repro.storage.program import run_program
+from repro.storage.wal import apply_record, inverse_of
 from repro.telemetry import Telemetry
+from repro.testbed import emulator_device
 
 PAGE_SIZE = 512
 OOB_SIZE = 64
@@ -270,3 +285,161 @@ def test_telemetry_fast_path_leaves_counters_identical():
             device.read(lpn, 0.0)
     assert quiet.snapshot() == loud.snapshot()
     assert quiet.occupancy() == loud.occupancy()
+
+
+# ----------------------------------------------------------------------
+# Do = redo = undo: Table operations vs apply_record / inverse_of
+# ----------------------------------------------------------------------
+
+_ROW_SCHEMA = Schema([
+    Column("k", Int32()), Column("a", Int32()), Column("b", Int64()),
+    Column("c", Int32()), Column("s", VarChar(120)),
+])
+
+
+def _row_engine(buffer_pages: int = 16) -> tuple[StorageEngine, object]:
+    device = emulator_device(logical_pages=128, chips=2, page_size=1024)
+    engine = StorageEngine(
+        device,
+        EngineConfig(buffer_pages=buffer_pages, scheme=NxMScheme(2, 4), retain_log=True),
+    )
+    return engine, engine.create_table("rows", _ROW_SCHEMA, key=["k"])
+
+
+def _logical(image: bytes, dead_from: int, dead_to: int) -> bytes:
+    """A page image minus what undo legitimately leaves behind: the
+    PageLSN, the slot count and free pointer (neither is ever rolled
+    back) and heap space ``[dead_from, dead_to)`` the undone operation
+    took at the free pointer (abandoned, never reused)."""
+    image = bytearray(image)
+    image[6:18] = bytes(12)
+    image[dead_from:dead_to] = bytes(dead_to - dead_from)
+    return bytes(image)
+
+
+#: case -> (tombstone in slot 3?, operation, logged kind, slot, takes heap space?)
+_FORWARD_CASES = {
+    "insert-fresh-slot": (
+        False, lambda t, txn: t.insert(txn, (9, 1, 2, 3, "new")), LogKind.INSERT, 5, True),
+    "insert-reused-tombstone": (
+        True, lambda t, txn: t.insert(txn, (9, 1, 2, 3, "new")), LogKind.INSERT, 3, True),
+    "update-one-patch": (
+        True, lambda t, txn: t.update(txn, t.lookup(1), {"a": 11}), LogKind.UPDATE, 1, False),
+    "update-several-patches-one-unchanged": (
+        True, lambda t, txn: t.update(txn, t.lookup(1), {"a": 10, "b": 2**40, "c": 8}),
+        LogKind.UPDATE, 1, False),
+    "replace-shrink": (
+        True, lambda t, txn: t.update(txn, t.lookup(1), {"s": "y"}), LogKind.REPLACE, 1, False),
+    "replace-same-size": (
+        True, lambda t, txn: t.update(txn, t.lookup(1), {"s": "y" * 40}),
+        LogKind.REPLACE, 1, False),
+    "replace-grow-relocates": (
+        True, lambda t, txn: t.update(txn, t.lookup(1), {"s": "y" * 90}),
+        LogKind.REPLACE, 1, True),
+    "delete": (
+        True, lambda t, txn: t.delete(txn, t.lookup(1)), LogKind.DELETE, 1, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FORWARD_CASES))
+def test_table_operation_matches_apply_record_and_its_inverse(case):
+    tombstone, operation, kind, slot, takes_heap = _FORWARD_CASES[case]
+    engine, table = _row_engine()
+    txn = engine.begin()
+    for k in range(5):
+        table.insert(txn, (k, 10, 100, 7, "x" * 40))
+    if tombstone:
+        table.delete(txn, table.lookup(3))
+    engine.commit(txn)
+    (lpn,) = table.pages
+    live = engine.pin(lpn).page
+    live.reset_tracking()
+    pre_image = bytes(live.image)
+    rows_before = dict(table.scan())
+
+    txn = engine.begin()
+    operation(table, txn)
+    (record,) = txn.undo
+    assert (record.kind, record.slot) == (kind, slot)
+    if kind is LogKind.UPDATE:  # the unchanged column contributes no patch
+        assert len(record.payload) == (2 if "several" in case else 1)
+
+    # Redo: the logged record applied to a copy of the pre-image.
+    replica = SlottedPage(bytearray(pre_image))
+    pre_free = replica.free_ptr
+    apply_record(replica, record.kind, record.slot, record.payload)
+    replica.set_lsn(record.lsn)
+    assert bytes(replica.image) == bytes(live.image)
+    assert replica.tracked == live.tracked
+
+    # Undo: the inverse applied to that copy restores the pre-image...
+    kind, payload = inverse_of(replica, record)
+    apply_record(replica, kind, record.slot, payload)
+    dead = (pre_free, replica.free_ptr)
+    assert (dead[1] > dead[0]) == takes_heap
+    assert _logical(replica.image, *dead) == _logical(pre_image, *dead)
+    # ...and is what the engine's abort does (its CLR stamps a new LSN).
+    engine.abort(txn)
+    assert bytes(live.image[:6] + live.image[14:]) == bytes(replica.image[:6] + replica.image[14:])
+    assert dict(table.scan()) == rows_before
+    engine.unpin(lpn, dirty=False)
+
+
+_OPS = st.one_of(
+    st.tuples(st.just("insert"), st.integers(0, 120)),
+    st.tuples(st.just("fixed"), st.integers(0, 10**6), st.integers(0, 3)),
+    st.tuples(st.just("var"), st.integers(0, 10**6), st.integers(0, 120)),
+    st.tuples(st.just("delete"), st.integers(0, 10**6)),
+)
+_TXNS = st.lists(st.tuples(st.booleans(), st.lists(_OPS, min_size=1, max_size=6)),
+                 min_size=1, max_size=12)
+
+
+@pytest.mark.parametrize("buffer_pages", [3, 64])  # with / without evictions
+@settings(max_examples=40, deadline=None)
+@given(txns=_TXNS)
+def test_recovery_reproduces_every_heap_page_image(buffer_pages, txns):
+    """Redo is the forward function: after any history of committed and
+    aborted transactions, restart reproduces the buffered images byte
+    for byte, PageLSN included."""
+    engine, table = _row_engine(buffer_pages)
+    txn = engine.begin()
+    for next_key in range(40):  # several pages before the history starts
+        table.insert(txn, (next_key, 0, 0, 0, "s" * 60))
+    engine.commit(txn)
+    next_key += 1
+    for commit, ops in txns:
+        txn = engine.begin()
+        for op, *args in ops:
+            live = sorted(table.index)
+            if op == "insert":
+                table.insert(txn, (next_key, 0, 0, 0, "s" * args[0]))
+                next_key += 1
+            elif not live:
+                continue
+            else:
+                rid = table.lookup(*live[args[0] % len(live)])
+                if op == "fixed":
+                    table.update(txn, rid, {"a": args[1], "b": args[0]})
+                elif op == "var":
+                    table.update(txn, rid, {"s": "v" * args[1]})
+                else:
+                    table.delete(txn, rid)
+        if commit:
+            engine.commit(txn)
+        else:
+            engine.abort(txn)
+
+    def images():
+        found = {}
+        for lpn in table.pages:
+            found[lpn] = bytes(engine.pin(lpn).page.image)
+            engine.unpin(lpn, dirty=False)
+        return found
+
+    assert (engine.pool.stats.evictions > 0) == (buffer_pages < len(table.pages))
+    before, rows = images(), sorted(table.scan())
+    engine.crash()
+    recover(engine)
+    assert images() == before
+    assert sorted(table.scan()) == rows

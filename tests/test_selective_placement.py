@@ -9,10 +9,11 @@ from repro.core import IPAAdvisor, NxMScheme
 from repro.flash import CellType, FlashGeometry, FlashMemory
 from repro.ftl import IPAMode, NoFTL, RegionConfig
 from repro.storage import Char, Column, EngineConfig, Int32, Int64, Schema, StorageEngine
+from repro.storage import recover
 from repro.storage.page_layout import delta_area_size_of
 
 
-def make_engine(scheme=NxMScheme(2, 4)):
+def make_engine(scheme=NxMScheme(2, 4), retain_log=False, flush=True):
     geometry = FlashGeometry(
         chips=2, blocks_per_chip=48, pages_per_block=16, page_size=1024,
         oob_size=64, cell_type=CellType.MLC,
@@ -24,7 +25,9 @@ def make_engine(scheme=NxMScheme(2, 4)):
             RegionConfig("rgPlain", logical_pages=64, ipa_mode=IPAMode.NONE),
         ],
     )
-    engine = StorageEngine(device, EngineConfig(buffer_pages=32, scheme=scheme))
+    engine = StorageEngine(
+        device, EngineConfig(buffer_pages=32, scheme=scheme, retain_log=retain_log)
+    )
     schema = Schema([Column("k", Int32()), Column("v", Int64()),
                      Column("p", Char(40))])
     hot = engine.create_table("hot", schema, key=["k"], region="rgIPA")
@@ -34,8 +37,28 @@ def make_engine(scheme=NxMScheme(2, 4)):
         hot.insert(txn, (i, 0, "x"))
         cold.insert(txn, (i, 0, "x"))
     engine.commit(txn)
-    engine.flush_all()
+    if flush:
+        engine.flush_all()
     return engine, hot, cold
+
+
+class TestRecoveryKeepsPerRegionLayout:
+    def test_never_flushed_plain_page_is_reformatted_without_a_delta_area(self):
+        """Redo re-creates a page by the rule that allocated it: a page
+        of a non-IPA region packs 17 rows only because it reserves no
+        delta area, so re-formatting it with the scheme's area could not
+        replay its inserts."""
+        engine, hot, cold = make_engine(
+            scheme=NxMScheme(3, 20), retain_log=True, flush=False
+        )
+        engine.crash()
+        recover(engine)
+        for lpn in cold.pages:
+            frame = engine.pin(lpn)
+            assert frame.page.delta_area_size == 0
+            engine.unpin(lpn, False)
+        assert sorted(values[0] for __, values in cold.scan()) == list(range(60))
+        assert sorted(values[0] for __, values in hot.scan()) == list(range(60))
 
 
 class TestPerRegionDeltaAreas:

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import PageFormatError, PageFullError, RecordNotFoundError
-from repro.storage import HEADER_SIZE, SlottedPage
+from repro.storage import HEADER_SIZE, LogKind, LogRecord, SlottedPage
+from repro.storage.wal import apply_record, inverse_of
 
 
 def make_page(page_size=512, delta=64):
@@ -132,18 +133,22 @@ class TestRecords:
             assert page.read_record(slot) == b"x" * 30
 
     def test_restore_slot_resurrects(self):
+        # Delete, then apply the inverse of the DELETE record.
         page = make_page()
         slot = page.insert(b"precious")
-        offset, length = page.record_extent(slot)
-        page.delete_record(slot)
-        page.restore_slot(slot, offset, length)
+        delete = LogRecord(1, 1, LogKind.DELETE, 0, slot, page.record_extent(slot))
+        apply_record(page, delete.kind, slot, delete.payload)
+        with pytest.raises(RecordNotFoundError):
+            page.read_record(slot)
+        kind, payload = inverse_of(page, delete)
+        apply_record(page, kind, slot, payload)
         assert page.read_record(slot) == b"precious"
 
     def test_redo_insert_deterministic(self):
         original = make_page()
         slot = original.insert(b"replayed")
         replica = make_page()
-        replica.redo_insert(slot, b"replayed")
+        replica.place_record(slot, b"replayed")
         assert bytes(replica.image) == bytes(original.image)
 
 

@@ -150,6 +150,66 @@ class TestStructuralOps:
             table.lookup(3)
 
 
+def full_page_of_long_rows(engine):
+    """One heap page packed with (k, 200-byte s) rows, committed."""
+    schema = Schema([Column("k", Int32()), Column("s", VarChar(200))])
+    table = engine.create_table("docs", schema, key=["k"])
+    txn = engine.begin()
+    k = 0
+    while len(table.pages) < 2:
+        table.insert(txn, (k, "x" * 200))
+        k += 1
+    engine.commit(txn)
+    on_first = [key for key, rid in table.index.items() if rid.lpn == table.pages[0]]
+    return table, [key[0] for key in on_first]
+
+
+class TestRollbackNeverNeedsSpace:
+    """Undo is an exact inverse, so it cannot fail for lack of room."""
+
+    def test_abort_of_in_place_shrink_on_full_page(self):
+        engine = make_engine()
+        table, keys = full_page_of_long_rows(engine)
+        txn = engine.begin()
+        table.update(txn, table.lookup(keys[0]), {"s": "short"})
+        engine.abort(txn)
+        for key in keys:
+            assert table.read(table.lookup(key)) == (key, b"x" * 200)
+
+    def test_recovery_undo_of_in_place_shrink_on_full_page(self):
+        engine = make_engine()
+        table, keys = full_page_of_long_rows(engine)
+        loser = engine.begin()
+        table.update(loser, table.lookup(keys[0]), {"s": "short"})
+        engine.crash()
+        assert recover(engine).undone == 1
+        for key in keys:
+            assert table.read(table.lookup(key)) == (key, b"x" * 200)
+
+    def test_abort_after_shrink_then_relocating_grows(self):
+        """A shrunk record that later grew (and relocated) goes back to
+        its original extent — not 200 bytes written over whatever now
+        follows its relocated copy."""
+        engine = make_engine()
+        schema = Schema([Column("k", Int32()), Column("s", VarChar(200))])
+        table = engine.create_table("docs", schema, key=["k"])
+        txn = engine.begin()
+        table.insert(txn, (0, b"a" * 200))
+        table.insert(txn, (1, b"b" * 50))
+        engine.commit(txn)
+        txn = engine.begin()
+        table.update(txn, table.lookup(0), {"s": "tiny"})
+        table.update(txn, table.lookup(0), {"s": "c" * 100})
+        table.update(txn, table.lookup(1), {"s": "d" * 60})
+        engine.abort(txn)
+        assert table.read(table.lookup(0)) == (0, b"a" * 200)
+        assert table.read(table.lookup(1)) == (1, b"b" * 50)
+        engine.crash()
+        recover(engine)
+        assert table.read(table.lookup(0)) == (0, b"a" * 200)
+        assert table.read(table.lookup(1)) == (1, b"b" * 50)
+
+
 class TestRepeatedCrashes:
     def test_crash_loop_converges(self):
         engine = make_engine()

@@ -1,7 +1,11 @@
 """Unit tests for the log manager and transaction bookkeeping."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro.storage
 from repro.errors import TransactionError
 from repro.storage import LogKind, LogManager, TransactionManager, TxnState
 from repro.storage.wal import LogRecord
@@ -20,6 +24,8 @@ class TestLogRecordSizes:
     def test_replace_size(self):
         record = LogRecord(1, 1, LogKind.REPLACE, 0, 0, (b"old", b"newer"))
         assert record.size == 28 + 8
+        # The old heap offset rides in the fixed header estimate.
+        assert LogRecord(1, 1, LogKind.REPLACE, 0, 0, (b"old", b"newer", 32)).size == 28 + 8
 
     def test_delete_size(self):
         record = LogRecord(1, 1, LogKind.DELETE, 0, 0, (100, 20))
@@ -27,6 +33,24 @@ class TestLogRecordSizes:
 
     def test_control_record_size(self):
         assert LogRecord(1, 1, LogKind.COMMIT).size == 28
+
+
+def test_only_apply_record_writes_logged_page_bytes():
+    """Forward operations, undo and redo reach page bytes through
+    ``wal.apply_record`` alone: the modules that log changes call none
+    of the page's mutators themselves."""
+    mutators = {
+        "write_bytes", "replace_record", "delete_record",
+        "update_record_bytes", "place_record",
+    }
+    package = Path(repro.storage.__file__).parent
+    for name in ("heap.py", "engine.py", "recovery.py"):
+        tree = ast.parse((package / name).read_text())
+        calls = {
+            node.func.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        }
+        assert not calls & mutators, f"{name} calls {sorted(calls & mutators)}"
 
 
 class TestLogManager:
