@@ -203,11 +203,15 @@ def publish(name: str, text: str, data=None) -> None:
     machine-readable ``{name}.json`` sidecar next to the ``.txt`` —
     trajectory tracking across commits without screen-scraping the
     rendered tables.
+
+    A FAST run prints only: the committed results are full-scale runs,
+    and quarter-scale numbers must not overwrite them.
     """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-    if data is not None:
-        payload = json.dumps(data, indent=2, sort_keys=True)
-        (RESULTS_DIR / f"{name}.json").write_text(payload + "\n")
+    if not FAST:
+        RESULTS_DIR.mkdir(exist_ok=True)
+        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+        if data is not None:
+            payload = json.dumps(data, indent=2, sort_keys=True)
+            (RESULTS_DIR / f"{name}.json").write_text(payload + "\n")
     print()
     print(text)

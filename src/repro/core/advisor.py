@@ -88,36 +88,6 @@ class IPAAdvisor:
         ]
         return cls(collector.net_sizes, meta, cell_type=cell_type, page_size=page_size)
 
-    @classmethod
-    def from_log(cls, records, cell_type=CellType.SLC, page_size=4096) -> "IPAAdvisor":
-        """Profile a retained write-ahead log (paper Section 8.4).
-
-        "The IPA advisor is based on a background DB log-file profiling
-        mechanism ... the DB-log contains all information regarding
-        update sizes, frequencies or skew."
-
-        The log records individual byte patches, not flush boundaries;
-        the advisor approximates one prospective flush per (transaction,
-        page) pair — the sum of a transaction's patch bytes on one page
-        — which matches real flush sizes when buffers are small and is
-        a lower bound otherwise.
-        """
-        from ..storage.wal import LogKind
-
-        sizes: dict[tuple[int, int], int] = {}
-        for record in records:
-            if record.kind is LogKind.UPDATE:
-                nbytes = sum(len(new) for __, __, new in record.payload)
-            elif record.kind is LogKind.REPLACE:
-                nbytes = len(record.payload[1])
-            else:
-                continue
-            key = (record.txn_id, record.lpn)
-            sizes[key] = sizes.get(key, 0) + nbytes
-        if not sizes:
-            raise IPAError("the log holds no update records to profile")
-        return cls(list(sizes.values()), cell_type=cell_type, page_size=page_size)
-
     # ------------------------------------------------------------------
 
     def recommend(

@@ -13,9 +13,11 @@ This is the component that replaces the storage manager's write path:
   area so the new flash home starts with all slots erased).
 
 The manager is deliberately storage-agnostic: it works on any "frame"
-object exposing ``lpn``, ``slots_used``, ``ipa_disabled`` and a ``page``
-with the :class:`~repro.storage.page_layout.SlottedPage` tracking
-surface, so tests can drive it with lightweight stand-ins.
+object exposing ``lpn``, ``slots_used`` and a ``page`` with the
+:class:`~repro.storage.page_layout.SlottedPage` tracking surface, so
+tests can drive it with lightweight stand-ins.  A page gives up on
+appending in exactly one way, ``page.track_overflowed`` — the paper's
+one rule, "overflow falls back to a normal out-of-place write".
 """
 
 from __future__ import annotations
@@ -166,16 +168,14 @@ class IPAManager:
         """
         page = frame.page
         mapped = self.device.is_mapped(frame.lpn)
-        if mapped and not page.tracked and not page.track_overflowed and not frame.ipa_disabled:
+        if mapped and not page.tracked and not page.track_overflowed:
             return "skip", mapped, None, None
         if stamp_checksum and self.page_checksum and hasattr(page, "update_checksum"):
             page.update_checksum()
         if (
-            self.scheme.enabled
-            and mapped
-            and page.delta_area_size == self.scheme.area_size
+            mapped
+            and page.delta_area_size == self.scheme.area_size > 0
             and not page.track_overflowed
-            and not frame.ipa_disabled
         ):
             body, meta = page.classify_tracked()
             fits = self.scheme.fits(len(body), len(meta), frame.slots_used)
@@ -292,7 +292,6 @@ class IPAManager:
             code = self._ecc.encode_segment(0, bytes(page.image))
             self.device.write_oob(frame.lpn, code, self._ecc.oob_offset(0))
         frame.slots_used = 0
-        frame.ipa_disabled = False
         overflowed = page.track_overflowed
         page.reset_tracking()
         self.stats.oop_flushes += 1

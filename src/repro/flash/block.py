@@ -49,11 +49,6 @@ class FlashBlock:
     def worn_out(self) -> bool:
         return self.erase_count >= self._endurance
 
-    @property
-    def highest_programmed(self) -> int:
-        """Index of the highest page first-programmed since last erase."""
-        return self._highest_programmed
-
     def note_first_program(self, page_index: int, enforce_order: bool = True) -> None:
         """Record the first program of a page, checking in-order writes.
 

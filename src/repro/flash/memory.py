@@ -57,10 +57,6 @@ class FlashMemory:
         standard NAND timing tables.
     fault_injector:
         Optional error model (retention leaks, program interference).
-    enforce_program_order:
-        Whether first programs within a block must be in increasing page
-        order.  Defaults to True on MLC/TLC (the physical requirement)
-        and False on SLC.
     endurance:
         Override of the per-block P/E limit (for fast wear-out tests).
     """
@@ -70,15 +66,14 @@ class FlashMemory:
         geometry: FlashGeometry,
         latency_model: LatencyModel | None = None,
         fault_injector: FaultInjector | None = None,
-        enforce_program_order: bool | None = None,
         endurance: int | None = None,
     ) -> None:
         self.geometry = geometry
         self.latency = latency_model if latency_model is not None else LatencyModel()
         self.faults = fault_injector
-        if enforce_program_order is None:
-            enforce_program_order = geometry.cell_type is not CellType.SLC
-        self.enforce_program_order = enforce_program_order
+        #: First programs within a block must go in increasing page
+        #: order on MLC/TLC (the physical requirement), not on SLC.
+        self._ordered_programs = geometry.cell_type is not CellType.SLC
         self.chips = [FlashChip(geometry, endurance=endurance) for _ in range(geometry.chips)]
         #: Cached occupancy tuple, rebuilt lazily after any chip's
         #: pipeline advances (the chips call back on ``occupy``).
@@ -191,7 +186,7 @@ class FlashMemory:
                 self.stats.busy_time_us += partial
                 self.crashkit.fail("flash.program", point)
         if first:
-            block.note_first_program(address.page, self.enforce_program_order)
+            block.note_first_program(address.page, self._ordered_programs)
         page.program(data, offset)
         kind = self.page_kind(address)
         latency = self.latency.program(self.geometry.cell_type, kind, len(data))

@@ -140,10 +140,6 @@ class BlockSSD:
     def block_size(self) -> int:
         return self._ftl.page_size
 
-    @property
-    def capacity_blocks(self) -> int:
-        return self._ftl.logical_pages
-
     def region_of(self, lpn: int) -> HostRegionView:
         """The (single) host-visible region hosting a logical page."""
         self._check_lba(lpn)

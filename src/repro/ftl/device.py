@@ -168,9 +168,9 @@ class FlashDevice(Protocol):
     def channel_of(self, lpn: int, op: str = "read") -> int | None:
         """Best-effort channel hint: which die would serve this command.
 
-        ``op`` is ``"read"``, ``"write"`` or ``"delta"``.  Reads and
-        deltas target the page's current home; writes report where the
-        allocator would most likely place the next page.  ``None`` means
+        ``op`` is an ``OpKind`` value (``"read"``, ``"write"``, ``"delta"``).
+        Reads and deltas target the page's current home; writes report where
+        the allocator would most likely place the next page.  ``None`` means
         the device cannot predict (e.g. the page is unmapped) — the
         scheduler then treats the request as dispatchable on any free
         channel.  The hint is advisory: dispatching against a busy die

@@ -56,7 +56,6 @@ def cost_benefit(
     candidates: list[BlockKey],
     mapping: PageMapping,
     erase_counts: dict[BlockKey, int],
-    pages_per_block: int = 64,
 ) -> BlockKey | None:
     """Classic cost-benefit: maximize (1 - u) / (1 + u), u = utilization.
 
@@ -65,6 +64,7 @@ def cost_benefit(
     """
     best: BlockKey | None = None
     best_score = -1.0
+    pages_per_block = mapping.pages_per_block
     for key in candidates:
         utilization = mapping.valid_count(key) / pages_per_block
         if utilization >= 1.0:
@@ -100,55 +100,6 @@ def wear_aware(
                 )
                 return coldest
         return base_policy(candidates, mapping, erase_counts)
-
-    return policy
-
-
-def traced(base_policy: VictimPolicy, telemetry, region: str = "") -> VictimPolicy:
-    """Wrap a policy so each victim selection emits a telemetry event.
-
-    Intended for devices that do not emit GC decision events themselves
-    (e.g. :class:`~repro.ftl.blockdev.BlockSSD` or standalone policy
-    experiments); the NoFTL controller instruments its own GC loop and
-    does not need this wrapper.
-    """
-
-    def policy(
-        candidates: list[BlockKey],
-        mapping: PageMapping,
-        erase_counts: dict[BlockKey, int],
-    ) -> BlockKey | None:
-        victim = base_policy(candidates, mapping, erase_counts)
-        if victim is not None:
-            telemetry.on_gc_victim(
-                region, victim, mapping.valid_count(victim), len(candidates)
-            )
-        return victim
-
-    return policy
-
-
-def crash_window(base_policy: VictimPolicy, scheduler) -> VictimPolicy:
-    """Wrap a policy so every victim selection ticks a crash site.
-
-    Mirrors :func:`traced`, but for ``repro.crashkit``: the scheduler
-    sees a ``gc.select`` tick right after the victim is chosen and
-    before any migration work starts — the earliest point of a GC round
-    a power failure can interrupt.  The NoFTL controller's own crash
-    windows (``noftl.gc_migrate``) cover the per-page migration; this
-    wrapper lets standalone policy experiments and the BlockSSD's
-    internal GC participate in the same crash matrix.
-    """
-
-    def policy(
-        candidates: list[BlockKey],
-        mapping: PageMapping,
-        erase_counts: dict[BlockKey, int],
-    ) -> BlockKey | None:
-        victim = base_policy(candidates, mapping, erase_counts)
-        if victim is not None:
-            scheduler.site("gc.select")
-        return victim
 
     return policy
 

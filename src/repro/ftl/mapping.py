@@ -31,6 +31,11 @@ class PageMapping:
     def __len__(self) -> int:
         return len(self._l2p)
 
+    @property
+    def pages_per_block(self) -> int:
+        """Physical pages per erase unit (a block's full valid count)."""
+        return self._geometry.pages_per_block
+
     def lookup(self, lpn: int) -> PhysicalAddress:
         """Physical location of a logical page; raises if unmapped."""
         ppn = self._l2p.get(lpn)

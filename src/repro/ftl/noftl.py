@@ -456,7 +456,6 @@ def single_region_device(
     overprovisioning: float = 0.10,
     victim_policy: VictimPolicy = greedy,
     serialize_io: bool = False,
-    gc_reserve_blocks: int = 2,
     telemetry=None,
 ) -> NoFTL:
     """A NoFTL device with one region spanning the whole logical space."""
@@ -465,7 +464,6 @@ def single_region_device(
         logical_pages=logical_pages,
         ipa_mode=ipa_mode,
         overprovisioning=overprovisioning,
-        gc_reserve_blocks=gc_reserve_blocks,
     )
     return NoFTL.create(
         flash, [config], victim_policy=victim_policy,

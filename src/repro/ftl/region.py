@@ -24,6 +24,12 @@ from ..flash.geometry import FlashGeometry, PhysicalAddress
 from .mapping import BlockKey
 
 
+#: Blocks the allocator keeps in reserve: GC runs when fewer than this
+#: many blocks' worth of erased pages remain, and every region owns this
+#: many blocks on top of its logical pages plus over-provisioning.
+GC_RESERVE_BLOCKS = 2
+
+
 class IPAMode(Enum):
     """How a region uses In-Place Appends.
 
@@ -50,9 +56,6 @@ class RegionConfig:
     logical_pages: int
     ipa_mode: IPAMode = IPAMode.NONE
     overprovisioning: float = 0.10
-    #: Blocks the allocator keeps in reserve; GC runs when the free list
-    #: would drop below this.
-    gc_reserve_blocks: int = 2
     #: Restrict the region to these chips (None = all chips).
     chips: list[int] | None = None
 
@@ -268,7 +271,7 @@ class Region:
 
     def needs_gc(self) -> bool:
         """GC when fewer than the reserve's worth of erased pages remain."""
-        return self.erased_available < self.config.gc_reserve_blocks * self.usable_pages_per_block
+        return self.erased_available < GC_RESERVE_BLOCKS * self.usable_pages_per_block
 
 
 def blocks_needed(config: RegionConfig, geometry: FlashGeometry) -> int:
@@ -281,4 +284,4 @@ def blocks_needed(config: RegionConfig, geometry: FlashGeometry) -> int:
     if config.ipa_mode is IPAMode.PSLC:
         per_block = math.ceil(per_block / 2)
     physical_pages = math.ceil(config.logical_pages * (1.0 + config.overprovisioning))
-    return math.ceil(physical_pages / per_block) + config.gc_reserve_blocks
+    return math.ceil(physical_pages / per_block) + GC_RESERVE_BLOCKS

@@ -177,7 +177,6 @@ class ShardedDevice:
                 logical_pages=region.config.logical_pages * self._stride,
                 ipa_mode=region.ipa_mode,
                 overprovisioning=region.config.overprovisioning,
-                gc_reserve_blocks=region.config.gc_reserve_blocks,
             )
             merged.append(HostRegionView(config, region.lpn_start * self._stride))
         return merged

@@ -69,13 +69,6 @@ class DeviceStats(CounterFacade):
         return self.host_page_writes + self.delta_writes
 
     @property
-    def out_of_place_fraction(self) -> float:
-        """Fraction of write requests served as out-of-place page writes."""
-        if self.host_writes == 0:
-            return 0.0
-        return self.host_page_writes / self.host_writes
-
-    @property
     def ipa_fraction(self) -> float:
         """Fraction of write requests served as In-Place Appends."""
         return self.snapshot()["ipa_fraction"]

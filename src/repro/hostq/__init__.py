@@ -36,7 +36,7 @@ from .loadtest import (
     run_loadtest,
     sweep_queue_depth,
 )
-from .queueing import ADMISSION_POLICIES, AdmissionPolicy, QueueStats, SubmissionQueue
+from .queueing import ADMISSION_POLICIES, QueueStats, SubmissionQueue
 from .request import OpKind, Request
 from .scheduler import HostScheduler, SchedulerStats
 from .txnexec import (
@@ -48,7 +48,6 @@ from .txnexec import (
 
 __all__ = [
     "ADMISSION_POLICIES",
-    "AdmissionPolicy",
     "ClosedLoopClient",
     "GroupCommitGate",
     "GroupCommitStats",

@@ -39,7 +39,7 @@ from ._harness import (
 from .clients import ClosedLoopClient, OpenLoopArrivals, build_sessions
 from .groupcommit import GroupCommitGate, GroupCommitStats
 from .queueing import ADMISSION_POLICIES, QueueStats, SubmissionQueue
-from .request import KIND_BY_NAME, OpKind, Request
+from .request import OpKind, Request
 from .scheduler import HostScheduler
 
 __all__ = [
@@ -269,9 +269,15 @@ def run_loadtest(config: LoadTestConfig, registry: MetricsRegistry | None = None
         kind_name, lpn, length = op
         generated += 1
         return Request(
-            seq=generated, client=client, kind=KIND_BY_NAME[kind_name],
+            seq=generated, client=client, kind=OpKind(kind_name),
             lpn=lpn, length=length,
         )
+
+    def record(request: Request, now: float) -> None:
+        if not request.rejected:
+            samples.append(request.latency_us)
+            latency_hist.observe(request.latency_us)
+            kind_counts[request.kind.value] += 1
 
     scheduler = HostScheduler(device, queue, executor.execute, gate=gate)
 
@@ -282,10 +288,7 @@ def run_loadtest(config: LoadTestConfig, registry: MetricsRegistry | None = None
         ]
 
         def on_complete(request: Request, now: float) -> None:
-            if not request.rejected:
-                samples.append(request.latency_us)
-                latency_hist.observe(request.latency_us)
-                kind_counts[request.kind.value] += 1
+            record(request, now)
             if generated >= config.requests:
                 return
             client = clients[request.client]
@@ -306,19 +309,13 @@ def run_loadtest(config: LoadTestConfig, registry: MetricsRegistry | None = None
     else:
         arrivals = OpenLoopArrivals(sessions, config.rate_rps, seed=config.seed)
 
-        def on_complete_open(request: Request, now: float) -> None:
-            if not request.rejected:
-                samples.append(request.latency_us)
-                latency_hist.observe(request.latency_us)
-                kind_counts[request.kind.value] += 1
-
         def open_arrival(now: float) -> None:
             client, op = arrivals.next_op()
             scheduler.submit(build_request(client, op), now)
             if generated < config.requests:
                 scheduler.schedule(now + arrivals.interarrival_us(), open_arrival)
 
-        scheduler.on_complete = on_complete_open
+        scheduler.on_complete = record
         scheduler.schedule(t0 + arrivals.interarrival_us(), open_arrival)
 
     makespan, channels, utilization = meter.stop(scheduler.run())

@@ -28,44 +28,32 @@ guards keep it correct:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .request import OpKind, Request
+from .request import Request
 
-__all__ = ["AdmissionPolicy", "QueueStats", "SubmissionQueue"]
+__all__ = ["ADMISSION_POLICIES", "QueueStats", "SubmissionQueue"]
 
 #: Valid admission policies.
 ADMISSION_POLICIES = ("block", "reject")
-
-
-class AdmissionPolicy:
-    """Namespace for the two admission-control behaviours."""
-
-    BLOCK = "block"
-    REJECT = "reject"
 
 
 @dataclass
 class QueueStats:
     """Counters of one submission queue's lifetime."""
 
-    admitted: int = 0
     rejected: int = 0
     blocked: int = 0
-    dispatched: int = 0
-    completed: int = 0
     max_depth_used: int = 0
     #: Dispatches that bypassed an older pending request stuck behind a
     #: busy die (the NCQ win).
     holb_bypasses: int = 0
-    waiting_peak: int = 0
-    extra: dict = field(default_factory=dict)
 
 
 class SubmissionQueue:
     """Bounded host-side queue feeding the device scheduler."""
 
-    def __init__(self, depth: int, policy: str = AdmissionPolicy.BLOCK) -> None:
+    def __init__(self, depth: int, policy: str = "block") -> None:
         if depth < 1:
             raise ValueError(f"queue depth must be >= 1, got {depth}")
         if policy not in ADMISSION_POLICIES:
@@ -93,10 +81,6 @@ class SubmissionQueue:
         """Whether any admitted request still awaits dispatch."""
         return bool(self._pending)
 
-    def has_waiting(self) -> bool:
-        """Whether any request is parked behind backpressure."""
-        return bool(self._waiting)
-
     def admit(self, request: Request) -> str:
         """Submit one request; returns ``"admitted"|"blocked"|"rejected"``.
 
@@ -106,16 +90,14 @@ class SubmissionQueue:
         """
         if self.depth_used < self.depth:
             self._pending.append(request)
-            self.stats.admitted += 1
             self.stats.max_depth_used = max(self.stats.max_depth_used, self.depth_used)
             return "admitted"
-        if self.policy == AdmissionPolicy.REJECT:
+        if self.policy == "reject":
             request.rejected = True
             self.stats.rejected += 1
             return "rejected"
         self._waiting.append(request)
         self.stats.blocked += 1
-        self.stats.waiting_peak = max(self.stats.waiting_peak, len(self._waiting))
         return "blocked"
 
     # ------------------------------------------------------------------
@@ -149,7 +131,6 @@ class SubmissionQueue:
             if request.lpn >= 0:
                 self._inflight_lpns.add(request.lpn)
             self.in_flight += 1
-            self.stats.dispatched += 1
             return request
         return None
 
@@ -172,21 +153,10 @@ class SubmissionQueue:
         self.in_flight -= 1
         if request.lpn >= 0:
             self._inflight_lpns.discard(request.lpn)
-        self.stats.completed += 1
         admitted: list[Request] = []
         while self._waiting and self.depth_used < self.depth:
             waiter = self._waiting.popleft()
             self._pending.append(waiter)
-            self.stats.admitted += 1
             admitted.append(waiter)
         self.stats.max_depth_used = max(self.stats.max_depth_used, self.depth_used)
         return admitted
-
-
-def kind_channel_op(kind: OpKind) -> str:
-    """The ``channel_of`` op string for a request kind."""
-    if kind is OpKind.WRITE:
-        return "write"
-    if kind is OpKind.DELTA:
-        return "delta"
-    return "read"

@@ -6,27 +6,19 @@ scheduler dispatched it to the device, and when it completed.  The
 paper's Figures 7-10 measure *end-to-end* latency under concurrent load;
 that is :attr:`Request.latency_us` — completion minus arrival — which
 includes queueing and admission-control delay, not just device time.
+
+A request's kind is the stack-wide :class:`~repro.storage.program.OpKind`
+(re-exported here): the same enum a storage program's commands carry,
+so the executor forwards ``command.kind`` untranslated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
+
+from ..storage.program import OpKind
 
 __all__ = ["OpKind", "Request"]
-
-
-class OpKind(Enum):
-    """Operation kinds a client can submit."""
-
-    READ = "read"
-    WRITE = "write"
-    DELTA = "delta"
-    COMMIT = "commit"
-
-
-#: Session-adapter kind strings -> request kinds.
-KIND_BY_NAME = {kind.value: kind for kind in OpKind}
 
 
 @dataclass

@@ -33,7 +33,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .groupcommit import GroupCommitGate
-from .queueing import SubmissionQueue, kind_channel_op
+from .queueing import SubmissionQueue
 from .request import OpKind, Request
 
 __all__ = ["HostScheduler", "SchedulerStats"]
@@ -137,7 +137,7 @@ class HostScheduler:
     # ------------------------------------------------------------------
 
     def _channel_hint(self, request: Request) -> int | None:
-        return self.device.channel_of(request.lpn, kind_channel_op(request.kind))
+        return self.device.channel_of(request.lpn, request.kind.value)
 
     def _dispatch(self, now: float) -> None:
         self.stats.dispatch_rounds += 1

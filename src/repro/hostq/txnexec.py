@@ -51,7 +51,7 @@ from ..core.scheme import NxMScheme, SCHEME_OFF
 from ..errors import ReproError
 from ..storage.clock import DeferredClock
 from ..storage.page_layout import HEADER_SIZE, SlottedPage
-from ..storage.program import CommandKind, DeviceCommand
+from ..storage.program import DeviceCommand
 from ..telemetry.metrics import LATENCY_BUCKETS_US, MetricsRegistry
 from ..session import SessionConfig, backend_label, open_session
 from ..workloads.sessions import PROFILES, ClientSession
@@ -73,14 +73,6 @@ __all__ = [
     "TxnLoadTestResult",
     "run_txn_loadtest",
 ]
-
-#: DeviceCommand kinds -> request kinds (queue channel routing).
-_KIND_FOR = {
-    CommandKind.READ: OpKind.READ,
-    CommandKind.PROGRAM: OpKind.WRITE,
-    CommandKind.APPEND: OpKind.DELTA,
-    CommandKind.FORCE: OpKind.COMMIT,
-}
 
 #: Bytes patched by a "write" (non-delta) update op — large enough to
 #: overflow any practical [N x M] budget, so it materializes as an
@@ -424,11 +416,11 @@ class TxnExecutor:
         self._next_seq += 1
         request = Request(
             seq=self._next_seq, client=ctx.client,
-            kind=_KIND_FOR[command.kind], lpn=command.lpn,
+            kind=command.kind, lpn=command.lpn,
         )
         request.command = command
         request.ctx = ctx
-        if command.lpn >= 0 and command.kind is not CommandKind.FORCE:
+        if command.lpn >= 0 and command.kind is not OpKind.COMMIT:
             self._busy_cmds[command.lpn] = self._busy_cmds.get(command.lpn, 0) + 1
         self.scheduler.submit(request, self.scheduler.now)
 
@@ -441,7 +433,7 @@ class TxnExecutor:
         if ctx is None:
             return
         command = request.command
-        if command.lpn >= 0 and command.kind is not CommandKind.FORCE:
+        if command.lpn >= 0 and command.kind is not OpKind.COMMIT:
             remaining = self._busy_cmds[command.lpn] - 1
             if remaining:
                 self._busy_cmds[command.lpn] = remaining
@@ -676,10 +668,7 @@ def run_txn_loadtest(
         percentiles=percentiles,
         log_forces=log.forces,
         commits_grouped=log.commits_grouped,
-        commits_per_force=(
-            executor.scheduler.gate.stats.commits_per_force
-            if executor.scheduler.gate else 0.0
-        ),
+        commits_per_force=gate.stats.commits_per_force,
         ipa_flushes=engine.ipa.stats.ipa_flushes,
         oop_flushes=engine.ipa.stats.oop_flushes,
         skipped_flushes=engine.ipa.stats.skipped_flushes,

@@ -12,8 +12,8 @@ from .buffer import BufferPool, BufferStats, Frame
 from .clock import Clock, DeferredClock, ScalarClock
 from .engine import EngineConfig, StorageEngine
 from .program import (
-    CommandKind,
     DeviceCommand,
+    OpKind,
     StorageProgram,
     log_force_command,
     run_on_clock,
@@ -34,9 +34,9 @@ __all__ = [
     "BufferStats",
     "Frame",
     "Clock",
-    "CommandKind",
     "DeferredClock",
     "DeviceCommand",
+    "OpKind",
     "ScalarClock",
     "StorageProgram",
     "log_force_command",

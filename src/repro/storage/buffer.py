@@ -23,13 +23,17 @@ from typing import Callable
 
 from ..errors import BufferError_, BufferPoolExhaustedError
 from .page_layout import SlottedPage
-from .program import CommandKind, DeviceCommand, StorageProgram, run_program
+from .program import DeviceCommand, OpKind, StorageProgram, run_program
 
 
 class Frame:
-    """One buffer slot: a page plus its residency state."""
+    """One buffer slot: a page plus its residency state.
 
-    __slots__ = ("lpn", "page", "pin_count", "dirty", "slots_used", "ipa_disabled")
+    No "cannot append" flag lives here: a page gives up on IPA through
+    its own ``track_overflowed`` alone.
+    """
+
+    __slots__ = ("lpn", "page", "pin_count", "dirty", "slots_used")
 
     def __init__(self, lpn: int, page: SlottedPage, slots_used: int = 0) -> None:
         self.lpn = lpn
@@ -39,9 +43,6 @@ class Frame:
         #: Delta records already programmed on the page's flash home
         #: (the paper's N_E); reset to 0 by every out-of-place write.
         self.slots_used = slots_used
-        #: Set when tracked changes overflowed the [N x M] budget; the
-        #: next flush must be out-of-place.
-        self.ipa_disabled = False
 
 
 @dataclass
@@ -67,7 +68,7 @@ Flusher = Callable[[Frame, float], tuple[str, float]]
 Loader = Callable[[int, float], tuple[SlottedPage, int, float]]
 
 #: advisory flush-plan callback: (frame) -> "ipa" | "oop" | "skip"; lets
-#: eviction commands carry the right CommandKind without doing device I/O.
+#: eviction commands carry the right OpKind without doing device I/O.
 FlushPlanner = Callable[[Frame], str]
 
 
@@ -144,12 +145,12 @@ class BufferPool:
     # ------------------------------------------------------------------
 
     def try_pin(self, lpn: int) -> Frame | None:
-        """Pin a resident page without any program machinery.
+        """Pin a resident page: the one home of the hit bookkeeping.
 
-        The hit fast path: identical counter updates and LRU touch to a
-        hitting :meth:`fetch_program`, but no generator is allocated.
-        Returns ``None`` on a miss — the caller falls back to the full
-        fetch path (which then accounts the fetch as a miss).
+        Counts the fetch and the hit, touches the LRU order and takes
+        the pin, with no generator allocated.  Returns ``None`` on a
+        miss and counts nothing — :meth:`fetch_program`, which starts
+        here, then accounts the fetch as a miss.
         """
         frame = self._frames.get(lpn)
         if frame is None:
@@ -162,28 +163,23 @@ class BufferPool:
 
     def fetch(self, lpn: int, now: float) -> tuple[Frame, float]:
         """Pin a page, loading it on a miss; returns (frame, read latency)."""
-        frame = self.try_pin(lpn)
-        if frame is not None:
-            return frame, 0.0
         result, __ = run_program(self.fetch_program(lpn), now)
         return result
 
     def fetch_program(self, lpn: int) -> StorageProgram:
         """Resumable fetch: yields the eviction write-back (if any) and
         the miss read as :class:`DeviceCommand`s; returns
-        ``(frame, total latency)``.  Hits return without yielding."""
-        self.stats.fetches += 1
-        frame = self._frames.get(lpn)
+        ``(frame, total latency)``.  Hits (:meth:`try_pin`) return
+        without yielding; the rest is the miss path."""
+        frame = self.try_pin(lpn)
         if frame is not None:
-            self.stats.hits += 1
-            self._touch(lpn, frame)
-            frame.pin_count += 1
             return frame, 0.0
+        self.stats.fetches += 1
         self.stats.misses += 1
         if self.telemetry is not None:
             self.telemetry.on_buffer("miss", lpn)
         latency = yield from self._evict_program()
-        command = DeviceCommand(CommandKind.READ, lpn)
+        command = DeviceCommand(OpKind.READ, lpn)
 
         def run_read(at: float, command: DeviceCommand = command) -> float:
             page, slots_used, read_latency = self._loader(lpn, at)
@@ -277,9 +273,9 @@ class BufferPool:
         (delta append vs. out-of-place program) so schedulers can route
         it; the flusher itself makes the authoritative call at run time.
         """
-        kind = CommandKind.PROGRAM
+        kind = OpKind.WRITE
         if self._flush_planner is not None and self._flush_planner(frame) == "ipa":
-            kind = CommandKind.APPEND
+            kind = OpKind.DELTA
         return DeviceCommand(
             kind, frame.lpn, run=lambda at: self._flusher(frame, at)[1]
         )

@@ -52,6 +52,9 @@ from .schema import Schema
 from .txn import Transaction, TransactionManager
 from .wal import LogKind, LogManager, LogRecord, apply_record, inverse_of
 
+#: Simulated CPU time charged per record operation (µs).
+CPU_COST_US = 5.0
+
 
 @dataclass
 class EngineConfig:
@@ -66,8 +69,6 @@ class EngineConfig:
     scheme: NxMScheme = SCHEME_OFF
     eviction: str = "eager"
     log_capacity_bytes: int = 16 * 1024 * 1024
-    cpu_cost_us: float = 5.0
-    log_force_latency_us: float = 50.0
     #: Commits amortized per physical log force (1 = force every commit;
     #: N models group commit — the load-test harness drives this).
     group_commit: int = 1
@@ -131,7 +132,6 @@ class StorageEngine:
         self.log = LogManager(
             capacity_bytes=self.config.log_capacity_bytes,
             retain=self.config.retain_log,
-            force_latency_us=self.config.log_force_latency_us,
             group_commit=self.config.group_commit,
         )
         self.txns = TransactionManager()
@@ -302,7 +302,7 @@ class StorageEngine:
 
     def charge_cpu(self) -> None:
         """Advance the clock by one record-operation CPU cost."""
-        self._clock.advance(self.config.cpu_cost_us)
+        self._clock.advance(CPU_COST_US)
 
     def _load(self, lpn: int, now: float):
         if self.fetch_observer is not None:

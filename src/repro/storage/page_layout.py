@@ -65,7 +65,6 @@ class SlottedPage:
     __slots__ = (
         "image",
         "tracked",
-        "track_enabled",
         "track_overflowed",
         "_page_size",
         "_delta_size",
@@ -78,7 +77,9 @@ class SlottedPage:
             raise PageFormatError("bad page magic")
         self.image = image
         self.tracked: set[int] = set()
-        self.track_enabled = True
+        #: The one give-up state (paper Section 6.2): set when tracking
+        #: overflowed, it sends the next flush out of place, and only
+        #: that flush's :meth:`reset_tracking` clears it.
         self.track_overflowed = False
         self._page_size = len(image)
         self._delta_size = int.from_bytes(image[_OFF_DELTA_SIZE:_OFF_DELTA_SIZE + 2], "big")
@@ -115,7 +116,7 @@ class SlottedPage:
         if offset < 0 or end > self._page_size:
             raise PageFormatError(f"write [{offset}, {end}) outside page")
         image = self.image
-        if self.track_enabled and not self.track_overflowed:
+        if not self.track_overflowed:
             tracked = self.tracked
             for i, value in enumerate(data):
                 if image[offset + i] != value:
@@ -129,13 +130,7 @@ class SlottedPage:
     def reset_tracking(self) -> None:
         """Forget tracked changes (after a flush materialized them)."""
         self.tracked.clear()
-        self.track_enabled = True
         self.track_overflowed = False
-
-    def stop_tracking(self) -> None:
-        """Give up on tracking (delta-area overflow: paper Section 6.2)."""
-        self.tracked.clear()
-        self.track_enabled = False
 
     def classify_tracked(self) -> tuple[list[int], list[int]]:
         """Split tracked offsets into (body, metadata) lists, sorted.

@@ -32,8 +32,8 @@ from enum import Enum
 from typing import Callable, Generator
 
 __all__ = [
-    "CommandKind",
     "DeviceCommand",
+    "OpKind",
     "StorageProgram",
     "log_force_command",
     "run_on_clock",
@@ -41,17 +41,22 @@ __all__ = [
 ]
 
 
-class CommandKind(Enum):
-    """What a yielded command asks the I/O layer to do."""
+class OpKind(Enum):
+    """The four I/O kinds, one name from client session to device.
 
-    #: Load a page image (buffer-pool miss).
+    Yielded commands and host-queue requests carry the enum;
+    ``OpKind(name)`` reads a client-session op string, and ``kind.value``
+    is the ``channel_of`` op and the ``kind_counts`` report key.
+    """
+
+    #: Load a page image (buffer-pool miss, client read).
     READ = "read"
-    #: Full out-of-place page program (eviction write-back).
-    PROGRAM = "program"
+    #: Full out-of-place page program (eviction write-back, page rewrite).
+    WRITE = "write"
     #: In-place delta append into the page's erased tail.
-    APPEND = "append"
+    DELTA = "delta"
     #: WAL force (commit durability; never touches the flash array).
-    FORCE = "force"
+    COMMIT = "commit"
 
 
 class DeviceCommand:
@@ -69,7 +74,7 @@ class DeviceCommand:
 
     def __init__(
         self,
-        kind: CommandKind,
+        kind: OpKind,
         lpn: int = -1,
         run: Callable[[float], float] | None = None,
     ) -> None:
@@ -88,7 +93,7 @@ StorageProgram = Generator[DeviceCommand, float, object]
 
 
 def log_force_command(log) -> DeviceCommand:
-    """A FORCE command charging one commit's force to ``log``.
+    """A COMMIT command charging one commit's force to ``log``.
 
     Synchronous drivers execute it (``log.force()`` keeps the engine's
     amortized group-commit accounting); the scheduled executor instead
@@ -96,7 +101,7 @@ def log_force_command(log) -> DeviceCommand:
     :class:`~repro.hostq.groupcommit.GroupCommitGate`, which charges the
     same ``log`` via :meth:`~repro.storage.wal.LogManager.note_force`.
     """
-    return DeviceCommand(CommandKind.FORCE, run=lambda now: log.force())
+    return DeviceCommand(OpKind.COMMIT, run=lambda now: log.force())
 
 
 def run_program(program: StorageProgram, now: float) -> tuple[object, float]:

@@ -111,10 +111,6 @@ class TableIndex:
             self.note_delete(old_values, rid)
             self.note_insert(new_values, rid)
 
-    @staticmethod
-    def _rid_bytes(rid: RID) -> bytes:
-        return rid.lpn.to_bytes(4, "big") + rid.slot.to_bytes(2, "big")
-
     def rebuild(self) -> None:
         """Re-derive the index from a heap scan (recovery path)."""
         # B-trees have no bulk delete; rebuild into a fresh tree.

@@ -41,6 +41,9 @@ from .workloads.base import Driver, Workload
 #: Storage backends selectable by name (CLI ``--backend``).
 BACKENDS = ("noftl", "blockssd", "sharded")
 
+#: Smallest buffer pool the factories size an engine to.
+MIN_BUFFER_PAGES = 8
+
 
 def _geometry_for(
     logical_pages: int,
@@ -198,7 +201,7 @@ def build_engine(
     :class:`~repro.storage.engine.EngineConfig` verbatim.
     """
     if buffer_pages is None:
-        buffer_pages = max(8, device.logical_pages // 2)
+        buffer_pages = max(MIN_BUFFER_PAGES, device.logical_pages // 2)
     config = EngineConfig(
         buffer_pages=buffer_pages, scheme=scheme, eviction=eviction,
         **config_kwargs,
@@ -211,7 +214,6 @@ def load_scaled(
     workload: Workload,
     buffer_fraction: float,
     seed: int = 7,
-    min_buffer_pages: int = 8,
 ) -> Driver:
     """Load a workload, then size the buffer to a fraction of the DB.
 
@@ -221,7 +223,7 @@ def load_scaled(
     """
     driver = Driver(engine, workload, seed=seed)
     driver.load()
-    target = max(min_buffer_pages, int(engine.loaded_pages() * buffer_fraction))
+    target = max(MIN_BUFFER_PAGES, int(engine.loaded_pages() * buffer_fraction))
     engine.pool.resize(target, engine.clock)
     engine.flush_all()
     driver._reset_measurements()

@@ -10,8 +10,9 @@ A :class:`ClientSession` is that stream: a deterministic generator of
 ``(kind, lpn, length)`` tuples, parameterized by a
 :class:`SessionProfile` whose presets in :data:`PROFILES` mirror the
 repository's benchmark workloads.  Kinds are plain strings (``"read"``,
-``"write"``, ``"delta"``, ``"commit"``) so this module stays independent
-of the hostq request types; hostq maps them onto its own enum.
+``"write"``, ``"delta"``, ``"commit"``): exactly the values of
+:class:`~repro.storage.program.OpKind`, so a consumer reads one with
+``OpKind(kind)`` and no table sits in between.
 
 Determinism: every session draws from its own ``random.Random`` seeded
 from ``(seed, client)``, so runs are reproducible regardless of how the

@@ -77,7 +77,7 @@ class TestCLI:
         assert "IPA fraction" in out
 
     def test_compare_command(self, capsys):
-        code = main(["compare", "--workload", "tatp", "--txns", "400",
+        code = main(["compare", "--workload", "tpcb", "--txns", "400",
                      "--scheme", "2x4"])
         assert code == 0
         out = capsys.readouterr().out
@@ -91,6 +91,7 @@ class TestCLI:
         assert "longevity" in out and "space" in out
 
     def test_run_blockssd_backend(self, capsys):
+        # The one CLI run that loads TATP (~6 s); the rest use tpcb.
         code = main(["run", "--workload", "tatp", "--txns", "200",
                      "--backend", "blockssd"])
         assert code == 0
@@ -107,7 +108,7 @@ class TestCLI:
         assert "IPA fraction" in out
 
     def test_compare_prints_backend_column(self, capsys):
-        code = main(["compare", "--workload", "tatp", "--txns", "200",
+        code = main(["compare", "--workload", "tpcb", "--txns", "200",
                      "--backend", "sharded", "--shards", "2"])
         assert code == 0
         out = capsys.readouterr().out
@@ -163,7 +164,7 @@ class TestTelemetryCommands:
 
     def test_metrics_command_csv_to_file(self, tmp_path, capsys):
         out = tmp_path / "metrics.csv"
-        code = main(["metrics", "--workload", "tatp", "--txns", "300",
+        code = main(["metrics", "--workload", "tpcb", "--txns", "300",
                      "--format", "csv", "--out", str(out)])
         assert code == 0
         lines = out.read_text().splitlines()

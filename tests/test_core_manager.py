@@ -1,5 +1,7 @@
 """Unit tests for the IPAManager flush/load policy (paper Section 6.2)."""
 
+import itertools
+
 import pytest
 
 from repro.core import IPAManager, NxMScheme, SCHEME_OFF
@@ -138,6 +140,62 @@ class TestFlushDecision:
             kinds.append(manager.flush(frame)[0])
         assert "ipa" in kinds and "oop" in kinds  # LSB vs MSB residents
         assert manager.stats.device_fallbacks >= 1
+
+
+class _ClassifyPage:
+    """Exactly what ``_classify`` may ask of a page — ``__slots__`` turns
+    a read of any further flag into an ``AttributeError``."""
+
+    __slots__ = ("tracked", "track_overflowed", "delta_area_size")
+
+    def __init__(self, tracked, overflowed, delta_area_size):
+        self.tracked = tracked
+        self.track_overflowed = overflowed
+        self.delta_area_size = delta_area_size
+
+    def classify_tracked(self):
+        return sorted(self.tracked), []
+
+
+class _ClassifyFrame:
+    __slots__ = ("lpn", "page", "slots_used")
+
+    def __init__(self, page):
+        self.lpn = 0
+        self.page = page
+        self.slots_used = 0
+
+
+class _ClassifyDevice:
+    oob_size = 64
+
+    def __init__(self, mapped):
+        self.mapped = mapped
+
+    def is_mapped(self, lpn):
+        return self.mapped
+
+
+@pytest.mark.parametrize(
+    "mapped, tracked, overflowed, scheme_on, area_matches",
+    list(itertools.product([False, True], repeat=5)),
+)
+def test_classify_truth_table(mapped, tracked, overflowed, scheme_on, area_matches):
+    """Skip reads {mapped, tracked, overflowed}; eligibility reads three
+    inputs — mapped, a delta area matching an enabled scheme, and the one
+    give-up state.  The stand-ins carry nothing else, so a fourth
+    eligibility input fails here before it reaches a flush."""
+    scheme = NxMScheme(2, 4) if scheme_on else SCHEME_OFF
+    area = scheme.area_size if area_matches else scheme.area_size + 13
+    page = _ClassifyPage({40} if tracked else set(), overflowed, area)
+    manager = IPAManager(_ClassifyDevice(mapped), scheme)
+    if mapped and not tracked and not overflowed:
+        expected = "skip"
+    elif mapped and scheme_on and area_matches and not overflowed:
+        expected = "ipa"
+    else:
+        expected = "oop"
+    assert manager.plan_flush(_ClassifyFrame(page)) == expected
 
 
 class TestLoad:

@@ -100,9 +100,9 @@ class TestCommitMarks:
         manager = IPAManager(device, scheme)
         frame, slot = flushed_frame(manager, scheme)
         frame.page.update_record_bytes(slot, 0, b"\xaa" * 8)  # big change
-        frame.ipa_disabled = True
-        manager.flush(frame)
-        frame.ipa_disabled = False
+        frame.page.track_overflowed = True  # the one give-up state
+        assert manager.flush(frame)[0] == "oop"
+        assert not frame.page.track_overflowed
         oob = device.read_oob(0)
         assert all(b == 0xFF for b in oob[-scheme.n:])
         __, used, __ = manager.load(0)

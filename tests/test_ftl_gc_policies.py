@@ -1,5 +1,7 @@
 """Tests for GC victim policies, wear leveling, and OOB migration."""
 
+import random
+
 import pytest
 
 from repro.flash import FlashGeometry, FlashMemory
@@ -45,13 +47,33 @@ class TestPolicies:
         # Block 3: completely valid — reclaiming it gains nothing.
         for i in range(4):
             mapping.bind(20 + i, PhysicalAddress(0, 3, i))
-        choice = cost_benefit([(0, 3), (0, 1)], mapping, {}, pages_per_block=4)
+        choice = cost_benefit([(0, 3), (0, 1)], mapping, {})
         assert choice == (0, 1)
 
     def test_cost_benefit_all_full_returns_none(self, mapping):
         for i in range(4):
             mapping.bind(20 + i, PhysicalAddress(0, 3, i))
-        assert cost_benefit([(0, 3)], mapping, {}, pages_per_block=4) is None
+        assert cost_benefit([(0, 3)], mapping, {}) is None
+
+    def test_cost_benefit_on_128_page_blocks(self):
+        """Utilization is valid pages over the *geometry's* pages per
+        block.  Against a hard-coded 64, every block holding >= 64 valid
+        pages looked full and was skipped, and GC livelocked
+        (``OutOfSpaceError: region 'default': GC livelock``)."""
+
+        geometry = FlashGeometry(chips=2, blocks_per_chip=8,
+                                 pages_per_block=128, page_size=64, oob_size=8)
+        device = single_region_device(
+            FlashMemory(geometry), logical_pages=1536,  # 75% of the array
+            ipa_mode=IPAMode.NATIVE, victim_policy=cost_benefit,
+        )
+        image = bytes(64)
+        for lpn in range(1536):
+            device.write(lpn, image)
+        rng = random.Random(7)
+        for _ in range(3000):
+            device.write(rng.randrange(1536), image)
+        assert device.snapshot()["gc_erases"] > 0
 
     def test_get_policy(self):
         assert get_policy("greedy") is greedy

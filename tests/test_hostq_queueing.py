@@ -3,7 +3,6 @@
 import pytest
 
 from repro.hostq import OpKind, Request, SubmissionQueue
-from repro.hostq.queueing import kind_channel_op
 
 
 def req(seq, lpn=0, kind=OpKind.READ):
@@ -99,13 +98,6 @@ class TestDispatch:
         queue = SubmissionQueue(4)
         assert queue.next_channel_event(10.0, (5.0, 30.0, 20.0)) == 20.0
         assert queue.next_channel_event(50.0, (5.0, 30.0, 20.0)) is None
-
-
-def test_kind_channel_op_mapping():
-    assert kind_channel_op(OpKind.WRITE) == "write"
-    assert kind_channel_op(OpKind.DELTA) == "delta"
-    assert kind_channel_op(OpKind.READ) == "read"
-    assert kind_channel_op(OpKind.COMMIT) == "read"
 
 
 def test_latency_and_queue_wait_properties():

@@ -2,6 +2,8 @@
 
 import pytest
 
+import repro.hostq
+import repro.storage.program
 from repro.flash import CellType, FlashGeometry, FlashMemory
 from repro.ftl import IPAMode, single_region_device
 from repro.hostq import (
@@ -11,6 +13,7 @@ from repro.hostq import (
     Request,
     SubmissionQueue,
 )
+from repro.workloads import PROFILES, ClientSession
 
 PAGE_SIZE = 256
 PAGES = 32
@@ -163,3 +166,36 @@ def test_poll_wakes_dispatch_when_all_dies_busy():
     scheduler, __ = run_reads(list(range(16)), queue_depth=16, chips=2)
     assert len(scheduler.completed) == 16
     assert scheduler.stats.polls > 0
+
+
+# ----------------------------------------------------------------------
+# One name per I/O kind: no translation table between the layers
+# ----------------------------------------------------------------------
+
+def test_hostq_and_storage_share_one_kind_enum():
+    assert repro.hostq.OpKind is repro.storage.program.OpKind
+    assert [kind.value for kind in OpKind] == ["read", "write", "delta", "commit"]
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+def test_session_op_strings_are_opkind_values(profile):
+    session = ClientSession(PROFILES[profile], 64, seed=3)
+    kinds = {OpKind(session.next_op()[0]) for _ in range(400)}
+    assert OpKind.READ in kinds and OpKind.DELTA in kinds
+
+
+def test_channel_of_ops_are_opkind_values():
+    device = make_device()
+    prefill(device)
+    ops: list[str] = []
+    channel_of = device.channel_of
+    device.channel_of = lambda lpn, op="read": ops.append(op) or channel_of(lpn, op)
+    queue = SubmissionQueue(depth=4)
+    scheduler = HostScheduler(device, queue, lambda request, now: 10.0)
+    for seq, kind in enumerate(OpKind, start=1):
+        request = Request(seq=seq, client=0, kind=kind, lpn=seq)
+        scheduler.schedule(0.0, lambda now, r=request: scheduler.submit(r, now))
+    scheduler.run()
+    # Commits go to the gate, never to a channel.
+    assert {OpKind(op) for op in ops} == {OpKind.READ, OpKind.WRITE, OpKind.DELTA}
+

@@ -4,9 +4,13 @@ README, DESIGN.md and the examples reference these names; this test
 fails loudly if a refactor breaks the published surface.
 """
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
+
+import repro
 
 SURFACE = {
     "repro": [
@@ -43,6 +47,7 @@ SURFACE = {
         "Int32", "Int64", "Char", "VarChar", "Table", "RID",
         "SlottedPage", "BufferPool", "BTreeIndex", "TableIndex",
         "LogManager", "LogKind", "Transaction", "recover",
+        "DeviceCommand", "OpKind",
     ],
     "repro.core": [
         "NxMScheme", "SCHEME_OFF", "IPAManager", "IPAAdvisor",
@@ -58,7 +63,7 @@ SURFACE = {
     ],
     "repro.hostq": [
         "HostScheduler", "SubmissionQueue", "GroupCommitGate",
-        "Request", "OpKind", "AdmissionPolicy", "QueueStats",
+        "Request", "OpKind", "ADMISSION_POLICIES", "QueueStats",
         "ClosedLoopClient", "OpenLoopArrivals", "build_sessions",
         "LoadTestConfig", "LoadTestResult", "run_loadtest",
         "sweep_queue_depth", "format_sweep",
@@ -89,3 +94,47 @@ def test_surface_importable(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in SURFACE[module_name] if not hasattr(module, name)]
     assert not missing, f"{module_name} lost: {missing}"
+
+
+#: Exports retired on purpose: each restated something that survives
+#: under one name (``OpKind``, ``ADMISSION_POLICIES``).
+RETIRED_EXPORTS = [
+    ("repro.storage", "CommandKind"),
+    ("repro.storage.program", "CommandKind"),
+    ("repro.hostq", "AdmissionPolicy"),
+    ("repro.hostq.queueing", "AdmissionPolicy"),
+]
+
+#: Identifiers of the forks PR 23 closed: the second and third give-up
+#: flags, the second kind enum and the three kind translation tables.
+RETIRED_IDENTIFIERS = {
+    "ipa_disabled", "track_enabled", "stop_tracking",
+    "CommandKind", "_KIND_FOR", "KIND_BY_NAME", "kind_channel_op",
+}
+
+
+@pytest.mark.parametrize("module_name, name", RETIRED_EXPORTS)
+def test_retired_exports_stay_gone(module_name, name):
+    assert not hasattr(importlib.import_module(module_name), name)
+
+
+def _identifiers(tree: ast.AST) -> set[str]:
+    """Every name a module binds, reads or spells as a string constant
+    (``__slots__`` and ``__all__`` entries are strings)."""
+    found: set[str] = set()
+    for node in ast.walk(tree):
+        for field in ("id", "attr", "name", "arg", "asname"):
+            value = getattr(node, field, None)
+            if isinstance(value, str):
+                found.add(value)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def test_retired_identifiers_absent_from_source():
+    package = Path(repro.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        leftover = _identifiers(ast.parse(path.read_text())) & RETIRED_IDENTIFIERS
+        assert not leftover, f"{path.relative_to(package)} still has {sorted(leftover)}"
+

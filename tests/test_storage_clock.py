@@ -10,9 +10,9 @@ import pytest
 
 from repro.storage import (
     Clock,
-    CommandKind,
     DeferredClock,
     DeviceCommand,
+    OpKind,
     ScalarClock,
     run_on_clock,
     run_program,
@@ -67,9 +67,9 @@ class TestDeferredClock:
 
 
 def _two_command_program(log):
-    first = DeviceCommand(CommandKind.READ, lpn=3, run=lambda at: log.append(("r", at)) or 10.0)
+    first = DeviceCommand(OpKind.READ, lpn=3, run=lambda at: log.append(("r", at)) or 10.0)
     latency = yield first
-    second = DeviceCommand(CommandKind.PROGRAM, lpn=3, run=lambda at: log.append(("w", at)) or 20.0)
+    second = DeviceCommand(OpKind.WRITE, lpn=3, run=lambda at: log.append(("w", at)) or 20.0)
     latency += yield second
     return latency
 

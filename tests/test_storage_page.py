@@ -208,9 +208,12 @@ class TestTracking:
         assert page.tracked == set()
 
     def test_stop_tracking(self):
+        # Overflow is the one give-up state: writes still land, nothing
+        # more is tracked until a flush resets tracking.
         page = make_page()
-        page.stop_tracking()
-        page.insert(b"untracked")
+        page.track_overflowed = True
+        slot = page.insert(b"untracked")
+        assert page.read_record(slot) == b"untracked"
         assert page.tracked == set()
 
     def test_delta_area_reset_not_tracked(self):
