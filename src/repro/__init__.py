@@ -23,9 +23,11 @@ to In-Place Appends: Revisiting Out-of-Place Updates on Flash"
 * :mod:`repro.session` — the unified construction API: one typed
   :class:`~repro.session.SessionConfig`;
   :func:`~repro.session.open_device` picks a backend by name and
-  :func:`~repro.session.open_session` builds the whole stack;
-* :mod:`repro.perfkit` — ``repro bench``: the exact simulated-count
-  gate (wall-clock measurement lives in ``bench/`` at the repo root).
+  :func:`~repro.session.open_session` builds the whole stack.
+
+The simulated counts of the hot paths are pinned by the test suite
+(``tests/test_sim_counts.py``); wall-clock measurement lives in
+``bench/`` at the repo root.
 
 Quick start::
 

@@ -163,7 +163,6 @@ def cmd_compare(args) -> int:
 
 def cmd_advise(args) -> int:
     """``repro advise``: profile the workload, print recommendations."""
-    args.scheme = SCHEME_OFF
     engine, driver, collector, __ = _build(args, SCHEME_OFF)
     driver.run(args.txns)
     advisor = IPAAdvisor.from_collector(
@@ -178,9 +177,7 @@ def cmd_advise(args) -> int:
 
 def cmd_trace_record(args) -> int:
     """``repro trace-record``: run a workload, save its I/O trace."""
-    workload_cls, __, __ = WORKLOADS[args.workload]
-    scheme = args.scheme
-    engine, driver, __, recorder = _build(args, scheme, record_trace=True)
+    engine, driver, __, recorder = _build(args, args.scheme, record_trace=True)
     driver.run(args.txns)
     count = save_trace(recorder.events, args.out)
     print(f"recorded {count} events ({recorder.fetches} fetches, "
@@ -375,56 +372,6 @@ def cmd_loadtest(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    """``repro bench``: the exact simulated-count gate.
-
-    Default mode replays the registered benches (two fresh passes each,
-    counts must agree) and writes a canonical ``BENCH_*.json`` result.
-    ``--compare BASELINE CURRENT`` instead checks a result file against
-    a committed baseline: every simulated count must match exactly;
-    exits 1 on any finding (the CI gate).  Wall-clock measurement lives
-    in ``bench/`` at the repo root, not here.
-    """
-    from .perfkit import (
-        REGISTRY,
-        load_results,
-        render_comparison,
-        render_report,
-        run_benchmarks,
-        write_results,
-    )
-
-    if args.compare:
-        baseline_path, current_path = args.compare
-        baseline = load_results(baseline_path)
-        current = load_results(current_path)
-        table, problems = render_comparison(baseline, current)
-        print(table)
-        for problem in problems:
-            print(f"REGRESSION: {problem}", file=sys.stderr)
-        if problems:
-            return 1
-        print("comparison passed: every simulated count matches exactly")
-        return 0
-    if args.list:
-        for name, bench in REGISTRY.items():
-            print(f"{name:18} {bench.description}")
-        return 0
-    names = [part for part in args.only.split(",") if part] if args.only else None
-    annotations = {}
-    for item in args.annotate:
-        key, sep, value = item.partition("=")
-        if not sep:
-            print(f"bad --annotate {item!r}; use key=value", file=sys.stderr)
-            return 1
-        annotations[key] = value
-    payload = run_benchmarks(names, annotations=annotations)
-    print(render_report(payload))
-    target = write_results(payload, args.out)
-    print(f"wrote {len(payload['benches'])} bench results to {target}")
-    return 0
-
-
 def cmd_lint(args) -> int:
     """``repro lint``: run the iplint invariant rules over source paths.
 
@@ -597,22 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ops-per-txn", type=int, default=0,
                    help="[txn level] ops per transaction (0 = profile default)")
     p.set_defaults(func=cmd_loadtest)
-
-    p = sub.add_parser("bench", help="run the perfkit simulated-count gate")
-    p.add_argument("--only", default="",
-                   help="comma-separated bench names (default: all)")
-    p.add_argument("--out", default="BENCH_baseline.json",
-                   help="result path (default: BENCH_baseline.json)")
-    p.add_argument("--annotate", action="append", default=[],
-                   metavar="KEY=VALUE",
-                   help="record a key=value annotation in the result file "
-                        "(repeatable)")
-    p.add_argument("--list", action="store_true",
-                   help="list the registered benches and exit")
-    p.add_argument("--compare", nargs=2, metavar=("BASELINE", "CURRENT"),
-                   default=None,
-                   help="compare two result files instead of running")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("lint", help="run the iplint invariant linter")
     p.add_argument("paths", nargs="*",

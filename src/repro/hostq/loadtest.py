@@ -72,7 +72,6 @@ class LoadTestConfig:
     admission: str = "block"
     #: Commits batched per WAL force (1 = force every commit).
     group_commit: int = 8
-    force_latency_us: float = 50.0
 
     def validate(self) -> None:
         """Reject configurations the harness cannot run (ReproError)."""
@@ -250,9 +249,7 @@ def run_loadtest(config: LoadTestConfig, registry: MetricsRegistry | None = None
     t0 = meter.t0
 
     queue = SubmissionQueue(config.queue_depth, policy=config.admission)
-    gate = GroupCommitGate(
-        force_latency_us=config.force_latency_us, max_group=config.group_commit
-    )
+    gate = GroupCommitGate(max_group=config.group_commit)
     sessions = build_sessions(
         profile, config.clients, config.logical_pages, config.seed
     )

@@ -55,7 +55,7 @@ class IPLSimulator:
         self._log_fill: dict[int, int] = {}
 
     # ------------------------------------------------------------------
-    # Trace interface (see repro.workloads.trace.replay)
+    # Trace interface (see repro.ipl.ipa_replay.replay_events)
     # ------------------------------------------------------------------
 
     def unit_of(self, lpn: int) -> int:

@@ -328,7 +328,8 @@ class BufferPool:
         self._dirty_count = 0
 
     def resize(self, capacity: int, now: float = 0.0) -> None:
-        """Change the pool size, evicting LRU frames if shrinking.
+        """Change the pool size, evicting LRU frames if shrinking
+        (:class:`BufferPoolExhaustedError` once only pinned frames remain).
 
         Buffer-fraction experiments size the pool relative to the
         *loaded* database (the paper's "buffer = X% of the initial
@@ -339,7 +340,4 @@ class BufferPool:
             raise BufferError_("buffer pool needs at least one frame")
         self.capacity = capacity
         while len(self._frames) > capacity:
-            before = len(self._frames)
             self._make_room(now)
-            if len(self._frames) == before:  # pragma: no cover
-                raise BufferError_("cannot shrink: frames pinned")

@@ -13,7 +13,7 @@ from .sessions import PROFILES, ClientSession, SessionProfile
 from .tatp import TATP, TATPConfig
 from .tpcb import TPCB, TPCBConfig
 from .tpcc import TPCC, TPCCConfig
-from .trace import TraceEvent, TraceRecorder, load_trace, replay, save_trace
+from .trace import TraceEvent, TraceRecorder, load_trace, save_trace
 
 __all__ = [
     "Driver",
@@ -35,6 +35,5 @@ __all__ = [
     "TraceEvent",
     "TraceRecorder",
     "load_trace",
-    "replay",
     "save_trace",
 ]

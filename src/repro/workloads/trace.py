@@ -79,15 +79,6 @@ class TraceRecorder:
         ]
 
 
-def replay(events: Iterable[TraceEvent], simulator) -> None:
-    """Feed a trace into anything with ``on_fetch(lpn)`` / ``on_write(...)``."""
-    for event in events:
-        if event.op == "fetch":
-            simulator.on_fetch(event.lpn)
-        else:
-            simulator.on_write(event.lpn, event.net, event.gross)
-
-
 # ----------------------------------------------------------------------
 # Persistence: one event per line, whitespace separated
 # ----------------------------------------------------------------------

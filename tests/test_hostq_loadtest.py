@@ -1,7 +1,12 @@
 """End-to-end load-test harness: all backends, determinism, CLI."""
 
+import ast
+import dataclasses
+import inspect
+
 import pytest
 
+from repro import cli
 from repro.cli import main
 from repro.errors import ReproError
 from repro.hostq import (
@@ -114,6 +119,18 @@ def test_validation_rejects_bad_config():
         run_loadtest(LoadTestConfig(clients=0))
     with pytest.raises(ReproError):
         sweep_queue_depth(LoadTestConfig(), [])
+
+
+def test_every_config_field_is_a_cli_flag():
+    """``LoadTestConfig`` carries no option ``repro loadtest`` cannot set."""
+    tree = ast.parse(inspect.getsource(cli.cmd_loadtest))
+    (call,) = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "LoadTestConfig"
+    ]
+    fields = {field.name for field in dataclasses.fields(LoadTestConfig)}
+    assert {keyword.arg for keyword in call.keywords} == fields
 
 
 class TestCLI:

@@ -14,7 +14,7 @@ from repro.flash.constants import (
     CellType,
     PageKind,
 )
-from repro.errors import BufferError_
+from repro.errors import BufferError_, BufferPoolExhaustedError
 from repro.storage import SlottedPage
 from repro.storage.buffer import BufferPool
 from repro.testbed import build_engine, emulator_device, load_scaled
@@ -69,6 +69,15 @@ class TestBufferResize:
         pool = BufferPool(2, backend.load, backend.flush)
         with pytest.raises(BufferError_):
             pool.resize(0)
+
+    def test_shrink_below_pinned_raises_exhausted(self):
+        backend = FakeBackend()
+        pool = BufferPool(4, backend.load, backend.flush, dirty_threshold=1.0)
+        for lpn in range(4):
+            pool.fetch(lpn, 0.0)  # left pinned
+        with pytest.raises(BufferPoolExhaustedError, match=r"pinned \(4/2\)"):
+            pool.resize(2)
+        assert len(pool) == 4 and backend.flushed == []
 
 
 class TestEngineReporting:

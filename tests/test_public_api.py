@@ -21,13 +21,6 @@ SURFACE = {
         "PLATFORMS", "Session", "SessionConfig",
         "open_device", "open_session",
     ],
-    "repro.perfkit": [
-        "Bench", "REGISTRY", "SCHEMA",
-        "all_benches", "get_bench", "register", "register_default_benches",
-        "run_bench", "run_benchmarks", "render_report",
-        "compare_results", "render_comparison",
-        "load_results", "write_results",
-    ],
     "repro.flash": [
         "FlashGeometry", "FlashMemory", "CellType", "PageKind",
         "PhysicalAddress", "LatencyModel", "FaultInjector",
@@ -97,13 +90,19 @@ def test_surface_importable(module_name):
 
 
 #: Exports retired on purpose: each restated something that survives
-#: under one name (``OpKind``, ``ADMISSION_POLICIES``).
+#: under one name (``OpKind``, ``ADMISSION_POLICIES``,
+#: ``repro.ipl.replay_events``).
 RETIRED_EXPORTS = [
     ("repro.storage", "CommandKind"),
     ("repro.storage.program", "CommandKind"),
     ("repro.hostq", "AdmissionPolicy"),
     ("repro.hostq.queueing", "AdmissionPolicy"),
+    ("repro.workloads", "replay"),
 ]
+
+#: Packages retired on purpose: the simulated-count gate they held is
+#: ``tests/test_sim_counts.py``.
+RETIRED_MODULES = ["repro.perfkit"]
 
 #: Identifiers of the forks PR 23 closed: the second and third give-up
 #: flags, the second kind enum and the three kind translation tables.
@@ -116,6 +115,12 @@ RETIRED_IDENTIFIERS = {
 @pytest.mark.parametrize("module_name, name", RETIRED_EXPORTS)
 def test_retired_exports_stay_gone(module_name, name):
     assert not hasattr(importlib.import_module(module_name), name)
+
+
+@pytest.mark.parametrize("module_name", RETIRED_MODULES)
+def test_retired_modules_stay_gone(module_name):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module_name)
 
 
 def _identifiers(tree: ast.AST) -> set[str]:

@@ -1,29 +1,18 @@
-"""The stock benches ``repro bench`` ships with.
+"""The count gate: the simulation's counts must not move.
 
-One bench per hot path whose simulated behaviour must not move:
+Each replay builds its workload from seeded :class:`random.Random`
+instances and fixed sizes, drives one hot path of the stack, and
+returns *simulated-count invariants* — program counts, GC erases,
+event-loop totals, CRCs of produced bytes, deterministic makespans.
+They are identical on every machine and Python version, so they are
+pinned here as literals: a hot-path change is safe exactly when every
+count still matches.  A deliberate behaviour change updates ``PINNED``
+in the same commit, with the reason in its message.
 
-* ``ispp_program`` — raw :class:`~repro.flash.page.FlashPage`
-  programming: first-program image installs, delta-tail appends, and
-  full AND-merge reprograms;
-* ``delta_codec`` — delta-record encode/decode plus segment ECC
-  computation (the [N x M] codec of paper Section 6);
-* ``buffer_pool`` — buffer-pool fetch/evict/clean cycling with a
-  synthetic loader (hit fast path + LRU bookkeeping);
-* ``wal_group_commit`` — WAL appends with amortized group-commit
-  forces and log-space checkpointing;
-* ``noftl_write_gc`` — NoFTL page writes over a small over-provisioned
-  array, driving mapping updates and greedy GC;
-* ``hostq_events`` — the discrete-event scheduler and NCQ queue on a
-  stub device (pure event-loop overhead);
-* ``device_loadtest`` — the end-to-end device-level load test (8
-  clients, queue depth 8): the golden pin of dispatch order;
-* ``txn_loadtest`` — the transaction-level load test at the CI smoke
-  configuration (buffer pool + WAL + group commit under the scheduler):
-  the golden pin of group-commit accounting.
-
-Every bench draws from seeded :class:`random.Random` instances and
-fixed sizes, so its ``counts`` are identical on every machine and
-Python version.
+Every replay runs twice from scratch; the second pass must equal the
+first, so a replay that lets anything host-dependent into its counts
+fails as nondeterministic.  Nothing here reads the clock — wall-clock
+questions go to ``bench/`` at the repo root.
 """
 
 from __future__ import annotations
@@ -31,10 +20,12 @@ from __future__ import annotations
 import random
 import zlib
 
-from ..core import NxMScheme, apply_pairs, decode_area, encode_record
-from ..flash.ecc import CODE_SIZE, compute_code
-from ..flash.page import FlashPage
-from ..hostq import (
+import pytest
+
+from repro.core import NxMScheme, apply_pairs, decode_area, encode_record
+from repro.flash.ecc import CODE_SIZE, compute_code
+from repro.flash.page import FlashPage
+from repro.hostq import (
     HostScheduler,
     LoadTestConfig,
     OpKind,
@@ -44,23 +35,17 @@ from ..hostq import (
     run_loadtest,
     run_txn_loadtest,
 )
-from ..session import SessionConfig, open_device
-from ..storage.buffer import BufferPool
-from ..storage.page_layout import SlottedPage
-from ..storage.wal import LogKind, LogManager
-from .registry import Bench, register
-
-__all__ = ["register_default_benches"]
+from repro.session import SessionConfig, open_device
+from repro.storage.buffer import BufferPool
+from repro.storage.page_layout import SlottedPage
+from repro.storage.wal import LogKind, LogManager
 
 _PAGE_SIZE = 4096
 _OOB_SIZE = 128
 
 
-# ----------------------------------------------------------------------
-# ispp_program
-# ----------------------------------------------------------------------
-
-def _ispp_program() -> dict:
+# FlashPage programming: image installs, tail appends, AND-merges.
+def ispp_program() -> dict:
     rng = random.Random(11)
     tail_start = _PAGE_SIZE - 512
     body = bytes(rng.randrange(0x100) for _ in range(tail_start))
@@ -87,11 +72,8 @@ def _ispp_program() -> dict:
     }
 
 
-# ----------------------------------------------------------------------
-# delta_codec
-# ----------------------------------------------------------------------
-
-def _delta_codec() -> dict:
+# Delta-record encode/decode + segment ECC over an [N x M] area.
+def delta_codec() -> dict:
     scheme = NxMScheme(4, 8)
     rng = random.Random(23)
     change_sets = [
@@ -125,11 +107,8 @@ def _delta_codec() -> dict:
     }
 
 
-# ----------------------------------------------------------------------
-# buffer_pool
-# ----------------------------------------------------------------------
-
-def _buffer_pool() -> dict:
+# Buffer-pool fetch/evict/clean cycling with a synthetic loader.
+def buffer_pool() -> dict:
     def loader(lpn: int, now: float):
         return SlottedPage.format(lpn, _PAGE_SIZE, 0), 0, 25.0
 
@@ -159,11 +138,8 @@ def _buffer_pool() -> dict:
     }
 
 
-# ----------------------------------------------------------------------
-# wal_group_commit
-# ----------------------------------------------------------------------
-
-def _wal_group_commit() -> dict:
+# WAL appends with group-commit forces and log-space checkpoints.
+def wal_group_commit() -> dict:
     log = LogManager(capacity_bytes=2_000_000, group_commit=8)
     rng = random.Random(41)
     updates = [
@@ -190,11 +166,8 @@ def _wal_group_commit() -> dict:
     }
 
 
-# ----------------------------------------------------------------------
-# noftl_write_gc
-# ----------------------------------------------------------------------
-
-def _noftl_write_gc() -> dict:
+# NoFTL page writes driving mapping updates and greedy GC.
+def noftl_write_gc() -> dict:
     device = open_device(SessionConfig(backend="noftl", logical_pages=256))
     rng = random.Random(53)
     writes = [
@@ -214,10 +187,6 @@ def _noftl_write_gc() -> dict:
                     "gc_page_migrations")
     }
 
-
-# ----------------------------------------------------------------------
-# hostq_events
-# ----------------------------------------------------------------------
 
 class _StubDevice:
     """The minimal occupancy/channel protocol the scheduler programs to."""
@@ -240,7 +209,8 @@ class _StubDevice:
         return latency
 
 
-def _hostq_events() -> dict:
+# Discrete-event scheduler + NCQ queue on a stub device.
+def hostq_events() -> dict:
     device = _StubDevice(8)
     queue = SubmissionQueue(16)
     scheduler = HostScheduler(device, queue, device.execute)
@@ -268,11 +238,8 @@ def _hostq_events() -> dict:
     }
 
 
-# ----------------------------------------------------------------------
-# device_loadtest / txn_loadtest
-# ----------------------------------------------------------------------
-
-def _device_loadtest() -> dict:
+# Device-level loadtest (8 clients, qd 8): the golden pin of dispatch order.
+def device_loadtest() -> dict:
     result = run_loadtest(LoadTestConfig(
         backend="noftl", clients=8, queue_depth=8, requests=4000,
         logical_pages=512, profile="uniform", seed=7,
@@ -289,7 +256,9 @@ def _device_loadtest() -> dict:
     }
 
 
-def _txn_loadtest() -> dict:
+# Transaction-level loadtest at the CI smoke configuration: the golden
+# pin of group-commit accounting.
+def txn_loadtest() -> dict:
     result = run_txn_loadtest(TxnLoadTestConfig(
         backend="noftl", clients=4, queue_depth=4, txns=60,
         logical_pages=128, profile="tpcb", scheme=NxMScheme(2, 4), seed=7,
@@ -307,45 +276,91 @@ def _txn_loadtest() -> dict:
     }
 
 
-def register_default_benches() -> None:
-    """Register the stock benches (idempotence guarded by the caller)."""
-    register(Bench(
-        "ispp_program",
-        "FlashPage programming: image installs, tail appends, AND-merges",
-        _ispp_program,
-    ))
-    register(Bench(
-        "delta_codec",
-        "delta-record encode/decode + segment ECC over an [N x M] area",
-        _delta_codec,
-    ))
-    register(Bench(
-        "buffer_pool",
-        "buffer-pool fetch/evict/clean cycling with a synthetic loader",
-        _buffer_pool,
-    ))
-    register(Bench(
-        "wal_group_commit",
-        "WAL appends with group-commit forces and log-space checkpoints",
-        _wal_group_commit,
-    ))
-    register(Bench(
-        "noftl_write_gc",
-        "NoFTL page writes driving mapping updates and greedy GC",
-        _noftl_write_gc,
-    ))
-    register(Bench(
-        "hostq_events",
-        "discrete-event scheduler + NCQ queue on a stub device",
-        _hostq_events,
-    ))
-    register(Bench(
-        "device_loadtest",
-        "device-level loadtest (8 clients, qd 8): dispatch order",
-        _device_loadtest,
-    ))
-    register(Bench(
-        "txn_loadtest",
-        "transaction-level loadtest, CI smoke configuration: group commit",
-        _txn_loadtest,
-    ))
+REPLAYS = {
+    replay.__name__: replay
+    for replay in (
+        ispp_program, delta_codec, buffer_pool, wal_group_commit,
+        noftl_write_gc, hostq_events, device_loadtest, txn_loadtest,
+    )
+}
+
+PINNED = {
+    "ispp_program": {
+        "programs": 18,
+        "image_crc": 1413941518,
+    },
+    "delta_codec": {
+        "records": 600,
+        "image_crc": 152685057,
+        "code_crc": 1778617474,
+        "code_size": 4,
+    },
+    "buffer_pool": {
+        "fetches": 4000,
+        "hits": 2356,
+        "misses": 1644,
+        "evictions": 1580,
+        "evict_flushes": 0,
+        "cleaner_flushes": 1092,
+    },
+    "wal_group_commit": {
+        "appended": 6250,
+        "forces": 157,
+        "commits_grouped": 1094,
+        "bytes_written": 275000,
+        "last_lsn": 6250,
+        "checkpoints": 0,
+    },
+    "noftl_write_gc": {
+        "host_reads": 429,
+        "host_page_writes": 3000,
+        "gc_erases": 89,
+        "gc_page_migrations": 2806,
+    },
+    "hostq_events": {
+        "events": 5583,
+        "polls": 1583,
+        "dispatch_rounds": 5583,
+        "completed": 2000,
+        "holb_bypasses": 1618,
+        "max_depth_used": 16,
+    },
+    "device_loadtest": {
+        "generated": 4000,
+        "completed": 4000,
+        "rejected": 0,
+        "delta_fallbacks": 0,
+        "holb_bypasses": 2846,
+        "max_depth_used": 8,
+        "commit_forces": 0,
+        "makespan_us": 500405.78125,
+    },
+    "txn_loadtest": {
+        "started": 60,
+        "committed": 60,
+        "aborted": 0,
+        "retried": 0,
+        "conflict_waits": 15,
+        "log_forces": 48,
+        "ipa_flushes": 24,
+        "oop_flushes": 25,
+        "makespan_us": 3574.78515625,
+    },
+}
+
+
+def test_every_replay_is_pinned():
+    assert REPLAYS.keys() == PINNED.keys()
+
+
+@pytest.mark.parametrize("name", REPLAYS)
+def test_replay_matches_pinned_counts(name):
+    assert REPLAYS[name]() == PINNED[name]
+
+
+@pytest.mark.parametrize("name", REPLAYS)
+def test_replay_is_deterministic(name):
+    first = REPLAYS[name]()
+    second = REPLAYS[name]()
+    assert first, "a replay must report at least one count"
+    assert second == first, "counts changed between passes: nondeterministic"
