@@ -86,11 +86,11 @@ def _build(args, scheme, record_trace=False, telemetry=None):
     workload_cls, logical_pages, log_capacity = WORKLOADS[args.workload]
     mode = IPAMode.PSLC if args.mode == "pslc" else IPAMode.ODD_MLC
     session = open_session(SessionConfig(
-        backend=getattr(args, "backend", "noftl"),
+        backend=args.backend,
         logical_pages=logical_pages,
         platform=args.platform,
         mode=mode,
-        shards=getattr(args, "shards", 4),
+        shards=args.shards,
         scheme=scheme,
         buffer_pages=logical_pages,
         eviction=args.eviction,

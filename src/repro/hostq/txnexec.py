@@ -602,7 +602,6 @@ def run_txn_loadtest(
         eviction=config.eviction,
         clock=clock,
         seed=config.seed,
-        engine=dict(group_commit=config.group_commit),
     ))
     device, engine = session.device, session.engine
     # Load phase: materialize every page as a formatted, empty slotted

@@ -1,4 +1,4 @@
-"""The iplint rule engine: findings, rules, suppressions, the runner.
+"""The iplint rule engine: findings, rules, waivers, the runner.
 
 ``iplint`` is the repo's domain linter: a small AST-visitor framework
 whose rules machine-check the invariants the codebase is built on —
@@ -8,62 +8,64 @@ run determinism, and telemetry discipline (see DESIGN.md §9).
 The engine is deliberately tiny:
 
 * :class:`Finding` — one diagnostic (rule id, location, message);
-* :class:`Rule` — a per-rule class contributing an AST check over one
-  :class:`LintModule`;
-* :class:`LintModule` — a parsed source file plus the dotted module
-  name rules use to decide applicability (layer boundaries);
-* :func:`run_lint` — walk paths, parse, apply rules, drop suppressed
-  findings, return the sorted remainder.
-
-Suppressions are inline comments, narrowest scope wins::
-
-    page.data[0] = 0  # iplint: disable=ispp-safety
-    # iplint: disable-file=determinism   (anywhere in the file)
-
-A suppression names one or more comma-separated rule ids, or ``all``.
+* :class:`Rule` — one invariant: an AST check over one
+  :class:`LintModule`, optionally scoped to the packages it governs;
+* :class:`LintModule` — a parsed source file, the dotted module name
+  rules use to decide applicability, and the run's shared
+  :class:`~repro.lintkit.flow.FlowContext` (CFGs, call graph);
+* :data:`PATH_EXEMPTIONS` — the one waiver table;
+* :func:`run_lint` — walk paths, parse, apply every rule to every
+  module it governs and does not waive, return the sorted findings.
 """
 
 from __future__ import annotations
 
 import ast
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+
+if TYPE_CHECKING:
+    from .flow import FlowContext
 
 __all__ = [
     "Finding",
     "LintModule",
     "PATH_EXEMPTIONS",
     "Rule",
-    "Suppressions",
+    "in_package",
     "iter_python_files",
     "load_module",
     "module_name_for",
     "run_lint",
 ]
 
-_SUPPRESS_RE = re.compile(r"#\s*iplint:\s*(disable|disable-file)=([A-Za-z0-9_,\s-]+)")
-
 #: Rule id -> module prefixes where that rule is waived by design.
 #:
-#: Unlike inline suppressions (which mark one surprising line), a path
-#: exemption records an *architectural* decision: the named component's
-#: purpose conflicts with the rule.  The crash harness is the example —
-#: its job is to catch anything a crash-recovery cycle throws and
-#: report it as a divergence rather than die, so its blanket handlers
-#: are the product, not an accident.
+#: The only way to exempt code from a rule.  Each entry records an
+#: *architectural* decision — the named component's purpose conflicts
+#: with the rule — and ``tests/test_lintkit_exemptions.py`` fails when an
+#: entry names a dead rule, a dead module, or hides no finding.
 PATH_EXEMPTIONS: dict[str, tuple[str, ...]] = {
+    # The flash layer owns the cells: ISPP programming is its job.
+    "ispp-safety": ("repro.flash",),
+    # Composition roots: the FTL defines the backends; testbed builds
+    # them, and the IPL replay builds its Table 2 device with
+    # IPL-matched geometry.
+    "device-layering": ("repro.ftl", "repro.ipl.ipa_replay", "repro.testbed"),
+    # The registry primitives take whatever name their caller chose.
+    "counter-naming": ("repro.telemetry.metrics",),
+    # The crash harness catches anything a crash-recovery cycle throws
+    # and reports it as a divergence: its blanket handlers are the
+    # product, not an accident.
     "exception-discipline": ("repro.crashkit.harness",),
 }
 
 
-def _path_exempted(module: "LintModule", rule_id: str) -> bool:
-    """Whether a module is exempted from a rule by PATH_EXEMPTIONS."""
-    return any(
-        module.module == prefix or module.module.startswith(prefix + ".")
-        for prefix in PATH_EXEMPTIONS.get(rule_id, ())
-    )
+def in_package(name: str, packages: Iterable[str]) -> bool:
+    """Whether dotted ``name`` is, or sits under, any of ``packages``."""
+    return any(name == pkg or name.startswith(pkg + ".") for pkg in packages)
 
 
 @dataclass(frozen=True, order=True)
@@ -75,7 +77,6 @@ class Finding:
     col: int
     rule: str
     message: str
-    severity: str = "error"
 
     def to_dict(self) -> dict:
         """JSON-reporter shape (stable schema, see report module)."""
@@ -84,46 +85,12 @@ class Finding:
             "line": self.line,
             "col": self.col,
             "rule": self.rule,
-            "severity": self.severity,
+            "severity": "error",
             "message": self.message,
         }
 
     def __str__(self) -> str:
-        return (
-            f"{self.path}:{self.line}:{self.col}: "
-            f"{self.severity}[{self.rule}] {self.message}"
-        )
-
-
-@dataclass
-class Suppressions:
-    """Inline ``# iplint: disable=...`` directives of one file."""
-
-    by_line: dict[int, set[str]] = field(default_factory=dict)
-    file_wide: set[str] = field(default_factory=set)
-
-    @classmethod
-    def scan(cls, source: str) -> "Suppressions":
-        """Collect the directives from raw source text."""
-        sup = cls()
-        for lineno, text in enumerate(source.splitlines(), start=1):
-            match = _SUPPRESS_RE.search(text)
-            if match is None:
-                continue
-            kind, spec = match.groups()
-            rules = {part.strip() for part in spec.split(",") if part.strip()}
-            if kind == "disable-file":
-                sup.file_wide |= rules
-            else:
-                sup.by_line.setdefault(lineno, set()).update(rules)
-        return sup
-
-    def hides(self, finding: Finding) -> bool:
-        """Whether a finding is silenced by a directive."""
-        return any(
-            "all" in rules or finding.rule in rules
-            for rules in (self.file_wide, self.by_line.get(finding.line, ()))
-        )
+        return f"{self.path}:{self.line}:{self.col}: error[{self.rule}] {self.message}"
 
 
 @dataclass
@@ -132,34 +99,39 @@ class LintModule:
 
     path: Path
     module: str
-    source: str
     tree: ast.Module
-    suppressions: Suppressions
 
     @property
     def display_path(self) -> str:
         return str(self.path)
 
-    def in_package(self, *packages: str) -> bool:
-        """Whether the module lives in (or under) any named package."""
-        return any(
-            self.module == pkg or self.module.startswith(pkg + ".")
-            for pkg in packages
-        )
+    @cached_property
+    def context(self) -> FlowContext:
+        """The run's shared analyses.
+
+        :func:`run_lint` sets one context on every module it loads; a
+        module linted on its own builds a single-module one on first use.
+        """
+        from .flow import FlowContext  # the flow analyses import this module
+
+        return FlowContext([self])
 
 
 class Rule:
-    """Base class for one lint rule.
+    """Base class of every lint rule: one rule id, one invariant.
 
-    Subclasses set :attr:`id` / :attr:`description` (and optionally
-    :attr:`severity`) and implement :meth:`check`, yielding
-    :class:`Finding` objects.  :meth:`finding` builds one with the
-    rule's identity filled in.
+    Subclasses set :attr:`id` / :attr:`description` and implement
+    :meth:`check`, yielding :class:`Finding` objects; :meth:`finding`
+    builds one with the rule's id filled in.  Analyses beyond one AST
+    (CFGs, the project call graph) come from ``module.context``.
     """
 
     id: str = "rule"
     description: str = ""
-    severity: str = "error"
+    #: Packages the invariant governs; empty means every module.  Where
+    #: the invariant holds is part of the rule; a module excused from
+    #: it is a :data:`PATH_EXEMPTIONS` entry.
+    packages: tuple[str, ...] = ()
 
     def check(self, module: LintModule) -> Iterable[Finding]:
         """Yield this rule's findings for one parsed module."""
@@ -173,7 +145,6 @@ class Rule:
             col=getattr(node, "col_offset", 0) + 1,
             rule=self.id,
             message=message,
-            severity=self.severity,
         )
 
 
@@ -228,25 +199,28 @@ def load_module(
     Raises :class:`SyntaxError` for unparseable source — a broken file
     must fail the lint run loudly, not slip through unchecked.
     """
-    source = path.read_text(encoding="utf-8")
-    tree = ast.parse(source, filename=str(path))
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     return LintModule(
         path=path,
         module=module if module is not None else module_name_for(path, root),
-        source=source,
         tree=tree,
-        suppressions=Suppressions.scan(source),
     )
 
 
+def _governs(rule: Rule, module: LintModule) -> bool:
+    """Whether ``rule`` applies to ``module``: in its scope, not waived."""
+    return (
+        not rule.packages or in_package(module.module, rule.packages)
+    ) and not in_package(module.module, PATH_EXEMPTIONS.get(rule.id, ()))
+
+
 def lint_module(module: LintModule, rules: Sequence[Rule]) -> list[Finding]:
-    """Apply every rule to one parsed module, honouring suppressions."""
+    """Apply every rule that governs one parsed module."""
     findings = [
         finding
         for rule in rules
+        if _governs(rule, module)
         for finding in rule.check(module)
-        if not module.suppressions.hides(finding)
-        and not _path_exempted(module, finding.rule)
     ]
     findings.sort()
     return findings
@@ -259,30 +233,25 @@ def run_lint(
 ) -> list[Finding]:
     """Lint files/directories with the given rules (default: all).
 
-    Returns every unsuppressed finding sorted by location.  All modules
-    are parsed up front so flow rules share one analysis context (one call-graph
-    build per run).  The imports of the rule set and the flow layer
-    live here (not module top) so the engine stays importable from the
-    rule modules without a cycle.
+    Returns every finding sorted by location.  All modules are parsed
+    up front and share one analysis context (one call-graph build per
+    run).  The rule set and the flow layer import this module, so their
+    imports live here rather than at module top.
     """
-    if rules is None:
-        from .rules import default_rules
+    from .flow import FlowContext
+    from .rules import default_rules
 
+    if rules is None:
         rules = default_rules()
     root_path = Path(root) if root is not None else None
     modules = [
         load_module(path, root_path)
         for path in iter_python_files(Path(p) for p in paths)
     ]
-    from .flow.base import FlowContext, FlowRule
-
-    flow_rules = [rule for rule in rules if isinstance(rule, FlowRule)]
-    if flow_rules:
-        context = FlowContext(modules)
-        for rule in flow_rules:
-            rule.bind(context)
+    context = FlowContext(modules)
     findings: list[Finding] = []
     for module in modules:
+        module.context = context
         findings.extend(lint_module(module, rules))
     findings.sort()
     return findings

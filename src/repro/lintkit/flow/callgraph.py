@@ -5,13 +5,14 @@ resolves the call shapes the layering rules need — plain names bound by
 ``def``/``import``, attribute calls on imported module aliases,
 ``self.method(...)`` within a class, and re-export chains
 (``from repro.ftl import X`` where ``repro.ftl/__init__`` itself
-imports ``X`` from a submodule).  Calls it cannot resolve (arbitrary
-attribute chains, dynamic dispatch through protocol objects) produce no
-edge; the transitive-layering rule therefore under-approximates
-reachability and never flags on guesswork.
+imports ``X`` from a submodule, relative imports included).  Calls it
+cannot resolve (arbitrary attribute chains, dynamic dispatch through
+protocol objects) produce no edge; the device-layering rule's call-chain
+check therefore under-approximates reachability and never flags on
+guesswork.
 
 Built once per lint run and cached on the
-:class:`~repro.lintkit.flow.base.FlowContext`, so every rule (and every
+:class:`~repro.lintkit.flow.FlowContext`, so every rule (and every
 module's check) shares one graph.
 """
 
@@ -21,9 +22,35 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from ..engine import LintModule
+from ..engine import LintModule, in_package
 
-__all__ = ["CallGraph", "CallSite", "Definition", "build_call_graph"]
+__all__ = [
+    "CallGraph",
+    "CallSite",
+    "Definition",
+    "build_call_graph",
+    "resolve_relative",
+]
+
+
+def resolve_relative(module: LintModule, node: ast.ImportFrom) -> str:
+    """Absolute dotted path of an ``ImportFrom`` target.
+
+    ``level`` counts leading dots: one dot is the current package, each
+    further dot climbs one package.  A package ``__init__``'s dotted
+    name already *is* the package, so its first dot drops nothing; a
+    plain module's own name is not a package level and goes first.
+    Mirrors ``importlib._bootstrap``'s resolution, minus error handling
+    we do not need for linting.
+    """
+    if node.level == 0:
+        return node.module or ""
+    parts = module.module.split(".")
+    drop = node.level - (module.path.name == "__init__.py")
+    base = parts[: len(parts) - drop]
+    if node.module:
+        base = base + node.module.split(".")
+    return ".".join(base)
 
 
 @dataclass(frozen=True)
@@ -78,6 +105,10 @@ class CallGraph:
         """Outgoing edges of one definition."""
         return self.edges.get(key, [])
 
+    def definitions_in(self, module_name: str) -> list[Definition]:
+        """Every definition of one module (classes and their methods)."""
+        return [d for d in self.definitions.values() if d.module == module_name]
+
     def reach(
         self, start: str, skip_modules: Iterable[str] = ()
     ) -> dict[str, list[CallSite]]:
@@ -90,13 +121,6 @@ class CallGraph:
         those are sanctioned composition roots.
         """
         skip = tuple(skip_modules)
-
-        def skipped(module_name: str) -> bool:
-            return any(
-                module_name == prefix or module_name.startswith(prefix + ".")
-                for prefix in skip
-            )
-
         chains: dict[str, list[CallSite]] = {}
         queue: list[str] = [start]
         seen = {start}
@@ -108,7 +132,9 @@ class CallGraph:
                 seen.add(site.callee)
                 chains[site.callee] = chains.get(current, []) + [site]
                 callee_module = site.callee.split(":", 1)[0]
-                if site.callee in self.definitions and not skipped(callee_module):
+                if site.callee in self.definitions and not in_package(
+                    callee_module, skip
+                ):
                     queue.append(site.callee)
         return chains
 
@@ -139,8 +165,6 @@ def _collect_stmt(info: _ModuleInfo, stmt: ast.stmt) -> None:
                 None,
             )
     elif isinstance(stmt, ast.ImportFrom):
-        from ..rules.layering import resolve_relative  # late: avoids a cycle
-
         origin = resolve_relative(info.module, stmt)
         for alias in stmt.names:
             if alias.name == "*":

@@ -13,8 +13,9 @@ The JSON document is the machine interface (CI annotations, tooling)::
                   "files": 1}
     }
 
-The human reporter prints one ``path:line:col: severity[rule] message``
-line per finding (editor/CI clickable) plus a one-line summary.
+Every finding is an error.  The human reporter prints one
+``path:line:col: error[rule] message`` line per finding (editor/CI
+clickable) plus a one-line summary.
 
 The GitHub reporter emits one workflow command per finding
 (``::error file=...,line=...,col=...,title=...::message``) so findings
@@ -69,7 +70,6 @@ def render_github(findings: Sequence[Finding]) -> str:
         return "iplint: no findings\n"
     lines = []
     for finding in findings:
-        level = "error" if finding.severity == "error" else "warning"
         properties = ",".join(
             (
                 f"file={_escape_github(finding.path, property_value=True)}",
@@ -79,7 +79,7 @@ def render_github(findings: Sequence[Finding]) -> str:
             )
         )
         lines.append(
-            f"::{level} {properties}::{_escape_github(finding.message)}"
+            f"::error {properties}::{_escape_github(finding.message)}"
         )
     noun = "finding" if len(findings) == 1 else "findings"
     lines.append(f"iplint: {len(findings)} {noun}")

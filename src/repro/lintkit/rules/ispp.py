@@ -4,8 +4,9 @@ The paper's physical invariant (ISPP may only add charge, i.e. flip
 bits 1 -> 0) is enforced by :meth:`repro.flash.page.FlashPage.program`.
 Any code that reaches into ``page.data`` / ``page.oob`` directly —
 whether to mutate *or* to peek at raw cells — bypasses that gate, so
-outside the ``repro.flash`` package every subscript of, or assignment
-to, an attribute named ``data``/``oob`` is a finding.  Host-side code
+everywhere but the ``repro.flash`` package (its ``ispp-safety`` waiver
+in :data:`~repro.lintkit.engine.PATH_EXEMPTIONS`) every subscript of,
+or assignment to, an attribute named ``data``/``oob`` is a finding.  Host-side code
 must use the accessors (``read``, ``read_slice``, ``is_erased_range``)
 or the ``program``/``write_delta`` primitives.
 """
@@ -13,7 +14,7 @@ or the ``program``/``write_delta`` primitives.
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from ..engine import Finding, LintModule, Rule
 
@@ -38,12 +39,7 @@ class IsppSafetyRule(Rule):
     )
 
     def check(self, module: LintModule) -> Iterable[Finding]:
-        """Flag raw ``.data``/``.oob`` buffer access outside repro.flash."""
-        if module.in_package("repro.flash"):
-            return
-        yield from self._scan(module)
-
-    def _scan(self, module: LintModule) -> Iterator[Finding]:
+        """Flag raw ``.data``/``.oob`` buffer access."""
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Subscript):
                 target = _buffer_attribute(node.value)

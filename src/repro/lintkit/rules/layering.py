@@ -1,27 +1,45 @@
 """device-layering: the host stack programs against ``FlashDevice`` only.
 
-PR 2's architectural invariant: everything above the device layer (the
+The device layer's architectural invariant: everything above it (the
 IPA manager, the storage engine, workloads, the CLI) depends on the
 :class:`repro.ftl.device.FlashDevice` protocol, never on a concrete
-controller.  Outside ``repro.ftl`` and ``repro.testbed`` (the two
-places allowed to know backends exist) it is a finding to
+controller.  Outside the modules that define or compose backends (the
+``device-layering`` entries of
+:data:`~repro.lintkit.engine.PATH_EXEMPTIONS`) it is a finding to
 
 * import the concrete controller classes ``NoFTL`` / ``BlockSSD`` /
-  ``ShardedDevice``, or
-* import from their home modules (``repro.ftl.noftl``,
-  ``repro.ftl.blockdev``, ``repro.ftl.sharded``) at all — factories
-  like ``single_region_device`` are re-exported by ``repro.ftl``.
+  ``ShardedDevice``, or import from their home modules
+  (``repro.ftl.noftl``, ``repro.ftl.blockdev``, ``repro.ftl.sharded``)
+  at all — factories like ``single_region_device`` are re-exported by
+  ``repro.ftl``; relative imports are resolved, so
+  ``from ..ftl.noftl import ...`` is caught too;
+* reach a concrete backend through *any* call chain.  The import check
+  alone misses a two-hop breach: a helper that constructs a backend —
+  in ``repro.ftl`` itself, or anywhere else — called from a module that
+  imports only the innocent helper.  The project call graph (which
+  follows re-exports through package ``__init__`` modules) closes the
+  gap: for every function or method of the module, any reachable
+  definition in a concrete backend module (or an unresolved external
+  symbol living there) is a finding.  ``repro.testbed`` is the
+  composition root — edges into it are not expanded, so ``hostq``
+  calling ``open_device``, which picks one of the testbed factories
+  (and those legitimately build backends), stays clean.  The walk does
+  not stop at ``repro.ftl``: a helper there that builds a backend is
+  exactly the loophole this check exists for.
 
-Relative imports are resolved against the module's package so
-``from ..ftl.noftl import ...`` is caught too.
+A chain finding is anchored at the first call of the offending chain
+(the only line the checked module controls) and the message spells out
+the whole chain, so the fix — route through the testbed factory or a
+protocol — is obvious from the diagnostic alone.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from ..engine import Finding, LintModule, Rule
+from ..flow.callgraph import CallSite, resolve_relative
 
 #: Concrete controller class names (protocol-breaking to import).
 CONCRETE_CLASSES = frozenset({"NoFTL", "BlockSSD", "ShardedDevice"})
@@ -33,45 +51,41 @@ CONCRETE_MODULES = frozenset({
     "repro.ftl.sharded",
 })
 
-#: Packages allowed to name concrete backends.
-ALLOWED_PACKAGES = ("repro.ftl", "repro.testbed")
+#: Composition roots the call-chain walk does not look through.
+SANCTIONED = ("repro.testbed",)
 
 
-def resolve_relative(module: LintModule, node: ast.ImportFrom) -> str:
-    """Absolute dotted path of an ``ImportFrom`` target.
+def _short(key: str) -> str:
+    """Display name of one definition key."""
+    if key.startswith("external:"):
+        _, module_name, symbol = key.split(":", 2)
+        return symbol or module_name
+    return key.split(":", 1)[1]
 
-    ``level`` counts leading dots: one dot is the current package, each
-    further dot climbs one package.  Mirrors ``importlib._bootstrap``'s
-    resolution, minus error handling we do not need for linting.
-    """
-    if node.level == 0:
-        return node.module or ""
-    package_parts = module.module.split(".")
-    # A module's own name is not a package level; drop it first (for
-    # packages, module names here never end in __init__, see engine).
-    base = package_parts[: len(package_parts) - node.level]
-    if node.module:
-        base = base + node.module.split(".")
-    return ".".join(base)
+
+def _chain_text(chain: list[CallSite]) -> str:
+    """Human-readable rendering of one call chain."""
+    names = [_short(chain[0].caller)]
+    names.extend(_short(site.callee) for site in chain)
+    return " -> ".join(names)
 
 
 class DeviceLayeringRule(Rule):
-    """No concrete-backend imports above the device layer."""
+    """No concrete backend above the device layer, by import or by call."""
 
     id = "device-layering"
     description = (
-        "outside repro.ftl and repro.testbed, import the FlashDevice "
-        "protocol (repro.ftl.device), never a concrete controller"
+        "program against the FlashDevice protocol (repro.ftl.device): "
+        "never import a concrete controller or reach one through a call "
+        "chain (testbed is the composition root)"
     )
 
     def check(self, module: LintModule) -> Iterable[Finding]:
-        """Flag concrete-backend imports outside the allowed packages."""
-        if module.in_package(*ALLOWED_PACKAGES) or module.module == "repro":
-            # repro/__init__ re-exports subpackages wholesale; the
-            # lintkit rules may also name the classes in docs/tests.
-            return
-        if module.in_package("repro.lintkit"):
-            return
+        """Flag concrete-backend imports and call chains into backends."""
+        yield from self._imports(module)
+        yield from self._call_chains(module)
+
+    def _imports(self, module: LintModule) -> Iterator[Finding]:
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -97,3 +111,30 @@ class DeviceLayeringRule(Rule):
                             f"imports concrete controller `{alias.name}`; "
                             "only repro.ftl and repro.testbed may name backends",
                         )
+
+    def _call_chains(self, module: LintModule) -> Iterator[Finding]:
+        graph = module.context.call_graph
+        reported: set[tuple[int, str]] = set()
+        for definition in graph.definitions_in(module.module):
+            if isinstance(definition.node, ast.ClassDef):
+                continue
+            chains = graph.reach(definition.key, skip_modules=SANCTIONED)
+            for reached, chain in sorted(chains.items(), key=lambda kv: kv[0]):
+                if reached.startswith("external:"):
+                    _, target_module, _symbol = reached.split(":", 2)
+                else:
+                    target_module = reached.partition(":")[0]
+                if target_module not in CONCRETE_MODULES:
+                    continue
+                first = chain[0]
+                key = (id(first.node), reached)
+                if key in reported:
+                    continue
+                reported.add(key)
+                yield self.finding(
+                    module,
+                    first.node,
+                    f"call chain reaches concrete backend "
+                    f"`{target_module}` ({_chain_text(chain)}); route "
+                    "through the testbed factory or a device protocol",
+                )

@@ -6,8 +6,11 @@ by a composite-device prefix (``shard<i>_`` or a runtime ``{prefix}``
 slot), and the rest is lower_snake.  The rule checks every literal or
 f-string name passed to ``.counter()`` / ``.gauge()`` / ``.histogram()``.
 
-(The other telemetry discipline rule, **telemetry-guard**, needs
-dominance and lives in :mod:`repro.lintkit.flow.rules.telemetry_guard`.)
+The registry primitives themselves (``repro.telemetry.metrics``) take
+arbitrary names and are waived in
+:data:`~repro.lintkit.engine.PATH_EXEMPTIONS`.  (The other telemetry
+discipline rule, **telemetry-guard**, needs dominance and lives in
+:mod:`repro.lintkit.rules.telemetry_guard`.)
 """
 
 from __future__ import annotations
@@ -48,9 +51,6 @@ class CounterNamingRule(Rule):
 
     def check(self, module: LintModule) -> Iterable[Finding]:
         """Validate literal metric names at registration call sites."""
-        if module.module == "repro.telemetry.metrics":
-            # The primitives themselves take arbitrary names.
-            return
         for node in ast.walk(module.tree):
             if not (
                 isinstance(node, ast.Call)

@@ -62,8 +62,8 @@ class SessionConfig:
     the engine half sizes the buffer pool and picks the IPA scheme; the
     instrumentation half carries the shared telemetry/clock handles.
     ``engine`` holds any further :class:`~repro.storage.engine.EngineConfig`
-    keyword arguments (``log_capacity_bytes``, ``group_commit``,
-    ``page_checksum``, ...) verbatim.
+    keyword arguments (``log_capacity_bytes``, ``page_checksum``, ...)
+    verbatim.
     """
 
     # --- device ------------------------------------------------------

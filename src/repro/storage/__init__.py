@@ -17,7 +17,6 @@ from .program import (
     StorageProgram,
     log_force_command,
     run_on_clock,
-    run_program,
 )
 from .heap import RID, Table
 from .page_layout import HEADER_SIZE, SLOT_SIZE, SlottedPage
@@ -41,7 +40,6 @@ __all__ = [
     "StorageProgram",
     "log_force_command",
     "run_on_clock",
-    "run_program",
     "EngineConfig",
     "StorageEngine",
     "RID",

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..errors import BufferError_, BufferPoolExhaustedError
+from .clock import ScalarClock
 from .page_layout import SlottedPage
-from .program import DeviceCommand, OpKind, StorageProgram, run_program
+from .program import DeviceCommand, OpKind, StorageProgram, run_on_clock
 
 
 class Frame:
@@ -163,8 +164,7 @@ class BufferPool:
 
     def fetch(self, lpn: int, now: float) -> tuple[Frame, float]:
         """Pin a page, loading it on a miss; returns (frame, read latency)."""
-        result, __ = run_program(self.fetch_program(lpn), now)
-        return result
+        return run_on_clock(self.fetch_program(lpn), ScalarClock(now))
 
     def fetch_program(self, lpn: int) -> StorageProgram:
         """Resumable fetch: yields the eviction write-back (if any) and
@@ -230,8 +230,7 @@ class BufferPool:
 
     def _make_room(self, now: float) -> float:
         """Evict the LRU unpinned frame if the pool is full."""
-        latency, __ = run_program(self._evict_program(), now)
-        return latency
+        return run_on_clock(self._evict_program(), ScalarClock(now))
 
     def _evict_program(self) -> StorageProgram:
         """Resumable eviction: pick the LRU unpinned victim, remove it,

@@ -69,9 +69,6 @@ class EngineConfig:
     scheme: NxMScheme = SCHEME_OFF
     eviction: str = "eager"
     log_capacity_bytes: int = 16 * 1024 * 1024
-    #: Commits amortized per physical log force (1 = force every commit;
-    #: N models group commit — the load-test harness drives this).
-    group_commit: int = 1
     retain_log: bool = False
     ecc: bool = False
     #: Stamp an InnoDB-style page checksum on every flush (MySQL
@@ -132,7 +129,6 @@ class StorageEngine:
         self.log = LogManager(
             capacity_bytes=self.config.log_capacity_bytes,
             retain=self.config.retain_log,
-            group_commit=self.config.group_commit,
         )
         self.txns = TransactionManager()
         self.tables: dict[str, Table] = {}

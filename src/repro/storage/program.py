@@ -8,21 +8,21 @@ The program never performs device I/O itself — each command carries a
 decides *when* that closure executes and what the program observes as
 the command's latency:
 
-* :func:`run_program` — synchronous offset-based driver (no clock): each
-  command executes immediately at ``now + elapsed-so-far``; used by the
-  buffer pool, whose callers pass ``now`` explicitly.
-* :func:`run_on_clock` — synchronous driver over a
+* :func:`run_on_clock` — the synchronous driver, over a
   :class:`~repro.storage.clock.Clock`: each command executes at
   ``clock.now`` and its latency is charged via ``clock.advance()``;
   this is the standalone engine path and reproduces the original
-  blocking behaviour exactly.
+  blocking behaviour exactly.  The buffer pool, whose callers pass
+  ``now`` explicitly, drives its programs on a fresh
+  ``ScalarClock(now)``: each command then runs at ``now`` plus the
+  latency already charged.
 * :class:`~repro.hostq.txnexec.TxnExecutor` — the scheduled driver:
   commands become :class:`~repro.hostq.request.Request` objects flowing
   through the submission queue and the group-commit gate, and the
   program resumes when its request completes, observing the *end-to-end*
   wait (queueing included).
 
-The same generator code serves all three drivers — the scalar path is
+The same generator code serves both drivers — the scalar path is
 preserved, not forked.
 """
 
@@ -37,7 +37,6 @@ __all__ = [
     "StorageProgram",
     "log_force_command",
     "run_on_clock",
-    "run_program",
 ]
 
 
@@ -102,24 +101,6 @@ def log_force_command(log) -> DeviceCommand:
     same ``log`` via :meth:`~repro.storage.wal.LogManager.note_force`.
     """
     return DeviceCommand(OpKind.COMMIT, run=lambda now: log.force())
-
-
-def run_program(program: StorageProgram, now: float) -> tuple[object, float]:
-    """Drive a program synchronously from ``now``; no clock involved.
-
-    Each yielded command executes at ``now`` plus the latency already
-    accumulated, exactly as the pre-refactor inline code did.  Returns
-    ``(program result, total elapsed latency)``.
-    """
-    elapsed = 0.0
-    try:
-        command = program.send(None)
-        while True:
-            latency = command.run(now + elapsed)
-            elapsed += latency
-            command = program.send(latency)
-    except StopIteration as stop:
-        return stop.value, elapsed
 
 
 def run_on_clock(program: StorageProgram, clock) -> object:

@@ -37,7 +37,8 @@ from repro.storage import (
 )
 from repro.storage.buffer import BufferPool
 from repro.storage.page_layout import SlottedPage
-from repro.storage.program import run_program
+from repro.storage.clock import ScalarClock
+from repro.storage.program import run_on_clock
 from repro.storage.wal import apply_record, inverse_of
 from repro.telemetry import Telemetry
 from repro.testbed import emulator_device
@@ -225,12 +226,12 @@ def test_resident_fetch_matches_try_pin(entry):
     for index, lpn in enumerate(accesses):
         dirty = index % 5 == 0
         if reference.try_pin(lpn) is None:  # miss: the one miss path
-            run_program(reference.fetch_program(lpn), 0.0)
+            run_on_clock(reference.fetch_program(lpn), ScalarClock())
         reference.unpin(lpn, dirty)
         if entry == "fetch":
             frame, latency = pool.fetch(lpn, 0.0)
         else:
-            (frame, latency), __ = run_program(pool.fetch_program(lpn), 0.0)
+            frame, latency = run_on_clock(pool.fetch_program(lpn), ScalarClock())
         assert frame.pin_count == 1
         pool.unpin(lpn, dirty)
         assert vars(pool.stats) == vars(reference.stats)

@@ -1,9 +1,9 @@
-"""Engine-level iplint tests: suppressions, discovery, reporters, CLI.
+"""Engine-level iplint tests: discovery, reporters, CLI, waivers.
 
 Covers the framework itself (everything that is not a specific rule):
-inline suppression comments, module-name derivation, file discovery,
-the JSON reporter schema, the ``repro lint`` subcommand's exit codes,
-and the standing regression check that ``src/repro`` is clean.
+module-name derivation, file discovery, the JSON reporter schema, the
+``repro lint`` subcommand's exit codes, the path-exemption table, and
+the standing regression check that ``src/repro`` is clean.
 """
 
 import json
@@ -15,7 +15,6 @@ import repro
 from repro.cli import main
 from repro.lintkit import (
     Finding,
-    Suppressions,
     iter_python_files,
     json_report,
     module_name_for,
@@ -34,58 +33,6 @@ def stamp(page):
     page.data[0] = 0
     return time.time()
 """
-
-
-# ----------------------------------------------------------------------
-# Suppressions
-# ----------------------------------------------------------------------
-
-class TestSuppressions:
-    def test_line_level_suppression(self, tmp_path):
-        clean = BROKEN_SOURCE.replace(
-            "page.data[0] = 0",
-            "page.data[0] = 0  # iplint: disable=ispp-safety",
-        ).replace(
-            "return time.time()",
-            "return time.time()  # iplint: disable=determinism",
-        )
-        path = tmp_path / "mod.py"
-        path.write_text(clean)
-        assert run_lint([path]) == []
-
-    def test_line_suppression_is_local(self, tmp_path):
-        partial = BROKEN_SOURCE.replace(
-            "page.data[0] = 0",
-            "page.data[0] = 0  # iplint: disable=ispp-safety",
-        )
-        path = tmp_path / "mod.py"
-        path.write_text(partial)
-        findings = run_lint([path])
-        assert [f.rule for f in findings] == ["determinism"]
-
-    def test_file_level_suppression(self, tmp_path):
-        path = tmp_path / "mod.py"
-        path.write_text(
-            "# iplint: disable-file=ispp-safety, determinism\n" + BROKEN_SOURCE
-        )
-        assert run_lint([path]) == []
-
-    def test_disable_all(self, tmp_path):
-        path = tmp_path / "mod.py"
-        path.write_text("# iplint: disable-file=all\n" + BROKEN_SOURCE)
-        assert run_lint([path]) == []
-
-    def test_wrong_rule_id_does_not_suppress(self, tmp_path):
-        path = tmp_path / "mod.py"
-        path.write_text("# iplint: disable-file=telemetry-guard\n" + BROKEN_SOURCE)
-        assert len(run_lint([path])) == 2
-
-    def test_scan_parses_both_kinds(self):
-        sup = Suppressions.scan(
-            "x = 1  # iplint: disable=a,b\n# iplint: disable-file=c\n"
-        )
-        assert sup.by_line == {1: {"a", "b"}}
-        assert sup.file_wide == {"c"}
 
 
 # ----------------------------------------------------------------------
@@ -279,6 +226,17 @@ class TestPathExemptions:
         path = tmp_path / "mod.py"
         path.write_text(BROKEN_SOURCE)
         assert len(run_lint([path])) == 2
+
+    def test_inline_directive_comments_are_inert(self, tmp_path):
+        # The table is the only waiver: a comment silences nothing.
+        path = tmp_path / "mod.py"
+        path.write_text(
+            "# iplint: disable-file=all\n"
+            + BROKEN_SOURCE.replace(
+                "page.data[0] = 0", "page.data[0] = 0  # iplint: disable=ispp-safety"
+            )
+        )
+        assert [f.rule for f in run_lint([path])] == ["ispp-safety", "determinism"]
 
     def test_crash_harness_blanket_handlers_are_exempt(self):
         findings = run_lint([REPRO_SRC / "crashkit" / "harness.py"])

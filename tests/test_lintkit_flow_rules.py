@@ -1,4 +1,4 @@
-"""Fixture suites for the five flow-sensitive iplint rules.
+"""Fixture suites for the flow-sensitive iplint rules.
 
 Every rule gets at least one failing fixture (the seeded violation the
 acceptance criteria name) and one passing fixture (the compliant
@@ -6,7 +6,9 @@ variant the real tree uses), plus the edge cases that motivated going
 flow-sensitive in the first place — the v1 telemetry rule's line-span
 false negative, the hoisted ``sorted(...)`` assignment, the GC loop
 whose stats bump sits *outside* the crash window only once you respect
-stoppers.
+stoppers.  ``TestTransitiveLayering`` holds the call-chain half of
+``device-layering``, including chains that pass through a package
+``__init__``'s relative re-export.
 """
 
 import ast
@@ -15,27 +17,27 @@ from pathlib import Path
 
 import pytest
 
-from repro.lintkit import RULE_CLASSES, LintModule, Suppressions, lint_module, run_lint
+from repro.lintkit import LintModule, default_rules, lint_module, run_lint
 from repro.lintkit.flow import FlowContext
-from repro.lintkit.flow.rules import (
+from repro.lintkit.rules import (
     CrashWindowRule,
-    TelemetryGuardRule,
+    DeviceLayeringRule,
     LockOrderingRule,
-    TransitiveLayeringRule,
+    TelemetryGuardRule,
     YieldDisciplineRule,
 )
-from repro.lintkit.flow.rules.telemetry_guard import implies_active
+from repro.lintkit.rules.telemetry_guard import implies_active
+
+#: Modules the project fixtures below load as package ``__init__`` files.
+PACKAGES = {"repro.ftl"}
 
 
 def make_module(source, module="repro.storage.fixture"):
     """A LintModule from inline source, like the syntactic-rule tests."""
-    text = textwrap.dedent(source)
+    stem = module.replace(".", "/")
+    path = f"{stem}/__init__.py" if module in PACKAGES else f"{stem}.py"
     return LintModule(
-        path=Path(f"{module.replace('.', '/')}.py"),
-        module=module,
-        source=text,
-        tree=ast.parse(text),
-        suppressions=Suppressions.scan(text),
+        path=Path(path), module=module, tree=ast.parse(textwrap.dedent(source))
     )
 
 
@@ -48,7 +50,9 @@ def lint_project(sources, rule, target):
     """Findings of one rule over a dict of ``module -> source``,
     checked against the named target module, with a shared context."""
     modules = [make_module(src, name) for name, src in sources.items()]
-    rule.bind(FlowContext(modules))
+    context = FlowContext(modules)
+    for module in modules:
+        module.context = context
     (target_module,) = [m for m in modules if m.module == target]
     return lint_module(target_module, [rule])
 
@@ -400,14 +404,6 @@ class TestTelemetryGuardV2:
         (finding,) = self.rule_findings(source)
         assert "lambda" in finding.message
 
-    def test_bus_module_exempt(self):
-        source = """
-            def publish(self, event):
-                self.sinks.emit(event)
-        """
-        findings = self.rule_findings(source, module="repro.telemetry.events")
-        assert findings == []
-
     def test_implies_active_evaluator(self):
         def test_of(expr):
             return ast.parse(expr, mode="eval").body
@@ -442,9 +438,9 @@ class TestTransitiveLayering:
             """,
         }
         (finding,) = lint_project(
-            sources, TransitiveLayeringRule(), "repro.storage.user"
+            sources, DeviceLayeringRule(), "repro.storage.user"
         )
-        assert finding.rule == "transitive-layering"
+        assert finding.rule == "device-layering"
         assert "open_store -> make_backend" in finding.message
         assert "repro.ftl.noftl" in finding.message
 
@@ -459,7 +455,7 @@ class TestTransitiveLayering:
             """,
         }
         findings = lint_project(
-            sources, TransitiveLayeringRule(), "repro.hostq.loadtest"
+            sources, DeviceLayeringRule(), "repro.hostq.loadtest"
         )
         assert findings == []
 
@@ -471,7 +467,7 @@ class TestTransitiveLayering:
             """,
         }
         findings = lint_project(
-            sources, TransitiveLayeringRule(), "repro.storage.engine2"
+            sources, DeviceLayeringRule(), "repro.storage.engine2"
         )
         assert findings == []
 
@@ -484,15 +480,50 @@ class TestTransitiveLayering:
                     return NoFTL(pages)
             """,
         }
+        # The import and the call are both flagged, each naming the module.
+        findings = lint_project(sources, DeviceLayeringRule(), "repro.hostq.cheat")
+        assert [f.line for f in findings] == [2, 5]
+        assert all("repro.ftl.noftl" in f.message for f in findings)
+        assert "build -> NoFTL" in findings[1].message
+
+    def test_reexport_through_package_init_followed(self):
+        # ``from .factory import make_backend`` inside ``repro/ftl/__init__``
+        # names ``repro.ftl.factory``: the package is the module itself.
+        sources = {
+            "repro.ftl": "from .factory import make_backend\n",
+            "repro.ftl.factory": self.FACTORY,
+            "repro.storage.user": """
+                from ..ftl import make_backend
+
+                def open_store(pages):
+                    return make_backend(pages)
+            """,
+        }
         (finding,) = lint_project(
-            sources, TransitiveLayeringRule(), "repro.hostq.cheat"
+            sources, DeviceLayeringRule(), "repro.storage.user"
         )
+        assert "open_store -> make_backend -> NoFTL" in finding.message
         assert "repro.ftl.noftl" in finding.message
+
+    def test_chain_from_outside_storage_and_hostq_flagged(self):
+        sources = {
+            "repro.ftl.factory": self.FACTORY,
+            "repro.workloads.x": """
+                from repro.ftl.factory import make_backend
+
+                def setup(pages):
+                    return make_backend(pages)
+            """,
+        }
+        (finding,) = lint_project(
+            sources, DeviceLayeringRule(), "repro.workloads.x"
+        )
+        assert "setup -> make_backend -> NoFTL" in finding.message
 
     def test_ftl_package_itself_out_of_scope(self):
         sources = {"repro.ftl.factory": self.FACTORY}
         findings = lint_project(
-            sources, TransitiveLayeringRule(), "repro.ftl.factory"
+            sources, DeviceLayeringRule(), "repro.ftl.factory"
         )
         assert findings == []
 
@@ -533,19 +564,9 @@ class TestFlowContextCaching:
         findings = run_lint([tmp_path], root=tmp_path)
         assert any(f.rule == "lock-ordering" for f in findings)
         # An explicit rule list is still honoured as given.
-        syntactic = [cls() for cls in RULE_CLASSES]
-        without_flow = run_lint([tmp_path], rules=syntactic, root=tmp_path)
-        assert all(f.rule != "lock-ordering" for f in without_flow)
-
-
-class TestSuppressionsAndExemptions:
-    def test_inline_suppression_silences_flow_finding(self):
-        source = """
-            def evict_program(self, cmd):
-                yield cmd
-                self.stats.evictions += 1  # iplint: disable=yield-discipline
-        """
-        assert lint_snippet(source, YieldDisciplineRule()) == []
+        others = [rule for rule in default_rules() if rule.id != "lock-ordering"]
+        without = run_lint([tmp_path], rules=others, root=tmp_path)
+        assert all(f.rule != "lock-ordering" for f in without)
 
 
 if __name__ == "__main__":  # pragma: no cover

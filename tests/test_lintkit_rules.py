@@ -3,7 +3,9 @@
 Every rule is exercised against a minimal source snippet that violates
 the invariant it guards and a sibling snippet that honours it, plus the
 rule-specific edge cases (package exemptions, guard recognition,
-re-raise handling, relative-import resolution).
+re-raise handling, relative-import resolution).  Module waivers are
+entries of ``PATH_EXEMPTIONS``; ``lint_module`` applies them, so the
+waiver cases below go through the same table the CLI uses.
 """
 
 import ast
@@ -12,33 +14,33 @@ from pathlib import Path
 
 import pytest
 
-from repro.lintkit import FLOW_RULE_CLASSES, LintModule, Suppressions, lint_module
-from repro.lintkit.flow.rules import CrashWindowRule, TelemetryGuardRule
+from repro.lintkit import LintModule, lint_module
 from repro.lintkit.rules import (
-    RULE_CLASSES,
+    RULES,
     ClockDisciplineRule,
     CounterNamingRule,
+    CrashWindowRule,
     DeterminismRule,
     DeviceLayeringRule,
     ExceptionDisciplineRule,
     IsppSafetyRule,
+    TelemetryGuardRule,
     default_rules,
     rule_by_id,
 )
 
+RULE_IDS = {
+    "ispp-safety", "device-layering", "determinism", "counter-naming",
+    "exception-discipline", "clock-discipline", "yield-discipline",
+    "lock-ordering", "crash-window", "telemetry-guard",
+}
+
 
 def lint_snippet(source, rule, module="repro.storage.fixture"):
     """Run one rule over a dedented source snippet."""
-    source = textwrap.dedent(source)
+    tree = ast.parse(textwrap.dedent(source))
     return lint_module(
-        LintModule(
-            path=Path("fixture.py"),
-            module=module,
-            source=source,
-            tree=ast.parse(source),
-            suppressions=Suppressions.scan(source),
-        ),
-        [rule],
+        LintModule(path=Path("fixture.py"), module=module, tree=tree), [rule]
     )
 
 
@@ -134,7 +136,7 @@ class TestDeviceLayering:
         findings = lint_snippet(
             "from ..ftl.noftl import single_region_device\n",
             DeviceLayeringRule(),
-            module="repro.ipl.ipa_replay",
+            module="repro.ipl.fixture",
         )
         assert len(findings) == 1
         assert "repro.ftl.noftl" in findings[0].message
@@ -153,10 +155,15 @@ class TestDeviceLayering:
         assert len(findings) == 1
 
     @pytest.mark.parametrize(
-        "module", ["repro.ftl.blockdev", "repro.testbed", "repro"]
+        "module", ["repro.ftl.blockdev", "repro.testbed", "repro.ipl.ipa_replay"]
     )
     def test_allowed_packages_exempt(self, module):
         assert lint_snippet(LAYERING_FAIL, DeviceLayeringRule(), module=module) == []
+
+    @pytest.mark.parametrize("module", ["repro", "repro.lintkit.rules.layering"])
+    def test_package_root_and_linter_are_checked(self, module):
+        findings = lint_snippet(LAYERING_FAIL, DeviceLayeringRule(), module=module)
+        assert [f.rule for f in findings] == ["device-layering"]
 
 
 # ----------------------------------------------------------------------
@@ -272,11 +279,11 @@ class TestTelemetryGuard:
         )
         assert len(findings) == 1
 
-    def test_event_bus_module_exempt(self):
+    def test_event_bus_module_is_checked(self):
         findings = lint_snippet(
             GUARD_FAIL, TelemetryGuardRule(), module="repro.telemetry.events"
         )
-        assert findings == []
+        assert len(findings) == 1
 
 
 # ----------------------------------------------------------------------
@@ -451,33 +458,36 @@ class TestClockDiscipline:
     def test_advance_and_wiring_clean(self):
         assert lint_snippet(CLOCK_PASS, ClockDisciplineRule()) == []
 
-    def test_clock_module_itself_exempt(self):
+    def test_clock_module_itself_is_checked(self):
         findings = lint_snippet(
             CLOCK_AUG_FAIL, ClockDisciplineRule(), module="repro.storage.clock"
         )
-        assert findings == []
+        assert len(findings) == 1
 
 
 class TestRegistry:
     def test_every_rule_has_unique_id_and_description(self):
-        ids = [cls.id for cls in RULE_CLASSES]
-        assert len(set(ids)) == len(ids) == 6
-        assert all(cls.description for cls in RULE_CLASSES)
+        ids = [cls.id for cls in RULES]
+        assert len(set(ids)) == len(ids) == 10
+        assert all(cls.description for cls in RULES)
 
     def test_default_rules_instantiates_all_syntactic(self):
-        assert {type(rule) for rule in default_rules()} >= set(RULE_CLASSES)
+        assert {rule.id for rule in default_rules()} == RULE_IDS
 
     def test_one_class_per_rule_id(self):
-        classes = RULE_CLASSES + FLOW_RULE_CLASSES
-        assert [type(rule) for rule in default_rules()] == list(classes)
-        ids = [cls.id for cls in classes]
-        assert len(ids) == len(set(ids)) == 11
+        assert [type(rule) for rule in default_rules()] == list(RULES)
+        ids = [cls.id for cls in RULES]
+        assert len(ids) == len(set(ids)) == 10
 
     def test_rule_by_id(self):
         assert isinstance(rule_by_id("ispp-safety"), IsppSafetyRule)
         assert rule_by_id("telemetry-guard").__class__ is TelemetryGuardRule
         with pytest.raises(KeyError):
             rule_by_id("no-such-rule")
+        # One rule per invariant: the call-chain layering check is part
+        # of device-layering, not a second id.
+        with pytest.raises(KeyError):
+            rule_by_id("transitive-layering")
 
     def test_rule_by_id_finds_flow_rules(self):
         assert isinstance(rule_by_id("crash-window"), CrashWindowRule)
@@ -497,14 +507,11 @@ class TestRegistry:
                     pass
                 return time.time()
         """
-        source = textwrap.dedent(source)
         findings = lint_module(
             LintModule(
                 path=Path("fixture.py"),
                 module="repro.storage.fixture",
-                source=source,
-                tree=ast.parse(source),
-                suppressions=Suppressions.scan(source),
+                tree=ast.parse(textwrap.dedent(source)),
             ),
             default_rules(),
         )

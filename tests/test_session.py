@@ -47,10 +47,10 @@ def test_session_engine_kwargs_pass_through():
     session = open_session(SessionConfig(
         logical_pages=64, scheme=NxMScheme(2, 4),
         buffer_pages=16, eviction="non-eager",
-        engine=dict(log_capacity_bytes=12345, group_commit=4),
+        engine=dict(log_capacity_bytes=12345, page_checksum=True),
     ))
     assert session.engine.config.log_capacity_bytes == 12345
-    assert session.engine.config.group_commit == 4
+    assert session.engine.config.page_checksum is True
     assert session.engine.pool.capacity == 16
     assert session.engine.config.scheme == NxMScheme(2, 4)
 

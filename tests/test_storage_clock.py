@@ -2,8 +2,8 @@
 
 The refactor contract: the same engine code charges time through a
 :class:`~repro.storage.clock.Clock`, and the same generator-shaped
-operations run synchronously (:func:`run_program` /
-:func:`run_on_clock`) or one command at a time under a scheduler.
+operations run synchronously (:func:`run_on_clock`) or one command at a
+time under a scheduler.
 """
 
 import pytest
@@ -15,8 +15,8 @@ from repro.storage import (
     OpKind,
     ScalarClock,
     run_on_clock,
-    run_program,
 )
+from repro.storage.buffer import BufferPool
 from repro.storage.page_layout import SlottedPage
 from repro.testbed import build_engine, emulator_device
 
@@ -75,13 +75,25 @@ def _two_command_program(log):
 
 
 class TestProgramDrivers:
-    def test_run_program_accumulates_offsets(self):
+    def test_pool_fetch_runs_commands_back_to_back(self):
+        # A miss on a full pool yields the victim's write-back, then the
+        # read; both run from the caller's ``now``, one after the other.
         log = []
-        result, elapsed = run_program(_two_command_program(log), 100.0)
-        # Commands run back to back from the start time.
-        assert log == [("r", 100.0), ("w", 110.0)]
-        assert result == 30.0
-        assert elapsed == 30.0
+
+        def loader(lpn, at):
+            log.append(("r", lpn, at))
+            return SlottedPage.format(lpn, 512, 0), 0, 10.0
+
+        def flusher(frame, at):
+            log.append(("w", frame.lpn, at))
+            return "oop", 20.0
+
+        pool = BufferPool(1, loader, flusher)
+        pool.fetch(3, 0.0)
+        pool.unpin(3, dirty=True)
+        frame, latency = pool.fetch(4, 100.0)
+        assert log == [("r", 3, 0.0), ("w", 3, 100.0), ("r", 4, 120.0)]
+        assert (frame.lpn, latency) == (4, 30.0)
 
     def test_run_on_clock_charges_the_clock(self):
         log = []

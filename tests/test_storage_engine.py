@@ -1,5 +1,7 @@
 """Integration tests: engine + tables + transactions + IPA + recovery."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import NxMScheme, SCHEME_OFF
@@ -12,6 +14,7 @@ from repro.storage import (
     EngineConfig,
     Int32,
     Int64,
+    LogManager,
     Schema,
     StorageEngine,
     VarChar,
@@ -347,7 +350,24 @@ class TestRecovery:
         assert table.read(table.lookup(1))[1] == 42
 
 
+def test_engine_config_fields():
+    # Every tunable the engine honours, and no other: a field nothing
+    # reads fails here.
+    assert [f.name for f in dataclasses.fields(EngineConfig)] == [
+        "buffer_pages", "scheme", "eviction", "log_capacity_bytes",
+        "retain_log", "ecc", "page_checksum",
+    ]
+
+
 class TestGroupCommitEngine:
+    """The engine's commit and checkpoint paths over an amortizing log.
+
+    ``EngineConfig`` has no group-commit knob (the transaction executor
+    groups commits in its ``GroupCommitGate``); these tests install a
+    ``LogManager(group_commit=N)`` directly to pin how the synchronous
+    commit/checkpoint code treats one.
+    """
+
     def _run(self, group_commit, txns=30):
         geometry = FlashGeometry(
             chips=2, blocks_per_chip=32, pages_per_block=16,
@@ -356,8 +376,10 @@ class TestGroupCommitEngine:
         device = single_region_device(
             FlashMemory(geometry), logical_pages=128, ipa_mode=IPAMode.NATIVE
         )
-        engine = StorageEngine(
-            device, EngineConfig(buffer_pages=16, group_commit=group_commit)
+        engine = StorageEngine(device, EngineConfig(buffer_pages=16))
+        engine.log = LogManager(
+            capacity_bytes=engine.config.log_capacity_bytes,
+            group_commit=group_commit,
         )
         table = populated(engine, rows=20)
         for k in range(txns):
