@@ -80,12 +80,12 @@ def _drive_blockssd(use_delta):
                    ipa_mode=IPAMode.ODD_MLC)
     offsets = {lpn: 0 for lpn in range(PAGES)}
     for lpn in range(PAGES):
-        ssd.write_block(lpn, _image(0))
+        ssd.write(lpn, _image(0))
     clock = 0.0
     latency = 0.0
     for lpn, round_number, payload in _stream():
         if not use_delta or offsets[lpn] >= TAIL:
-            io = ssd.write_block(lpn, _image(round_number), now=clock)
+            io = ssd.write(lpn, _image(round_number), now=clock)
             offsets[lpn] = 0
         else:
             io = ssd.write_delta(lpn, PAGE_SIZE - TAIL + offsets[lpn],

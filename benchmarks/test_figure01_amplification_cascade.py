@@ -17,13 +17,15 @@ import pytest
 from _shared import publish
 from repro.analysis import format_table
 from repro.core import NxMScheme
-from repro.storage import Char, Column, EngineConfig, Int32, Int64, Schema, StorageEngine
-from repro.testbed import emulator_device
+from repro.session import SessionConfig, open_session
+from repro.storage import Char, Column, Int32, Int64, Schema
 
 
 def _one_update(scheme):
-    device = emulator_device(logical_pages=64, chips=2)
-    engine = StorageEngine(device, EngineConfig(buffer_pages=32, scheme=scheme))
+    session = open_session(SessionConfig(
+        logical_pages=64, chips=2, scheme=scheme, buffer_pages=32,
+    ))
+    device, engine = session.device, session.engine
     schema = Schema([
         Column("id", Int32()), Column("balance", Int64()), Column("pad", Char(80)),
     ])

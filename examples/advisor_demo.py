@@ -13,7 +13,8 @@ Run:  python examples/advisor_demo.py
 from repro.analysis import UpdateSizeCollector
 from repro.core import IPAAdvisor, SCHEME_OFF
 from repro.flash import CellType
-from repro.testbed import build_engine, emulator_device, load_scaled
+from repro.session import SessionConfig, open_session
+from repro.testbed import load_scaled
 from repro.workloads import TPCB, TPCBConfig
 
 import sys
@@ -22,9 +23,10 @@ TXNS = int(sys.argv[1]) if len(sys.argv) > 1 else 4000
 
 
 def profile_run(scheme):
-    device = emulator_device(logical_pages=900)
-    engine = build_engine(device, scheme=scheme, buffer_pages=900,
-                          log_capacity_bytes=1_500_000)
+    engine = open_session(SessionConfig(
+        logical_pages=900, scheme=scheme, buffer_pages=900,
+        engine=dict(log_capacity_bytes=1_500_000),
+    )).engine
     collector = UpdateSizeCollector()
     engine.add_flush_observer(collector)
     workload = TPCB(TPCBConfig(accounts_per_branch=20_000))

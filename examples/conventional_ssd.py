@@ -72,12 +72,12 @@ def drive_blockssd():
     rng = random.Random(1)
     offsets = {lpn: 0 for lpn in range(PAGES)}
     for lpn in range(PAGES):
-        ssd.write_block(lpn, page_image(0x10))
+        ssd.write(lpn, page_image(0x10))
     for round_number in range(ROUNDS):
         for lpn in range(PAGES):
             payload = bytes([rng.randrange(200)])
             if offsets[lpn] + 1 > TAIL:
-                ssd.write_block(lpn, page_image(round_number))
+                ssd.write(lpn, page_image(round_number))
                 offsets[lpn] = 0
                 continue
             ssd.write_delta(lpn, 2048 - TAIL + offsets[lpn], payload)

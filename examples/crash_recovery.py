@@ -16,18 +16,15 @@ Run:  python examples/crash_recovery.py
 """
 
 from repro.core import NxMScheme
-from repro.storage import (
-    Char, Column, EngineConfig, Int32, Int64, Schema, StorageEngine, recover,
-)
-from repro.testbed import emulator_device
+from repro.storage import Char, Column, Int32, Int64, Schema, recover
+from repro.session import SessionConfig, open_session
 
 
 def main():
-    device = emulator_device(logical_pages=128, chips=4)
-    engine = StorageEngine(
-        device,
-        EngineConfig(buffer_pages=32, scheme=NxMScheme(2, 4), retain_log=True),
-    )
+    engine = open_session(SessionConfig(
+        logical_pages=128, chips=4, scheme=NxMScheme(2, 4), buffer_pages=32,
+        engine=dict(retain_log=True),
+    )).engine
     schema = Schema([
         Column("id", Int32()), Column("balance", Int64()), Column("memo", Char(40)),
     ])

@@ -28,7 +28,8 @@ from repro.telemetry.export import (
     prometheus_text,
     read_jsonl_trace,
 )
-from repro.testbed import build_engine, emulator_device, load_scaled
+from repro.session import SessionConfig, open_session
+from repro.testbed import load_scaled
 from repro.workloads import TPCB, TPCBConfig
 
 TXNS = int(sys.argv[1]) if len(sys.argv) > 1 else 2000
@@ -36,9 +37,10 @@ TXNS = int(sys.argv[1]) if len(sys.argv) > 1 else 2000
 
 def main():
     telemetry = Telemetry()
-    device = emulator_device(logical_pages=900)
-    engine = build_engine(device, scheme=NxMScheme(2, 4), buffer_pages=900,
-                          telemetry=telemetry)
+    engine = open_session(SessionConfig(
+        logical_pages=900, scheme=NxMScheme(2, 4), buffer_pages=900,
+        telemetry=telemetry,
+    )).engine
     workload = TPCB(TPCBConfig(accounts_per_branch=20_000))
     driver = load_scaled(engine, workload, buffer_fraction=0.25)
     telemetry.metrics.reset()  # drop the load phase's samples

@@ -13,16 +13,16 @@ Run:  python examples/tpcc_demo.py  [txns]
 import sys
 
 from repro.core import NxMScheme, SCHEME_OFF
-from repro.testbed import build_engine, emulator_device, load_scaled
+from repro.session import SessionConfig, open_session
+from repro.testbed import load_scaled
 from repro.workloads import TPCC, TPCCConfig
 
 
 def run(scheme, transactions):
-    device = emulator_device(logical_pages=1600)
-    engine = build_engine(
-        device, scheme=scheme, buffer_pages=1600,
-        log_capacity_bytes=4_000_000,
-    )
+    engine = open_session(SessionConfig(
+        logical_pages=1600, scheme=scheme, buffer_pages=1600,
+        engine=dict(log_capacity_bytes=4_000_000),
+    )).engine
     workload = TPCC(TPCCConfig(customers_per_district=150, items=1000))
     driver = load_scaled(engine, workload, buffer_fraction=0.20)
     result = driver.run(transactions)

@@ -17,13 +17,13 @@ to In-Place Appends: Revisiting Out-of-Place Updates on Flash"
 * :mod:`repro.workloads` — TPC-B, TPC-C, TATP and LinkBench generators;
 * :mod:`repro.analysis` — update-size CDFs, amplification formulas,
   report rendering;
-* :mod:`repro.testbed` — factories for the paper's two platforms (the
-  16-chip flash emulator and the OpenSSD Jasmine board) and the other
-  backends, plus ``build_engine`` over a device you built;
-* :mod:`repro.session` — the unified construction API: one typed
-  :class:`~repro.session.SessionConfig`;
-  :func:`~repro.session.open_device` picks a backend by name and
-  :func:`~repro.session.open_session` builds the whole stack.
+* :mod:`repro.session` — the one construction API: a typed
+  :class:`~repro.session.SessionConfig` names the backend, the
+  platform (the 16-chip flash emulator or the OpenSSD Jasmine board)
+  and the flash geometry; :func:`~repro.session.open_device` builds
+  the backend and :func:`~repro.session.open_session` the whole stack;
+* :mod:`repro.testbed` — ``load_scaled``, the paper's buffer-fraction
+  measurement protocol.
 
 The simulated counts of the hot paths are pinned by the test suite
 (``tests/test_sim_counts.py``); wall-clock measurement lives in

@@ -2,7 +2,6 @@
 formulas, and plain-text table/figure rendering."""
 
 from .amplification import (
-    DeviceAmplification,
     db_write_amplification,
     gross_written_bytes,
     lifetime_host_writes,
@@ -22,7 +21,6 @@ from .cdf import (
 from .report import ascii_cdf, format_percent, format_table
 
 __all__ = [
-    "DeviceAmplification",
     "db_write_amplification",
     "gross_written_bytes",
     "lifetime_host_writes",

@@ -15,8 +15,6 @@ Three amplification notions appear in the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..ftl.stats import DeviceStats
 
 
@@ -50,23 +48,6 @@ def wa_reduction_factor(
     if wa_ipa <= 0:
         return 0.0
     return wa_base / wa_ipa
-
-
-@dataclass(frozen=True)
-class DeviceAmplification:
-    """On-device overhead of one run (the Tables 6-10 derived rows)."""
-
-    migrations_per_host_write: float
-    erases_per_host_write: float
-    ipa_fraction: float
-
-    @classmethod
-    def of(cls, stats: DeviceStats) -> "DeviceAmplification":
-        return cls(
-            migrations_per_host_write=stats.migrations_per_host_write,
-            erases_per_host_write=stats.erases_per_host_write,
-            ipa_fraction=stats.ipa_fraction,
-        )
 
 
 def relative_change(baseline: float, value: float) -> float:

@@ -4,7 +4,7 @@ Usage (also via ``python -m repro``)::
 
     python -m repro run --workload tpcb --scheme 2x4 --buffer 0.2
     python -m repro compare --workload tpcc --scheme 2x3 --buffer 0.5
-    python -m repro advise --workload tpcb --goal longevity
+    python -m repro advise --workload tpcb --space-budget 0.1
     python -m repro trace-record --workload tatp --out tatp.trace
     python -m repro trace-replay tatp.trace --scheme 2x4
     python -m repro trace --workload tpcb --out run.jsonl
@@ -50,8 +50,8 @@ from .telemetry.export import (
     prometheus_text,
     read_jsonl_trace,
 )
-from .session import SessionConfig, backend_label, open_session
-from .testbed import BACKENDS, load_scaled
+from .session import BACKENDS, SessionConfig, backend_label, open_session
+from .testbed import load_scaled
 from .workloads import (
     LinkBench,
     TATP,
@@ -177,6 +177,9 @@ def cmd_advise(args) -> int:
 
 def cmd_trace_record(args) -> int:
     """``repro trace-record``: run a workload, save its I/O trace."""
+    # Create the output first: fail before the (slow) load phase.
+    with open(args.out, "w", encoding="ascii"):
+        pass
     engine, driver, __, recorder = _build(args, args.scheme, record_trace=True)
     driver.run(args.txns)
     count = save_trace(recorder.events, args.out)
@@ -462,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("advise", help="profile a workload, recommend schemes")
     common(p)
-    p.add_argument("--goal", default="balanced")
     p.add_argument("--space-budget", type=float, default=0.05)
     p.set_defaults(func=cmd_advise)
 
@@ -567,7 +569,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ReproError as error:
+    except (ReproError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
 

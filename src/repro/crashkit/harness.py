@@ -13,7 +13,9 @@ first, then stride), so one seeded invocation covers load, steady-state
 updates, GC migrations, delta appends and the final flush.  Every layer
 is exercised through the public :class:`~repro.ftl.device.FlashDevice`
 protocol, so the same harness drives NoFTL, the black-box BlockSSD and
-every shard of a ShardedDevice.
+every shard of a ShardedDevice; each case's stack comes from
+:func:`repro.session.open_session` with a small geometry (two chips per
+controller, eight pages per block).
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import random
 from dataclasses import dataclass, field
 
 from ..core.scheme import NxMScheme
-from ..errors import PowerFailureError, ReproError
-from ..storage.engine import EngineConfig, StorageEngine
+from ..errors import PowerFailureError
+from ..session import SessionConfig, open_session
 from ..storage.recovery import RecoveryReport, recover
 from ..storage.schema import Char, Column, Int32, Int64, Schema
 from ..storage.wal import LogKind
@@ -164,34 +166,18 @@ class CrashTestHarness:
     # ------------------------------------------------------------------
 
     def _build(self, scheduler: CrashScheduler):
-        from ..testbed import blockssd_device, emulator_device, sharded_device
-
-        if self.backend == "noftl":
-            device = emulator_device(
-                self.logical_pages, chips=2,
-                page_size=self.page_size, pages_per_block=8,
-            )
-        elif self.backend == "blockssd":
-            device = blockssd_device(
-                self.logical_pages, chips=2,
-                page_size=self.page_size, pages_per_block=8,
-            )
-        elif self.backend == "sharded":
-            device = sharded_device(
-                self.logical_pages, shards=self.shards, chips_per_shard=2,
-                page_size=self.page_size, pages_per_block=8,
-            )
-        else:
-            raise ReproError(f"unknown crash-test backend {self.backend!r}")
-        device.bind_crashkit(scheduler)
-        engine = StorageEngine(
-            device,
-            EngineConfig(
-                buffer_pages=self.buffer_pages,
-                scheme=self.scheme,
-                retain_log=True,
-            ),
-        )
+        engine = open_session(SessionConfig(
+            backend=self.backend,
+            shards=self.shards,
+            logical_pages=self.logical_pages,
+            chips=2,
+            page_size=self.page_size,
+            pages_per_block=8,
+            scheme=self.scheme,
+            buffer_pages=self.buffer_pages,
+            engine={"retain_log": True},
+        )).engine
+        engine.device.bind_crashkit(scheduler)
         engine.crashkit = scheduler
         table = engine.create_table(
             "crash",

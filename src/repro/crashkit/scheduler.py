@@ -34,7 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from ..errors import PowerFailureError
+from ..errors import PowerFailureError, ReproError
 from ..telemetry.metrics import MetricsRegistry
 
 
@@ -65,6 +65,12 @@ class CrashPoint:
     probability: float = 0.0
     sites: tuple[str, ...] = ()
     fraction: float = 0.5
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.fraction <= 1.0:
+            raise ReproError(
+                f"torn-pulse fraction must be in [0, 1], got {self.fraction}"
+            )
 
     def matches(self, site: str) -> bool:
         """Whether this point listens to a (possibly shard-scoped) site."""

@@ -135,11 +135,6 @@ class BlockSSD:
     def cell_type(self) -> CellType:
         return self._ftl.cell_type
 
-    #: Block-device vocabulary aliases of the same two numbers.
-    @property
-    def block_size(self) -> int:
-        return self._ftl.page_size
-
     def region_of(self, lpn: int) -> HostRegionView:
         """The (single) host-visible region hosting a logical page."""
         self._check_lba(lpn)
@@ -171,10 +166,6 @@ class BlockSSD:
         self._check_lba(lpn)
         self.stats.writes += 1
         return self._ftl.write(lpn, data, now)
-
-    # The original block-device spellings remain as aliases.
-    read_block = read
-    write_block = write
 
     def can_write_delta(self, lpn: int, offset: int, length: int) -> bool:
         """Whether a delta would execute in place (device introspection).

@@ -5,8 +5,8 @@ device-independent — "delta-writes can be implemented on conventional
 SSD and on Native Flash".  :class:`FlashDevice` captures that host
 boundary as a structural protocol: everything above the device layer
 (:class:`~repro.core.manager.IPAManager`,
-:class:`~repro.storage.engine.StorageEngine`, the testbed factories and
-the CLI) programs against this surface and never against a concrete
+:class:`~repro.storage.engine.StorageEngine`, the workloads and the CLI)
+programs against this surface and never against a concrete
 controller class.
 
 Three backends conform:

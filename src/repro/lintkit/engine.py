@@ -50,10 +50,10 @@ __all__ = [
 PATH_EXEMPTIONS: dict[str, tuple[str, ...]] = {
     # The flash layer owns the cells: ISPP programming is its job.
     "ispp-safety": ("repro.flash",),
-    # Composition roots: the FTL defines the backends; testbed builds
-    # them, and the IPL replay builds its Table 2 device with
-    # IPL-matched geometry.
-    "device-layering": ("repro.ftl", "repro.ipl.ipa_replay", "repro.testbed"),
+    # Composition roots: the FTL defines the backends; the session
+    # builds them by name, and the IPL replay builds its Table 2 device
+    # with IPL-matched geometry.
+    "device-layering": ("repro.ftl", "repro.ipl.ipa_replay", "repro.session"),
     # The registry primitives take whatever name their caller chose.
     "counter-naming": ("repro.telemetry.metrics",),
     # The crash harness catches anything a crash-recovery cycle throws

@@ -20,16 +20,16 @@ controller.  Outside the modules that define or compose backends (the
   follows re-exports through package ``__init__`` modules) closes the
   gap: for every function or method of the module, any reachable
   definition in a concrete backend module (or an unresolved external
-  symbol living there) is a finding.  ``repro.testbed`` is the
+  symbol living there) is a finding.  ``repro.session`` is the
   composition root — edges into it are not expanded, so ``hostq``
-  calling ``open_device``, which picks one of the testbed factories
-  (and those legitimately build backends), stays clean.  The walk does
+  calling ``open_device`` (which legitimately builds backends) stays
+  clean.  The walk does
   not stop at ``repro.ftl``: a helper there that builds a backend is
   exactly the loophole this check exists for.
 
 A chain finding is anchored at the first call of the offending chain
 (the only line the checked module controls) and the message spells out
-the whole chain, so the fix — route through the testbed factory or a
+the whole chain, so the fix — route through ``open_device`` or a
 protocol — is obvious from the diagnostic alone.
 """
 
@@ -52,7 +52,7 @@ CONCRETE_MODULES = frozenset({
 })
 
 #: Composition roots the call-chain walk does not look through.
-SANCTIONED = ("repro.testbed",)
+SANCTIONED = ("repro.session",)
 
 
 def _short(key: str) -> str:
@@ -77,7 +77,7 @@ class DeviceLayeringRule(Rule):
     description = (
         "program against the FlashDevice protocol (repro.ftl.device): "
         "never import a concrete controller or reach one through a call "
-        "chain (testbed is the composition root)"
+        "chain (repro.session is the composition root)"
     )
 
     def check(self, module: LintModule) -> Iterable[Finding]:
@@ -109,7 +109,7 @@ class DeviceLayeringRule(Rule):
                         yield self.finding(
                             module, node,
                             f"imports concrete controller `{alias.name}`; "
-                            "only repro.ftl and repro.testbed may name backends",
+                            "only repro.ftl and repro.session may name backends",
                         )
 
     def _call_chains(self, module: LintModule) -> Iterator[Finding]:
@@ -136,5 +136,5 @@ class DeviceLayeringRule(Rule):
                     first.node,
                     f"call chain reaches concrete backend "
                     f"`{target_module}` ({_chain_text(chain)}); route "
-                    "through the testbed factory or a device protocol",
+                    "through repro.session.open_device or a device protocol",
                 )

@@ -2,10 +2,11 @@
 
 Every harness in the repo — the CLI commands, the benchmark tables,
 the load tests, the crash matrix — needs the same three objects wired
-together: a :class:`~repro.ftl.device.FlashDevice` (one of the testbed
-backends), a :class:`~repro.storage.engine.StorageEngine` on top of it,
-and optionally a :class:`~repro.telemetry.Telemetry` instrument spanning
-both.  This module does that from one typed configuration record:
+together: a :class:`~repro.ftl.device.FlashDevice` (one of the
+evaluation backends), a :class:`~repro.storage.engine.StorageEngine` on
+top of it, and optionally a :class:`~repro.telemetry.Telemetry`
+instrument spanning both.  This module does that from one typed
+configuration record:
 
     from repro import SessionConfig, open_session
 
@@ -15,40 +16,44 @@ both.  This module does that from one typed configuration record:
     session = open_session(backend="noftl", logical_pages=512)
 
 :class:`SessionConfig` captures *everything* that selects an
-experimental setup — backend, platform, shard count, [N x M] scheme,
-buffer sizing, eviction policy, telemetry, clock, seed — so a config
-value is a complete, comparable description of a run.
+experimental setup — backend, platform, shard count, flash geometry,
+[N x M] scheme, buffer sizing, eviction policy, telemetry, clock, seed —
+so a config value is a complete, comparable description of a run.
 
-Construction has one function per job: :func:`open_device` picks a
-backend by name, :func:`repro.testbed.build_engine` puts an engine over
-a device the caller built (the per-backend ``*_device`` factories), and
-:func:`open_session` does both.
+Construction has one function per job: :func:`open_device` builds the
+backend a config names, and :func:`open_session` puts an engine over it.
+Stacks no config describes (several regions, a hand-picked geometry)
+are built from the low-level constructors: ``single_region_device`` or
+``NoFTL.create``, ``BlockSSD``, ``ShardedDevice`` and
+``StorageEngine(device, EngineConfig(...))``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any
 
 from .core.scheme import NxMScheme, SCHEME_OFF
 from .errors import ReproError
 from .flash.constants import CellType
+from .flash.geometry import FlashGeometry
+from .flash.memory import FlashMemory
+from .ftl.blockdev import BlockSSD
 from .ftl.device import FlashDevice
+from .ftl.noftl import single_region_device
 from .ftl.region import IPAMode
-from .storage.engine import StorageEngine
-from .testbed import (
-    BACKENDS,
-    blockssd_device,
-    build_engine,
-    emulator_device,
-    openssd_device,
-    sharded_device,
-)
+from .ftl.sharded import ShardedDevice
+from .storage.engine import EngineConfig, StorageEngine
+from .testbed import MIN_BUFFER_PAGES
 
 __all__ = [
-    "PLATFORMS", "Session", "SessionConfig", "backend_label", "open_device",
-    "open_session",
+    "BACKENDS", "PLATFORMS", "Session", "SessionConfig", "backend_label",
+    "open_device", "open_session",
 ]
+
+#: Storage backends selectable by name (CLI ``--backend``).
+BACKENDS = ("noftl", "blockssd", "sharded")
 
 #: Evaluation platforms selectable by name (paper Section 8.1).
 PLATFORMS = ("emulator", "openssd")
@@ -58,24 +63,33 @@ PLATFORMS = ("emulator", "openssd")
 class SessionConfig:
     """A complete description of one experimental stack.
 
-    The device half selects a testbed backend and its geometry knobs;
-    the engine half sizes the buffer pool and picks the IPA scheme; the
-    instrumentation half carries the shared telemetry/clock handles.
-    ``engine`` holds any further :class:`~repro.storage.engine.EngineConfig`
-    keyword arguments (``log_capacity_bytes``, ``page_checksum``, ...)
-    verbatim.
+    The device half selects a backend, its platform and its flash
+    geometry; the engine half sizes the buffer pool and picks the IPA
+    scheme; the instrumentation half carries the shared telemetry/clock
+    handles.  ``engine`` holds any further
+    :class:`~repro.storage.engine.EngineConfig` keyword arguments
+    (``log_capacity_bytes``, ``page_checksum``, ...) verbatim.
     """
 
     # --- device ------------------------------------------------------
     backend: str = "noftl"
     logical_pages: int = 1000
+    #: ``emulator``: the Section 8.1 flash emulator (SLC, full chip
+    #: parallelism); ``openssd``: the Jasmine board (MLC, one host
+    #: command at a time, Appendix D).
     platform: str = "emulator"
     #: IPA mode of the openssd platform (ignored on the emulator).
     mode: IPAMode = IPAMode.ODD_MLC
     #: Controller count of the sharded backend (ignored otherwise).
     shards: int = 4
+    #: Chips per controller; ``None`` picks the platform's count: 16 on
+    #: the emulator, 8 on openssd, 4 per shard of the sharded backend.
+    chips: int | None = None
+    page_size: int = 4096
+    pages_per_block: int = 64
     overprovisioning: float = 0.10
-    #: Whether emulator-style regions accept in-place appends.
+    #: Whether NoFTL regions on the emulator accept in-place appends
+    #: (the black-box SSD always advertises its native mode).
     ipa_capable: bool = True
     # --- engine ------------------------------------------------------
     scheme: NxMScheme = SCHEME_OFF
@@ -96,7 +110,7 @@ class SessionConfig:
                      self.shards, self.scheme, self.seed))
 
     def validate(self) -> None:
-        """Reject configurations no factory can build (ReproError)."""
+        """Reject configurations no backend can be built from (ReproError)."""
         if self.backend not in BACKENDS:
             raise ReproError(
                 f"unknown backend {self.backend!r}; choose from {', '.join(BACKENDS)}"
@@ -109,8 +123,10 @@ class SessionConfig:
             raise ReproError("the sharded backend runs on the emulator platform only")
         if self.logical_pages < 1:
             raise ReproError("need at least one logical page")
-        if self.shards < 1:
-            raise ReproError(f"shards must be >= 1, got {self.shards}")
+        for name in ("shards", "chips", "page_size", "pages_per_block"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ReproError(f"{name} must be >= 1, got {value}")
         if self.eviction not in ("eager", "non-eager"):
             raise ReproError(
                 f"eviction must be 'eager' or 'non-eager', got {self.eviction!r}"
@@ -143,45 +159,74 @@ def backend_label(config: Any) -> str:
     return config.backend
 
 
+def _geometry_for(
+    config: SessionConfig, logical_pages: int, cell_type: CellType, pslc: bool
+) -> FlashGeometry:
+    """Smallest geometry hosting ``logical_pages`` plus OP and GC reserve."""
+    chips = config.chips
+    if chips is None:
+        if config.backend == "sharded":
+            chips = 4
+        else:
+            chips = 8 if config.platform == "openssd" else 16
+    per_block = config.pages_per_block
+    usable_per_block = math.ceil(per_block / 2) if pslc else per_block
+    physical_pages = math.ceil(logical_pages * (1.0 + config.overprovisioning))
+    blocks = math.ceil(physical_pages / usable_per_block) + 3 * chips
+    return FlashGeometry(
+        chips=chips,
+        blocks_per_chip=math.ceil(blocks / chips),
+        pages_per_block=per_block,
+        page_size=config.page_size,
+        oob_size=128,
+        cell_type=cell_type,
+    )
+
+
+def _controller(config: SessionConfig, logical_pages: int, telemetry: Any) -> FlashDevice:
+    """One NoFTL or black-box controller over freshly sized flash."""
+    openssd = config.platform == "openssd"
+    if openssd:
+        mode = config.mode
+    elif config.ipa_capable or config.backend == "blockssd":
+        mode = IPAMode.NATIVE
+    else:
+        mode = IPAMode.NONE
+    flash = FlashMemory(_geometry_for(
+        config, logical_pages, CellType.MLC if openssd else CellType.SLC,
+        pslc=mode is IPAMode.PSLC,
+    ))
+    if config.backend == "blockssd":
+        return BlockSSD(
+            flash, capacity_pages=logical_pages, ipa_mode=mode,
+            overprovisioning=config.overprovisioning, serialize_io=openssd,
+            telemetry=telemetry,
+        )
+    return single_region_device(
+        flash, logical_pages=logical_pages, ipa_mode=mode,
+        overprovisioning=config.overprovisioning, serialize_io=openssd,
+        telemetry=telemetry,
+    )
+
+
 def open_device(config: SessionConfig) -> FlashDevice:
     """Build just the storage backend a config describes.
 
     This is the single backend-by-name dispatch point: ``noftl``
     honours the platform choice (emulator or openssd), ``blockssd``
     mirrors the platform's flash technology behind a black-box
-    interface, ``sharded`` stripes over emulator-style shards.
+    interface, ``sharded`` stripes K emulator-style NoFTL controllers
+    over one logical space, rounding the page count up to a multiple of
+    K.
     """
     config.validate()
-    if config.backend == "noftl":
-        if config.platform == "openssd":
-            return openssd_device(
-                config.logical_pages, mode=config.mode,
-                overprovisioning=config.overprovisioning,
-                telemetry=config.telemetry,
-            )
-        return emulator_device(
-            config.logical_pages, ipa_capable=config.ipa_capable,
-            overprovisioning=config.overprovisioning,
+    if config.backend == "sharded":
+        per_shard = math.ceil(config.logical_pages / config.shards)
+        return ShardedDevice(
+            [_controller(config, per_shard, None) for _ in range(config.shards)],
             telemetry=config.telemetry,
         )
-    if config.backend == "blockssd":
-        if config.platform == "openssd":
-            return blockssd_device(
-                config.logical_pages, cell_type=CellType.MLC, mode=config.mode,
-                chips=8, overprovisioning=config.overprovisioning,
-                serialize_io=True, telemetry=config.telemetry,
-            )
-        return blockssd_device(
-            config.logical_pages, overprovisioning=config.overprovisioning,
-            telemetry=config.telemetry,
-        )
-    # validate() narrowed the backend; only "sharded" remains.
-    return sharded_device(
-        config.logical_pages, shards=config.shards,
-        ipa_capable=config.ipa_capable,
-        overprovisioning=config.overprovisioning,
-        telemetry=config.telemetry,
-    )
+    return _controller(config, config.logical_pages, config.telemetry)
 
 
 def open_session(config: SessionConfig | None = None, **overrides: Any) -> Session:
@@ -195,11 +240,17 @@ def open_session(config: SessionConfig | None = None, **overrides: Any) -> Sessi
         config = SessionConfig(**overrides)
     else:
         config = config.with_overrides(**overrides)
-    config.validate()
     device = open_device(config)
-    engine = build_engine(
-        device, scheme=config.scheme, buffer_pages=config.buffer_pages,
-        eviction=config.eviction, telemetry=config.telemetry,
-        clock=config.clock, **config.engine,
+    buffer_pages = config.buffer_pages
+    if buffer_pages is None:
+        buffer_pages = max(MIN_BUFFER_PAGES, device.logical_pages // 2)
+    engine = StorageEngine(
+        device,
+        EngineConfig(
+            buffer_pages=buffer_pages, scheme=config.scheme,
+            eviction=config.eviction, **config.engine,
+        ),
+        telemetry=config.telemetry,
+        clock=config.clock,
     )
     return Session(config=config, device=device, engine=engine)

@@ -25,11 +25,12 @@ two devices to one Telemetry would alias their counters.
 
 Typical use::
 
+    from repro import SessionConfig, open_session
     from repro.telemetry import Telemetry
     from repro.telemetry.export import JsonlTraceWriter, prometheus_text
 
     tele = Telemetry()
-    engine = build_engine(device, scheme=scheme, telemetry=tele)
+    session = open_session(SessionConfig(scheme=scheme, telemetry=tele))
     with JsonlTraceWriter("run.jsonl").attach(tele.events):
         driver.run(10_000)
     print(prometheus_text(tele.metrics))

@@ -41,7 +41,7 @@ from repro.storage.clock import ScalarClock
 from repro.storage.program import run_on_clock
 from repro.storage.wal import apply_record, inverse_of
 from repro.telemetry import Telemetry
-from repro.testbed import emulator_device
+from repro.session import SessionConfig, open_device
 
 PAGE_SIZE = 512
 OOB_SIZE = 64
@@ -310,7 +310,7 @@ _ROW_SCHEMA = Schema([
 
 
 def _row_engine(buffer_pages: int = 16) -> tuple[StorageEngine, object]:
-    device = emulator_device(logical_pages=128, chips=2, page_size=1024)
+    device = open_device(SessionConfig(logical_pages=128, chips=2, page_size=1024))
     engine = StorageEngine(
         device,
         EngineConfig(buffer_pages=buffer_pages, scheme=NxMScheme(2, 4), retain_log=True),

@@ -1,9 +1,12 @@
 """Tests for trace persistence and the command-line interface."""
 
 import argparse
+import ast
+from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main, parse_scheme
 from repro.core import NxMScheme, SCHEME_OFF
 from repro.errors import WorkloadError
@@ -182,5 +185,51 @@ class TestCLIErrors:
             main(["run", "--scheme", "wat"])
 
     def test_missing_trace_file_reports_error(self, capsys):
-        with pytest.raises((SystemExit, FileNotFoundError, OSError)):
-            main(["trace-replay", "/nonexistent/file.trace"])
+        assert main(["trace-replay", "/nonexistent/file.trace"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unwritable_trace_output_fails_before_the_load(self, monkeypatch, capsys):
+        def no_load(*args, **kwargs):
+            raise AssertionError("the workload was loaded before the output opened")
+
+        monkeypatch.setattr(cli, "_build", no_load)
+        assert main(["trace-record", "--out", "/no/such/dir/x.trace"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("fraction", ["-0.5", "0", "1.5"])
+    def test_buffer_fraction_outside_unit_interval_rejected(self, fraction, capsys):
+        assert main(["run", "--txns", "1", "--buffer", fraction]) == 1
+        assert "error: buffer fraction" in capsys.readouterr().err
+
+    def test_torn_fraction_outside_unit_interval_rejected(self, capsys):
+        assert main(["crashtest", "--txns", "2", "--cases", "1",
+                     "--fraction", "2.0"]) == 1
+        assert "error: torn-pulse fraction" in capsys.readouterr().err
+
+
+def _subcommand_parsers(parser):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            yield from action.choices.items()
+
+
+def test_every_cli_option_is_read():
+    """Each subcommand option's ``dest`` is read as ``args.<dest>``
+    somewhere outside ``build_parser``: a flag nothing reads is a knob
+    that silently does nothing."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    read = set()
+    for function in tree.body:
+        if isinstance(function, ast.FunctionDef) and function.name != "build_parser":
+            read |= {
+                node.attr for node in ast.walk(function)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "args"
+            }
+    unread = sorted(
+        f"{name} --{action.dest}"
+        for name, sub in _subcommand_parsers(build_parser())
+        for action in sub._actions
+        if action.dest != "help" and action.dest not in read
+    )
+    assert not unread, f"options parsed but never read: {unread}"

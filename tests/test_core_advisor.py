@@ -102,14 +102,16 @@ class TestPrediction:
 
     def test_prediction_close_to_engine_measurement(self):
         """End-to-end: advisor prediction vs a real engine run."""
-        from repro.testbed import build_engine, emulator_device, load_scaled
+        from repro.session import SessionConfig, open_session
+        from repro.testbed import load_scaled
         from repro.workloads import TPCB, TPCBConfig
         from repro.core import SCHEME_OFF
 
         def profiled_run(scheme):
-            device = emulator_device(logical_pages=400, chips=4)
-            engine = build_engine(device, scheme=scheme, buffer_pages=400,
-                                  log_capacity_bytes=600_000)
+            engine = open_session(SessionConfig(
+                logical_pages=400, chips=4, scheme=scheme, buffer_pages=400,
+                engine=dict(log_capacity_bytes=600_000),
+            )).engine
             collector = UpdateSizeCollector()
             engine.add_flush_observer(collector)
             workload = TPCB(TPCBConfig(accounts_per_branch=8000))

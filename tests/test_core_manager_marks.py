@@ -7,10 +7,9 @@ from repro.core.delta import decode_area, encode_record
 from repro.errors import IPAError
 from repro.flash import FlashGeometry, FlashMemory
 from repro.flash.ecc import CODE_SIZE, EccSegment, SegmentedEcc, compute_code
-from repro.ftl import IPAMode, single_region_device
+from repro.ftl import BlockSSD, IPAMode, single_region_device
 from repro.storage import SlottedPage
 from repro.storage.buffer import Frame
-from repro.testbed import blockssd_device
 
 
 def make_device(page_size=512, oob_size=64, ipa_mode=IPAMode.NATIVE):
@@ -128,9 +127,12 @@ class TestRmwAbsorptionSurvival:
         mark afterwards, so committed appends stay committed."""
         from repro.flash.constants import CellType
 
-        device = blockssd_device(
-            32, cell_type=CellType.MLC, mode=IPAMode.ODD_MLC,
-            chips=2, page_size=512, pages_per_block=8,
+        device = BlockSSD(
+            FlashMemory(FlashGeometry(
+                chips=2, blocks_per_chip=6, pages_per_block=8, page_size=512,
+                cell_type=CellType.MLC,
+            )),
+            capacity_pages=32, ipa_mode=IPAMode.ODD_MLC,
         )
         scheme = NxMScheme(2, 4)
         manager = IPAManager(device, scheme)

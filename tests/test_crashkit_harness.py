@@ -6,7 +6,7 @@ from repro.core import NxMScheme, SCHEME_OFF
 from repro.crashkit import CrashPoint, CrashScheduler, CrashTestHarness
 from repro.errors import PowerFailureError
 from repro.storage.recovery import RecoveryReport
-from repro.testbed import BACKENDS, blockssd_device
+from repro.session import BACKENDS
 
 
 def small_harness(backend, scheme=NxMScheme(2, 4), **kwargs):
@@ -111,12 +111,15 @@ class TestDetectorSensitivity:
 
 class TestBlockSSDRmwWindow:
     def test_crash_inside_silent_rmw(self):
-        from repro.flash.constants import CellType
-        from repro.ftl.region import IPAMode
+        from repro.flash import CellType, FlashGeometry, FlashMemory
+        from repro.ftl import BlockSSD, IPAMode
 
-        device = blockssd_device(
-            32, cell_type=CellType.MLC, mode=IPAMode.ODD_MLC,
-            chips=2, page_size=512, pages_per_block=8,
+        device = BlockSSD(
+            FlashMemory(FlashGeometry(
+                chips=2, blocks_per_chip=6, pages_per_block=8, page_size=512,
+                cell_type=CellType.MLC,
+            )),
+            capacity_pages=32, ipa_mode=IPAMode.ODD_MLC,
         )
         sched = CrashScheduler([CrashPoint(at_op=1, sites=("blockssd.rmw",))])
         device.bind_crashkit(sched)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.crashkit import CrashPoint, CrashScheduler
-from repro.errors import PowerFailureError, ProgramError
+from repro.errors import PowerFailureError, ProgramError, ReproError
 from repro.flash import FlashGeometry, FlashMemory, PhysicalAddress
 from repro.flash.page import FlashPage
 from repro.flash.timing import LatencyModel
@@ -39,6 +39,15 @@ class TestCrashPoint:
         point = CrashPoint(at_op=1, sites=("shard1/",))
         assert point.matches("shard1/flash.program")
         assert not point.matches("shard0/flash.program")
+
+    @pytest.mark.parametrize("fraction", [-0.1, 1.5, 2.0])
+    def test_torn_fraction_outside_unit_interval_rejected(self, fraction):
+        with pytest.raises(ReproError, match="fraction"):
+            CrashPoint(at_op=1, fraction=fraction)
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0])
+    def test_torn_fraction_bounds_accepted(self, fraction):
+        assert CrashPoint(at_op=1, fraction=fraction).fraction == fraction
 
 
 class TestCrashScheduler:

@@ -30,7 +30,7 @@ from repro.storage import (
     StorageEngine,
     recover,
 )
-from repro.testbed import emulator_device
+from repro.session import SessionConfig, open_device
 
 
 class EngineMachine(RuleBasedStateMachine):
@@ -38,7 +38,7 @@ class EngineMachine(RuleBasedStateMachine):
 
     @initialize()
     def setup(self):
-        device = emulator_device(logical_pages=256, chips=4, page_size=1024)
+        device = open_device(SessionConfig(logical_pages=256, chips=4, page_size=1024))
         self.engine = StorageEngine(
             device,
             EngineConfig(buffer_pages=24, scheme=NxMScheme(2, 6), retain_log=True),

@@ -18,7 +18,7 @@ import pytest
 
 from repro.flash.chip import FlashChip
 from repro.hostq import LoadTestConfig, run_loadtest
-from repro.testbed import BACKENDS
+from repro.session import BACKENDS
 
 
 @pytest.fixture

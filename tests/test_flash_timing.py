@@ -13,7 +13,7 @@ from repro.flash.constants import (
 from repro.flash.geometry import FlashGeometry
 from repro.flash.chip import FlashChip
 from repro.flash.timing import LatencyModel
-from repro.testbed import emulator_device
+from repro.session import SessionConfig, open_device
 
 
 class TestLatencyTables:
@@ -106,7 +106,7 @@ class TestChipPipeline:
 
 class TestDeviceSerialization:
     def test_same_chip_writes_queue_behind_each_other(self):
-        device = emulator_device(logical_pages=64, chips=1)
+        device = open_device(SessionConfig(logical_pages=64, chips=1))
         page = bytes(device.page_size)
         first = device.write(0, page)
         second = device.write(1, page)
@@ -116,14 +116,14 @@ class TestDeviceSerialization:
         )
 
     def test_later_start_time_sees_a_free_pipeline(self):
-        device = emulator_device(logical_pages=64, chips=1)
+        device = open_device(SessionConfig(logical_pages=64, chips=1))
         page = bytes(device.page_size)
         first = device.write(0, page)
         second = device.write(1, page, now=10 * first.latency_us)
         assert second.latency_us == pytest.approx(first.latency_us)
 
     def test_read_latency_matches_model(self):
-        device = emulator_device(logical_pages=64, chips=1)
+        device = open_device(SessionConfig(logical_pages=64, chips=1))
         page = bytes(device.page_size)
         write = device.write(0, page)
         read = device.read(0, now=write.latency_us)

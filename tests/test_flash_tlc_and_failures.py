@@ -110,10 +110,10 @@ class TestUncorrectable:
 
     def test_engine_load_raises_on_uncorrectable(self):
         """Too much corruption must fail loudly, never silently."""
-        from repro.testbed import emulator_device
+        from repro.session import SessionConfig, open_device
         from repro.core import IPAManager
 
-        device = emulator_device(logical_pages=32, chips=2, page_size=512)
+        device = open_device(SessionConfig(logical_pages=32, chips=2, page_size=512))
         manager = IPAManager(device, NxMScheme(2, 4), ecc_enabled=True)
         from repro.storage import SlottedPage
         from repro.storage.buffer import Frame

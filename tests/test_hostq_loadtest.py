@@ -16,7 +16,7 @@ from repro.hostq import (
     sweep_queue_depth,
 )
 from repro.telemetry.metrics import MetricsRegistry
-from repro.testbed import BACKENDS
+from repro.session import BACKENDS
 
 SMALL = dict(clients=4, queue_depth=4, requests=120, logical_pages=96)
 

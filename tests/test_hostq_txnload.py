@@ -14,7 +14,7 @@ from repro.hostq import TxnLoadTestConfig, run_txn_loadtest
 from repro.storage.buffer import BufferPool, Frame
 from repro.storage.page_layout import SlottedPage
 from repro.telemetry.metrics import MetricsRegistry
-from repro.testbed import emulator_device
+from repro.session import SessionConfig, open_device
 
 
 def small_config(**overrides):
@@ -102,7 +102,7 @@ class TestValidation:
 
 class TestBufferPoolGuards:
     def _pool(self, capacity):
-        device = emulator_device(16)
+        device = open_device(SessionConfig(logical_pages=16))
         for lpn in range(16):
             device.write(
                 lpn, bytes(SlottedPage.format(lpn, device.page_size).image), 0.0
@@ -142,7 +142,7 @@ class TestBufferPoolGuards:
 class TestPlanFlushAdvisory:
     def test_plan_matches_flush_for_delta_and_overflow(self):
         scheme = NxMScheme(2, 4)
-        device = emulator_device(8)
+        device = open_device(SessionConfig(logical_pages=8))
         manager = IPAManager(device, scheme)
         page = SlottedPage.format(0, device.page_size, scheme.area_size)
         device.write(0, bytes(page.image), 0.0)

@@ -9,15 +9,17 @@ from repro.analysis import lifetime_host_writes
 from repro.core import NxMScheme, SCHEME_OFF
 from repro.flash.constants import ENDURANCE_CYCLES, CellType
 from repro.storage import EngineConfig, StorageEngine, recover
-from repro.testbed import build_engine, emulator_device, load_scaled, openssd_device
+from repro.session import SessionConfig, open_device, open_session
+from repro.testbed import load_scaled
 from repro.workloads import Driver, TPCB, TPCBConfig, TPCC, TPCCConfig
 
 
 class TestTPCBConservation:
     def test_balances_conserve_through_ipa_and_gc(self):
-        device = emulator_device(logical_pages=400, chips=4)
-        engine = build_engine(device, scheme=NxMScheme(2, 4), buffer_pages=400,
-                              log_capacity_bytes=500_000)
+        engine = open_session(SessionConfig(
+            logical_pages=400, chips=4, scheme=NxMScheme(2, 4), buffer_pages=400,
+            engine=dict(log_capacity_bytes=500_000),
+        )).engine
         workload = TPCB(TPCBConfig(accounts_per_branch=4000))
         driver = load_scaled(engine, workload, buffer_fraction=0.15)
         driver.run(2500)
@@ -31,7 +33,7 @@ class TestTPCBConservation:
         assert accounts - 4000 * 10_000 == branches == tellers
 
     def test_crash_mid_workload_conserves(self):
-        device = emulator_device(logical_pages=400, chips=4)
+        device = open_device(SessionConfig(logical_pages=400, chips=4))
         engine = StorageEngine(device, EngineConfig(
             buffer_pages=80, scheme=NxMScheme(2, 4), retain_log=True,
             log_capacity_bytes=64 * 1024 * 1024,  # avoid mid-run truncation
@@ -50,8 +52,9 @@ class TestTPCBConservation:
 
 class TestTPCCConsistency:
     def test_orders_match_order_lines(self):
-        device = emulator_device(logical_pages=900, chips=4)
-        engine = build_engine(device, scheme=NxMScheme(2, 3), buffer_pages=900)
+        engine = open_session(SessionConfig(
+            logical_pages=900, chips=4, scheme=NxMScheme(2, 3), buffer_pages=900,
+        )).engine
         workload = TPCC(TPCCConfig(customers_per_district=80, items=600))
         driver = load_scaled(engine, workload, buffer_fraction=0.3)
         driver.run(800)
@@ -65,8 +68,9 @@ class TestTPCCConsistency:
                 assert line[0] == o_id and line[3] == number
 
     def test_district_next_o_id_matches_orders(self):
-        device = emulator_device(logical_pages=900, chips=4)
-        engine = build_engine(device, scheme=NxMScheme(2, 3), buffer_pages=900)
+        engine = open_session(SessionConfig(
+            logical_pages=900, chips=4, scheme=NxMScheme(2, 3), buffer_pages=900,
+        )).engine
         workload = TPCC(TPCCConfig(customers_per_district=80, items=600))
         driver = load_scaled(engine, workload, buffer_fraction=0.3)
         driver.run(600)
@@ -80,9 +84,10 @@ class TestTPCCConsistency:
 
 class TestECCAndChecksumsUnderWorkload:
     def test_full_protection_run(self):
-        device = emulator_device(logical_pages=400, chips=4)
-        engine = build_engine(device, scheme=NxMScheme(2, 4), buffer_pages=400,
-                              ecc=True, page_checksum=True)
+        engine = open_session(SessionConfig(
+            logical_pages=400, chips=4, scheme=NxMScheme(2, 4), buffer_pages=400,
+            engine=dict(ecc=True, page_checksum=True),
+        )).engine
         workload = TPCB(TPCBConfig(accounts_per_branch=2000))
         driver = load_scaled(engine, workload, buffer_fraction=0.2)
         driver.run(800)
@@ -97,9 +102,11 @@ class TestOpenSSDPlatformIntegration:
     def test_mlc_board_end_to_end(self):
         from repro.ftl.region import IPAMode
 
-        device = openssd_device(logical_pages=400, mode=IPAMode.ODD_MLC, chips=4)
-        engine = build_engine(device, scheme=NxMScheme(2, 4), buffer_pages=400,
-                              log_capacity_bytes=500_000)
+        engine = open_session(SessionConfig(
+            logical_pages=400, platform="openssd", mode=IPAMode.ODD_MLC, chips=4,
+            scheme=NxMScheme(2, 4), buffer_pages=400,
+            engine=dict(log_capacity_bytes=500_000),
+        )).engine
         workload = TPCB(TPCBConfig(accounts_per_branch=4000))
         driver = load_scaled(engine, workload, buffer_fraction=0.1)
         result = driver.run(1500)
@@ -115,9 +122,11 @@ class TestLongevityAccounting:
     def test_ipa_extends_device_lifetime(self):
         """The Section 8.4 longevity claim, end to end."""
         def erase_rate(scheme):
-            device = emulator_device(logical_pages=300, chips=4)
-            engine = build_engine(device, scheme=scheme, buffer_pages=300,
-                                  log_capacity_bytes=400_000)
+            session = open_session(SessionConfig(
+                logical_pages=300, chips=4, scheme=scheme, buffer_pages=300,
+                engine=dict(log_capacity_bytes=400_000),
+            ))
+            device, engine = session.device, session.engine
             workload = TPCB(TPCBConfig(accounts_per_branch=3000))
             driver = load_scaled(engine, workload, buffer_fraction=0.1)
             driver.run(2500)

@@ -444,11 +444,11 @@ class TestTransitiveLayering:
         assert "open_store -> make_backend" in finding.message
         assert "repro.ftl.noftl" in finding.message
 
-    def test_testbed_boundary_sanctioned(self):
+    def test_session_boundary_sanctioned(self):
         sources = {
-            "repro.testbed": self.FACTORY.replace("from .noftl", "from .ftl.noftl"),
+            "repro.session": self.FACTORY.replace("from .noftl", "from .ftl.noftl"),
             "repro.hostq.loadtest": """
-                from ..testbed import make_backend
+                from ..session import make_backend
 
                 def run(pages):
                     return make_backend(pages)

@@ -155,7 +155,7 @@ class TestDeviceLayering:
         assert len(findings) == 1
 
     @pytest.mark.parametrize(
-        "module", ["repro.ftl.blockdev", "repro.testbed", "repro.ipl.ipa_replay"]
+        "module", ["repro.ftl.blockdev", "repro.session", "repro.ipl.ipa_replay"]
     )
     def test_allowed_packages_exempt(self, module):
         assert lint_snippet(LAYERING_FAIL, DeviceLayeringRule(), module=module) == []

@@ -17,7 +17,8 @@ from repro.flash.constants import (
 from repro.errors import BufferError_, BufferPoolExhaustedError
 from repro.storage import SlottedPage
 from repro.storage.buffer import BufferPool
-from repro.testbed import build_engine, emulator_device, load_scaled
+from repro.session import SessionConfig, open_session
+from repro.testbed import load_scaled
 from repro.workloads import TPCB, TPCBConfig
 from repro.workloads.rand import uniform_except
 
@@ -82,8 +83,9 @@ class TestBufferResize:
 
 class TestEngineReporting:
     def test_stats_summary_shape(self):
-        device = emulator_device(logical_pages=200, chips=4)
-        engine = build_engine(device, scheme=NxMScheme(2, 4), buffer_pages=200)
+        engine = open_session(SessionConfig(
+            logical_pages=200, chips=4, scheme=NxMScheme(2, 4), buffer_pages=200,
+        )).engine
         driver = load_scaled(engine, TPCB(TPCBConfig(accounts_per_branch=1000)),
                              buffer_fraction=0.3)
         driver.run(200)
@@ -93,8 +95,9 @@ class TestEngineReporting:
         assert 0.0 <= summary["buffer"]["hit_ratio"] <= 1.0
 
     def test_mean_foreground_read(self):
-        device = emulator_device(logical_pages=200, chips=4)
-        engine = build_engine(device, buffer_pages=16)
+        engine = open_session(SessionConfig(
+            logical_pages=200, chips=4, buffer_pages=16,
+        )).engine
         driver = load_scaled(engine, TPCB(TPCBConfig(accounts_per_branch=2000)),
                              buffer_fraction=0.05)
         driver.run(300)

@@ -4,15 +4,17 @@ import pytest
 
 from repro.analysis import PerObjectCollector
 from repro.core import IPAAdvisor, SCHEME_OFF
-from repro.testbed import build_engine, emulator_device, load_scaled
+from repro.session import SessionConfig, open_session
+from repro.testbed import load_scaled
 from repro.workloads import TPCB, TPCBConfig
 
 
 @pytest.fixture(scope="module")
 def profiled():
-    device = emulator_device(logical_pages=400, chips=4)
-    engine = build_engine(device, scheme=SCHEME_OFF, buffer_pages=400,
-                          log_capacity_bytes=500_000)
+    engine = open_session(SessionConfig(
+        logical_pages=400, chips=4, scheme=SCHEME_OFF, buffer_pages=400,
+        engine=dict(log_capacity_bytes=500_000),
+    )).engine
     collector = PerObjectCollector(engine)
     engine.add_flush_observer(collector)
     workload = TPCB(TPCBConfig(accounts_per_branch=4000))

@@ -18,7 +18,7 @@ SURFACE = {
         "open_device", "open_session",
     ],
     "repro.session": [
-        "PLATFORMS", "Session", "SessionConfig",
+        "BACKENDS", "PLATFORMS", "Session", "SessionConfig",
         "open_device", "open_session",
     ],
     "repro.flash": [
@@ -67,10 +67,7 @@ SURFACE = {
         "db_write_amplification", "lifetime_host_writes",
         "longevity_factor", "relative_change",
     ],
-    "repro.testbed": [
-        "emulator_device", "openssd_device", "build_engine",
-        "load_scaled", "blockssd_device", "sharded_device", "BACKENDS",
-    ],
+    "repro.testbed": ["load_scaled", "MIN_BUFFER_PAGES"],
     "repro.cli": ["main", "build_parser", "parse_scheme"],
     "repro.lintkit": [
         "Rule", "Finding", "LintModule",
@@ -92,7 +89,10 @@ def test_surface_importable(module_name):
 #: Exports retired on purpose: each restated something that survives
 #: under one name (``OpKind``, ``ADMISSION_POLICIES``,
 #: ``repro.ipl.replay_events``, ``run_on_clock``, one ``Rule`` shape in
-#: one ``RULES`` tuple, ``PATH_EXEMPTIONS`` as the only waiver).
+#: one ``RULES`` tuple, ``PATH_EXEMPTIONS`` as the only waiver,
+#: ``open_device``/``open_session`` over a ``SessionConfig`` as the one
+#: way to build a stack by name, ``repro.session.BACKENDS``).
+#: ``DeviceAmplification`` had no caller.
 RETIRED_EXPORTS = [
     ("repro.storage", "CommandKind"),
     ("repro.storage.program", "CommandKind"),
@@ -105,6 +105,14 @@ RETIRED_EXPORTS = [
     ("repro.lintkit", "FLOW_RULE_CLASSES"),
     ("repro.lintkit", "RULE_CLASSES"),
     ("repro.lintkit", "Suppressions"),
+    ("repro.testbed", "emulator_device"),
+    ("repro.testbed", "openssd_device"),
+    ("repro.testbed", "blockssd_device"),
+    ("repro.testbed", "sharded_device"),
+    ("repro.testbed", "build_engine"),
+    ("repro.testbed", "BACKENDS"),
+    ("repro.analysis", "DeviceAmplification"),
+    ("repro.analysis.amplification", "DeviceAmplification"),
 ]
 
 #: Modules retired on purpose: the simulated-count gate ``repro.perfkit``
@@ -115,11 +123,14 @@ RETIRED_MODULES = [
     "repro.perfkit", "repro.lintkit.flow.base", "repro.lintkit.flow.rules",
 ]
 
-#: Identifiers of the forks PR 23 closed: the second and third give-up
-#: flags, the second kind enum and the three kind translation tables.
+#: Identifiers of retired forks: the second and third give-up flags,
+#: the second kind enum and the three kind translation tables; the
+#: BlockSSD aliases of ``read``/``write``/``page_size``; the sharded
+#: factory's name for ``SessionConfig.chips``.
 RETIRED_IDENTIFIERS = {
     "ipa_disabled", "track_enabled", "stop_tracking",
     "CommandKind", "_KIND_FOR", "KIND_BY_NAME", "kind_channel_op",
+    "read_block", "write_block", "block_size", "chips_per_shard",
 }
 
 

@@ -9,11 +9,11 @@ from repro.core import NxMScheme
 from repro.errors import RecordNotFoundError, SchemaError, StorageError
 from repro.storage import EngineConfig, RID, StorageEngine
 from repro.storage.btree import BTreeIndex, int_key
-from repro.testbed import emulator_device
+from repro.session import SessionConfig, open_device
 
 
 def make_engine(pages=512, buffer_pages=64, scheme=NxMScheme(2, 4)):
-    device = emulator_device(logical_pages=pages, chips=4, page_size=1024)
+    device = open_device(SessionConfig(logical_pages=pages, chips=4, page_size=1024))
     return StorageEngine(device, EngineConfig(buffer_pages=buffer_pages, scheme=scheme))
 
 

@@ -8,25 +8,33 @@ time under a scheduler.
 
 import pytest
 
+from repro.session import SessionConfig, open_device
 from repro.storage import (
     Clock,
     DeferredClock,
     DeviceCommand,
+    EngineConfig,
     OpKind,
     ScalarClock,
+    StorageEngine,
     run_on_clock,
 )
 from repro.storage.buffer import BufferPool
 from repro.storage.page_layout import SlottedPage
-from repro.testbed import build_engine, emulator_device
 
 
 def _prefilled_device(pages=32):
-    device = emulator_device(pages)
+    device = open_device(SessionConfig(logical_pages=pages))
     for lpn in range(pages):
         device.write(lpn, bytes(SlottedPage.format(lpn, device.page_size).image), 0.0)
     device.reset_stats()
     return device
+
+
+def _engine(buffer_pages, clock=None):
+    return StorageEngine(
+        _prefilled_device(), EngineConfig(buffer_pages=buffer_pages), clock=clock
+    )
 
 
 class TestScalarClock:
@@ -117,14 +125,14 @@ class TestProgramDrivers:
 
 class TestEngineClockWiring:
     def test_engine_clock_is_a_read_only_view(self):
-        engine = build_engine(_prefilled_device(), buffer_pages=8)
+        engine = _engine(buffer_pages=8)
         assert engine.clock == engine._clock.now
         with pytest.raises(AttributeError):
             engine.clock = 123.0
 
     def test_injected_clock_is_shared(self):
         clock = ScalarClock(0.0)
-        engine = build_engine(_prefilled_device(), buffer_pages=8, clock=clock)
+        engine = _engine(buffer_pages=8, clock=clock)
         assert engine._clock is clock
         frame = engine.pin(0)
         engine.pool.unpin(0, dirty=False)
@@ -143,10 +151,8 @@ class TestEngineClockWiring:
             engine.commit(txn)
             return engine.clock, engine.stats_summary()
 
-        default = drive(build_engine(_prefilled_device(), buffer_pages=4))
-        injected = drive(
-            build_engine(_prefilled_device(), buffer_pages=4, clock=ScalarClock())
-        )
+        default = drive(_engine(buffer_pages=4))
+        injected = drive(_engine(buffer_pages=4, clock=ScalarClock()))
         assert default == injected
 
     def test_base_clock_contract(self):

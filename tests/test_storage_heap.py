@@ -14,11 +14,13 @@ from repro.storage import (
     StorageEngine,
     VarChar,
 )
-from repro.testbed import emulator_device
+from repro.session import SessionConfig, open_device
 
 
 def make_engine(page_size=1024, buffer_pages=32):
-    device = emulator_device(logical_pages=256, chips=4, page_size=page_size)
+    device = open_device(SessionConfig(
+        logical_pages=256, chips=4, page_size=page_size
+    ))
     return StorageEngine(
         device, EngineConfig(buffer_pages=buffer_pages, scheme=NxMScheme(2, 4))
     )
@@ -56,7 +58,7 @@ class TestSpaceManagement:
     def test_region_capacity_exhaustion(self):
         from repro.errors import StorageError
 
-        device = emulator_device(logical_pages=4, chips=2, page_size=1024)
+        device = open_device(SessionConfig(logical_pages=4, chips=2, page_size=1024))
         engine = StorageEngine(device, EngineConfig(buffer_pages=8))
         schema = Schema([Column("k", Int32()), Column("p", Char(200))])
         table = engine.create_table("t", schema, key=["k"])

@@ -16,11 +16,11 @@ from repro.storage import (
     recover,
 )
 from repro.storage.wal import LogKind
-from repro.testbed import emulator_device
+from repro.session import SessionConfig, open_device
 
 
 def make_engine(buffer_pages=16, scheme=NxMScheme(2, 4)):
-    device = emulator_device(logical_pages=128, chips=4, page_size=1024)
+    device = open_device(SessionConfig(logical_pages=128, chips=4, page_size=1024))
     return StorageEngine(
         device,
         EngineConfig(buffer_pages=buffer_pages, scheme=scheme, retain_log=True),

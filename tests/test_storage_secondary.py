@@ -15,11 +15,11 @@ from repro.storage import (
     VarChar,
     recover,
 )
-from repro.testbed import emulator_device
+from repro.session import SessionConfig, open_device
 
 
 def make_engine(retain_log=False):
-    device = emulator_device(logical_pages=512, chips=4, page_size=1024)
+    device = open_device(SessionConfig(logical_pages=512, chips=4, page_size=1024))
     return StorageEngine(
         device,
         EngineConfig(buffer_pages=64, scheme=NxMScheme(2, 4),

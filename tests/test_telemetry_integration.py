@@ -18,7 +18,8 @@ from repro.telemetry.export import (
     prometheus_text,
     read_jsonl_trace,
 )
-from repro.testbed import build_engine, emulator_device, load_scaled
+from repro.session import SessionConfig, open_session
+from repro.testbed import load_scaled
 from repro.workloads import TPCB, TPCBConfig
 
 
@@ -27,8 +28,9 @@ def traced_run(tmp_path_factory):
     """One telemetry-enabled TPC-B run with JSONL tracing of the measured phase."""
     trace_path = tmp_path_factory.mktemp("telemetry") / "run.jsonl"
     telemetry = Telemetry()
-    device = emulator_device(logical_pages=400, chips=4)
-    engine = build_engine(device, buffer_pages=400, telemetry=telemetry)
+    engine = open_session(SessionConfig(
+        logical_pages=400, chips=4, buffer_pages=400, telemetry=telemetry,
+    )).engine
     workload = TPCB(TPCBConfig(accounts_per_branch=2000))
     driver = load_scaled(engine, workload, buffer_fraction=0.3, seed=7)
     # The load phase ends with a stats reset; drop its metric samples

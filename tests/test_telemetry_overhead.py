@@ -9,7 +9,8 @@ record construction and running a real TPC-B workload.
 
 from repro.telemetry import Telemetry
 from repro.telemetry.events import EVENT_TYPES, HostIOEvent
-from repro.testbed import build_engine, emulator_device, load_scaled
+from repro.session import SessionConfig, open_session
+from repro.testbed import load_scaled
 from repro.workloads import TPCB, TPCBConfig
 
 
@@ -30,8 +31,9 @@ def _count_event_allocations(monkeypatch):
 
 
 def _run_tpcb(telemetry=None, transactions=150):
-    device = emulator_device(logical_pages=400, chips=4)
-    engine = build_engine(device, buffer_pages=400, telemetry=telemetry)
+    engine = open_session(SessionConfig(
+        logical_pages=400, chips=4, buffer_pages=400, telemetry=telemetry,
+    )).engine
     workload = TPCB(TPCBConfig(accounts_per_branch=2000))
     driver = load_scaled(engine, workload, buffer_fraction=0.3, seed=3)
     result = driver.run(transactions)

@@ -6,7 +6,8 @@ import pytest
 
 from repro.core import NxMScheme
 from repro.errors import WorkloadError
-from repro.testbed import build_engine, emulator_device, load_scaled
+from repro.session import SessionConfig, open_session
+from repro.testbed import load_scaled
 from repro.workloads import (
     Driver,
     LinkBench,
@@ -23,9 +24,10 @@ from repro.workloads import (
 )
 
 
-def small_engine(pages=300, scheme=NxMScheme(2, 4), **kwargs):
-    device = emulator_device(logical_pages=pages, chips=4)
-    return build_engine(device, scheme=scheme, buffer_pages=pages, **kwargs)
+def small_engine(pages=300, scheme=NxMScheme(2, 4)):
+    return open_session(SessionConfig(
+        logical_pages=pages, chips=4, scheme=scheme, buffer_pages=pages,
+    )).engine
 
 
 class TestRand:
