@@ -79,7 +79,6 @@ class BlockSSD:
         ipa_mode: IPAMode | None = None,
         overprovisioning: float = 0.10,
         serialize_io: bool = False,
-        telemetry=None,
     ) -> None:
         if ipa_mode is None:
             ipa_mode = (
@@ -112,8 +111,6 @@ class BlockSSD:
         self.telemetry = None
         #: Crash-injection handle; ``None`` keeps commands injection-free.
         self.crashkit = None
-        if telemetry is not None:
-            telemetry.attach_device(self)
 
     # ------------------------------------------------------------------
     # Geometry / identity

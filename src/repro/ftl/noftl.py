@@ -52,7 +52,6 @@ class NoFTL:
         regions: list[Region],
         victim_policy: VictimPolicy = greedy,
         serialize_io: bool = False,
-        telemetry=None,
     ) -> None:
         self.flash = flash
         self.regions = regions
@@ -67,8 +66,6 @@ class NoFTL:
         #: Crash-injection handle (``repro.crashkit.CrashScheduler``);
         #: ``None`` (the default) keeps every command injection-free.
         self.crashkit = None
-        if telemetry is not None:
-            telemetry.attach_device(self)
         self._device_busy_until = 0.0
         self._erase_counts: dict[BlockKey, int] = {}
 
@@ -83,7 +80,6 @@ class NoFTL:
         configs: list[RegionConfig],
         victim_policy: VictimPolicy = greedy,
         serialize_io: bool = False,
-        telemetry=None,
     ) -> "NoFTL":
         """Partition the flash array into the requested regions.
 
@@ -117,8 +113,7 @@ class NoFTL:
             regions.append(Region(config, geometry, lpn_start, blocks))
             lpn_start += config.logical_pages
         return cls(
-            flash, regions, victim_policy=victim_policy,
-            serialize_io=serialize_io, telemetry=telemetry,
+            flash, regions, victim_policy=victim_policy, serialize_io=serialize_io
         )
 
     # ------------------------------------------------------------------
@@ -190,8 +185,8 @@ class NoFTL:
                 f"write of {len(data)} bytes; device page size is {self.page_size}"
             )
         region = self.region_of(lpn)
-        now = self._collect_if_needed(region, now)
-        address = self._allocate(region)
+        self._collect_if_needed(region, now)
+        address = region.allocate()
         op = self.flash.program(address, data)
         latency = self._execute(address, op.latency_us, now)
         if self.crashkit is not None:
@@ -336,12 +331,13 @@ class NoFTL:
     # Garbage collection
     # ------------------------------------------------------------------
 
-    def _collect_if_needed(self, region: Region, now: float) -> float:
+    def _collect_if_needed(self, region: Region, now: float) -> None:
         """Run GC rounds until the region's free list is above reserve.
 
-        Returns the simulated time after any GC work, so the triggering
-        host write observes the GC delay — the interference the paper
-        measures.
+        GC work is scheduled on the chips' pipelines starting at ``now``
+        (their ``busy_until`` advances), so the triggering host write —
+        and any later command on those chips — observes the GC delay:
+        the interference the paper measures.
         """
         guard = 0
         if self.telemetry is not None and region.needs_gc():
@@ -356,7 +352,6 @@ class NoFTL:
             guard += 1
             if guard > 2 * len(region.blocks):
                 raise OutOfSpaceError(f"region {region.name!r}: GC livelock")
-        return now
 
     def _collect_one(self, region: Region, now: float) -> bool:
         """One GC round: pick victim, migrate valid pages, erase.
@@ -385,7 +380,7 @@ class NoFTL:
         for lpn, address in self.mapping.valid_pages_in_block(victim):
             read_op = self.flash.read(address)
             gc_time += self._busy(address, read_op.latency_us, now)
-            target = self._allocate(region)
+            target = region.allocate()
             program_op = self.flash.program(target, read_op.data)
             gc_time += self._busy(target, program_op.latency_us, now)
             # The spare area travels with the page: ECC codes protect
@@ -414,9 +409,6 @@ class NoFTL:
             tele.on_gc_erase(region.name, victim, gc_time)
         region.release_block(victim)
         return True
-
-    def _allocate(self, region: Region) -> PhysicalAddress:
-        return region.allocate()
 
     # ------------------------------------------------------------------
     # Timing
@@ -456,7 +448,6 @@ def single_region_device(
     overprovisioning: float = 0.10,
     victim_policy: VictimPolicy = greedy,
     serialize_io: bool = False,
-    telemetry=None,
 ) -> NoFTL:
     """A NoFTL device with one region spanning the whole logical space."""
     config = RegionConfig(
@@ -466,6 +457,5 @@ def single_region_device(
         overprovisioning=overprovisioning,
     )
     return NoFTL.create(
-        flash, [config], victim_policy=victim_policy,
-        serialize_io=serialize_io, telemetry=telemetry,
+        flash, [config], victim_policy=victim_policy, serialize_io=serialize_io
     )

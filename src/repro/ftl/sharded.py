@@ -37,8 +37,6 @@ labels, and host-I/O events report *global* LPNs.
 
 from __future__ import annotations
 
-import contextlib
-
 from ..errors import FTLError
 from .device import HostIO, HostRegionView, merge_snapshots
 from .region import RegionConfig
@@ -127,7 +125,7 @@ class ShardedStats:
 class ShardedDevice:
     """K child controllers behind one logical page space (LPN striping)."""
 
-    def __init__(self, shards, telemetry=None) -> None:
+    def __init__(self, shards) -> None:
         shards = list(shards)
         if not shards:
             raise FTLError("a sharded device needs at least one shard")
@@ -150,18 +148,12 @@ class ShardedDevice:
         self._stride = len(shards)
         # Label each child's counters so one registry can hold them all.
         for index, shard in enumerate(shards):
-            relabel = getattr(shard.stats, "__init__", None)
-            if relabel is not None:
-                # A backend without prefix support keeps its names.
-                with contextlib.suppress(TypeError):
-                    shard.stats.__init__(prefix=f"shard{index}_")
+            shard.stats.__init__(prefix=f"shard{index}_")
         self.regions = self._merge_regions(first)
         self.stats = ShardedStats(shards)
         self.telemetry = None
         #: Crash-injection handle; ``None`` keeps commands injection-free.
         self.crashkit = None
-        if telemetry is not None:
-            telemetry.attach_device(self)
 
     def _merge_regions(self, first) -> list[HostRegionView]:
         """Stack the children's identical region layouts K-fold.

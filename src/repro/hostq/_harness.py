@@ -3,9 +3,9 @@
 :mod:`~repro.hostq.loadtest` and :mod:`~repro.hostq.txnexec` measure
 different things (page requests vs whole transactions) and keep their
 own config and result classes, but both label a backend, validate the
-same client/queue fields, meter die utilization over a makespan,
-summarize an exact latency sample set, and publish run totals as
-registry counters.  Those five pieces live here, once.
+same client/queue fields, meter die utilization over a makespan, and
+summarize an exact latency sample set.  Those four pieces live here,
+once; each run reports through its own result object.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ def validate_common(config) -> None:
         raise ReproError(f"queue depth must be >= 1, got {config.queue_depth}")
     if config.group_commit < 1:
         raise ReproError(f"group commit must be >= 1, got {config.group_commit}")
+    if config.think_us < 0:
+        raise ReproError(f"think time must be >= 0, got {config.think_us}")
 
 
 def _total_busy_us(device) -> float:
@@ -77,11 +79,3 @@ def summarize(samples: list[float]) -> tuple[float, float, dict[str, float]]:
         ordered[-1] if ordered else 0.0,
         {name: sample_percentile(ordered, q) for name, q in QUANTILES},
     )
-
-
-def publish_totals(
-    registry: MetricsRegistry, totals: list[tuple[str, str, float]]
-) -> None:
-    """Add each ``(name, help, amount)`` run total to its counter."""
-    for name, help_text, amount in totals:
-        registry.counter(name, help=help_text).inc(amount)

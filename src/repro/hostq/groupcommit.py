@@ -100,15 +100,13 @@ class GroupCommitGate:
     def force_done(self, now: float) -> tuple[list[Request], float | None]:
         """Retire the running force's batch at time ``now``.
 
-        Returns the completed commit requests (their ``completed_us`` is
-        stamped) and, when joiners are queued, the completion time of
+        Returns the batch's commit requests (the scheduler stamps their
+        completion) and, when joiners are queued, the completion time of
         the immediately-started next force.
         """
         if self._batch is None:
             raise RuntimeError("force_done with no force in flight")
         done = self._batch
         self._batch = None
-        for request in done:
-            request.completed_us = now
         next_done = self._start_force(now) if self._queued else None
         return done, next_done

@@ -8,11 +8,9 @@ concurrent-load methodology behind the paper's Figures 7-10 latency
 CDFs, on the simulated stack.
 
 End-to-end latency is completion time minus arrival time, per request;
-percentiles are computed from the exact sample set (the telemetry
-histogram is also fed, for export, but its bucketed quantiles are not
-what the report prints).  Everything is deterministic for a fixed seed
-and flag set: the report strings are byte-identical across runs, which
-CI asserts.
+percentiles are computed from the exact sample set, which the result
+carries.  Everything is deterministic for a fixed seed and flag set: the
+report strings are byte-identical across runs, which CI asserts.
 
 The queue-depth sweep (:func:`sweep_queue_depth`) reruns one
 configuration across depths; on a multi-die backend throughput rises
@@ -28,14 +26,8 @@ from ..analysis.cdf import CDF
 from ..analysis.report import format_table
 from ..errors import ReproError
 from ..session import SessionConfig, backend_label, open_device
-from ..telemetry.metrics import LATENCY_BUCKETS_US, MetricsRegistry
 from ..workloads.sessions import PROFILES
-from ._harness import (
-    DieMeter,
-    publish_totals,
-    summarize,
-    validate_common,
-)
+from ._harness import DieMeter, summarize, validate_common
 from .clients import ClosedLoopClient, OpenLoopArrivals, build_sessions
 from .groupcommit import GroupCommitGate, GroupCommitStats
 from .queueing import ADMISSION_POLICIES, QueueStats, SubmissionQueue
@@ -232,11 +224,9 @@ class LoadTestResult:
         )
 
 
-def run_loadtest(config: LoadTestConfig, registry: MetricsRegistry | None = None) -> LoadTestResult:
+def run_loadtest(config: LoadTestConfig) -> LoadTestResult:
     """Run one configuration end to end; deterministic for a fixed seed."""
     config.validate()
-    if registry is None:
-        registry = MetricsRegistry()
     device = open_device(SessionConfig(
         backend=config.backend, logical_pages=config.logical_pages,
         shards=config.shards, seed=config.seed,
@@ -256,10 +246,6 @@ def run_loadtest(config: LoadTestConfig, registry: MetricsRegistry | None = None
     generated = 0
     samples: list[float] = []
     kind_counts = {kind.value: 0 for kind in OpKind}
-    latency_hist = registry.histogram(
-        "hostq_request_latency_us", buckets=LATENCY_BUCKETS_US,
-        help="End-to-end request latency (completion minus arrival)",
-    )
 
     def build_request(client: int, op: tuple[str, int, int]) -> Request:
         nonlocal generated
@@ -273,7 +259,6 @@ def run_loadtest(config: LoadTestConfig, registry: MetricsRegistry | None = None
     def record(request: Request, now: float) -> None:
         if not request.rejected:
             samples.append(request.latency_us)
-            latency_hist.observe(request.latency_us)
             kind_counts[request.kind.value] += 1
 
     scheduler = HostScheduler(device, queue, executor.execute, gate=gate)
@@ -317,33 +302,13 @@ def run_loadtest(config: LoadTestConfig, registry: MetricsRegistry | None = None
 
     makespan, channels, utilization = meter.stop(scheduler.run())
     completed = len(samples)
-    rejected = len(scheduler.rejected)
     mean_latency, max_latency, percentiles = summarize(samples)
-
-    publish_totals(registry, [
-        ("hostq_requests_total",
-         "Requests generated by the load clients", generated),
-        ("hostq_completed_total",
-         "Requests completed end to end", completed),
-        ("hostq_rejected_total",
-         "Requests refused by admission control", rejected),
-        ("hostq_blocked_total",
-         "Requests that waited behind backpressure", queue.stats.blocked),
-        ("hostq_delta_fallbacks_total",
-         "Delta requests degraded to full-page rewrites",
-         executor.delta_fallbacks),
-        ("hostq_commit_forces_total",
-         "WAL forces issued by the commit gate", gate.stats.forces),
-        ("hostq_holb_bypasses_total",
-         "Dispatches that overtook a request stuck behind a busy die",
-         queue.stats.holb_bypasses),
-    ])
 
     return LoadTestResult(
         config=config,
         generated=generated,
         completed=completed,
-        rejected=rejected,
+        rejected=queue.stats.rejected,
         makespan_us=makespan,
         throughput_rps=completed / (makespan / 1e6),
         mean_latency_us=mean_latency,

@@ -143,20 +143,12 @@ class SubmissionQueue:
     # Completion
     # ------------------------------------------------------------------
 
-    def complete(self, request: Request) -> list[Request]:
-        """Account one completed request; drains the blocked wait list.
-
-        Returns the requests admitted off the wait list (they are
-        already in the pending queue; callers only need the list when
-        they track per-request admission outcomes).
-        """
+    def complete(self, request: Request) -> None:
+        """Account one completed request; drains the blocked wait list
+        into the pending queue."""
         self.in_flight -= 1
         if request.lpn >= 0:
             self._inflight_lpns.discard(request.lpn)
-        admitted: list[Request] = []
         while self._waiting and self.depth_used < self.depth:
-            waiter = self._waiting.popleft()
-            self._pending.append(waiter)
-            admitted.append(waiter)
+            self._pending.append(self._waiting.popleft())
         self.stats.max_depth_used = max(self.stats.max_depth_used, self.depth_used)
-        return admitted

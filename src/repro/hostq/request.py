@@ -15,15 +15,21 @@ so the executor forwards ``command.kind`` untranslated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from ..storage.program import OpKind
 
 __all__ = ["OpKind", "Request"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Request:
-    """One client operation and its lifecycle timestamps (simulated µs)."""
+    """One client operation and its lifecycle timestamps (simulated µs).
+
+    Slotted: a request carries exactly the fields declared here, so an
+    executor attaches its payload through ``command`` / ``ctx``, never
+    through ad-hoc attributes.
+    """
 
     seq: int
     client: int
@@ -35,6 +41,11 @@ class Request:
     completed_us: float | None = None
     #: Set when admission control turned the request away (reject policy).
     rejected: bool = False
+    #: The storage-program command a transaction executor runs for this
+    #: request (``None`` for raw device-level requests).
+    command: Any = None
+    #: The executor's context of the transaction that issued it.
+    ctx: Any = None
 
     @property
     def latency_us(self) -> float:

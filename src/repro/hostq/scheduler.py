@@ -49,7 +49,12 @@ class SchedulerStats:
 
 
 class HostScheduler:
-    """Event loop + dispatch policy over one FlashDevice."""
+    """Event loop + dispatch policy over one FlashDevice.
+
+    It keeps counters (:attr:`stats`, the queue's and the gate's), never
+    the requests themselves: a caller that wants finished requests
+    collects them in :attr:`on_complete`.
+    """
 
     def __init__(
         self,
@@ -67,8 +72,6 @@ class HostScheduler:
         #: load harness hooks closed-loop re-arrivals and sampling here.
         self.on_complete = on_complete
         self.now = 0.0
-        self.completed: list[Request] = []
-        self.rejected: list[Request] = []
         self.stats = SchedulerStats()
         self._events: list[tuple[float, int, Callable[[float], None]]] = []
         self._event_seq = 0
@@ -97,38 +100,28 @@ class HostScheduler:
     # Submission
     # ------------------------------------------------------------------
 
-    def submit(self, request: Request, now: float) -> str:
-        """One request enters the host: queue it or hand it to the gate.
-
-        Returns the admission outcome (``"admitted"``, ``"blocked"``,
-        ``"rejected"``, or ``"gated"`` for commits).
-        """
+    def submit(self, request: Request, now: float) -> None:
+        """One request enters the host: queue it or hand it to the gate."""
         request.arrival_us = now
         if request.kind is OpKind.COMMIT:
+            request.dispatched_us = now
             if self.gate is None:
                 # No WAL modelled: commits complete instantly.
-                request.dispatched_us = now
                 self._complete(request, now, via_queue=False)
-                return "gated"
-            request.dispatched_us = now
+                return
             force_done_at = self.gate.submit(request, now)
             if force_done_at is not None:
                 self.schedule(force_done_at, self._force_done)
-            return "gated"
-        outcome = self.queue.admit(request)
-        if outcome == "rejected":
-            request.completed_us = now
-            self.rejected.append(request)
-            if self.on_complete is not None:
-                self.on_complete(request, now)
-        return outcome
+            return
+        if self.queue.admit(request) == "rejected":
+            self._complete(request, now, via_queue=False)
 
     def _force_done(self, now: float) -> None:
         """A log force finished: retire its batch, chain the next one."""
         assert self.gate is not None
         done, next_done_at = self.gate.force_done(now)
         for request in done:
-            self._complete(request, now, via_queue=False, stamped=True)
+            self._complete(request, now, via_queue=False)
         if next_done_at is not None:
             self.schedule(next_done_at, self._force_done)
 
@@ -173,13 +166,10 @@ class HostScheduler:
 
         return action
 
-    def _complete(
-        self, request: Request, now: float, via_queue: bool, stamped: bool = False
-    ) -> None:
-        if not stamped:
-            request.completed_us = now
+    def _complete(self, request: Request, now: float, via_queue: bool) -> None:
+        """The one place a request's completion (or rejection) is stamped."""
+        request.completed_us = now
         if via_queue:
             self.queue.complete(request)
-        self.completed.append(request)
         if self.on_complete is not None:
             self.on_complete(request, now)

@@ -52,16 +52,10 @@ from ..errors import ReproError
 from ..storage.clock import DeferredClock
 from ..storage.page_layout import HEADER_SIZE, SlottedPage
 from ..storage.program import DeviceCommand
-from ..telemetry.metrics import LATENCY_BUCKETS_US, MetricsRegistry
 from ..session import SessionConfig, backend_label, open_session
 from ..workloads.sessions import PROFILES, ClientSession
-from ._harness import (
-    DieMeter,
-    publish_totals,
-    summarize,
-    validate_common,
-)
-from .clients import ClosedLoopClient
+from ._harness import DieMeter, summarize, validate_common
+from .clients import ClosedLoopClient, build_sessions
 from .groupcommit import GroupCommitGate
 from .queueing import SubmissionQueue
 from .request import OpKind, Request
@@ -151,6 +145,8 @@ class TxnLoadTestConfig:
         validate_common(self)
         if self.txns < 1:
             raise ReproError("need at least one transaction")
+        if self.ops_per_txn < 0:
+            raise ReproError(f"ops per transaction must be >= 0, got {self.ops_per_txn}")
         if not 0.0 < self.buffer_fraction <= 1.0:
             raise ReproError("buffer_fraction must be in (0, 1]")
         if self.rollback is not None and not 0.0 <= self.rollback <= 1.0:
@@ -416,10 +412,8 @@ class TxnExecutor:
         self._next_seq += 1
         request = Request(
             seq=self._next_seq, client=ctx.client,
-            kind=command.kind, lpn=command.lpn,
+            kind=command.kind, lpn=command.lpn, command=command, ctx=ctx,
         )
-        request.command = command
-        request.ctx = ctx
         if command.lpn >= 0 and command.kind is not OpKind.COMMIT:
             self._busy_cmds[command.lpn] = self._busy_cmds.get(command.lpn, 0) + 1
         self.scheduler.submit(request, self.scheduler.now)
@@ -429,9 +423,6 @@ class TxnExecutor:
         return request.command.run(now)
 
     def _on_complete(self, request: Request, now: float) -> None:
-        ctx = getattr(request, "ctx", None)
-        if ctx is None:
-            return
         command = request.command
         if command.lpn >= 0 and command.kind is not OpKind.COMMIT:
             remaining = self._busy_cmds[command.lpn] - 1
@@ -440,7 +431,7 @@ class TxnExecutor:
             else:
                 del self._busy_cmds[command.lpn]
                 self._wake(command.lpn)
-        self._step(ctx, now - request.arrival_us)
+        self._step(request.ctx, now - request.arrival_us)
 
     # ------------------------------------------------------------------
     # Outcomes
@@ -575,17 +566,13 @@ class TxnLoadTestResult:
         )
 
 
-def run_txn_loadtest(
-    config: TxnLoadTestConfig, registry: MetricsRegistry | None = None
-) -> TxnLoadTestResult:
+def run_txn_loadtest(config: TxnLoadTestConfig) -> TxnLoadTestResult:
     """Run one transaction-level configuration end to end.
 
     Deterministic for a fixed seed: the report is byte-identical across
     runs on every backend.
     """
     config.validate()
-    if registry is None:
-        registry = MetricsRegistry()
     profile = dataclass_replace(
         PROFILES[config.profile], ops_per_txn=config.effective_ops_per_txn()
     )
@@ -616,10 +603,9 @@ def run_txn_loadtest(
 
     queue = SubmissionQueue(config.queue_depth, policy="block")
     gate = GroupCommitGate(max_group=config.group_commit, log=engine.log)
-    sessions = [
-        ClientSession(profile, config.logical_pages, seed=config.seed, client=index)
-        for index in range(config.clients)
-    ]
+    sessions = build_sessions(
+        profile, config.clients, config.logical_pages, config.seed
+    )
     executor = TxnExecutor(engine, clock, queue, gate, sessions, config)
     executor.start(meter.t0)
     end = executor.run()
@@ -629,28 +615,6 @@ def run_txn_loadtest(
     makespan, channels, utilization = meter.stop(end)
     committed = executor.txns_committed
     mean_latency, max_latency, percentiles = summarize(executor.samples)
-
-    publish_totals(registry, [
-        ("txn_started_total",
-         "Transactions started by the load clients", executor.txns_started),
-        ("txn_committed_total",
-         "Transactions committed end to end", committed),
-        ("txn_aborted_total",
-         "Transactions rolled back (deliberate or failed)",
-         executor.txns_aborted),
-        ("txn_retried_total",
-         "Transaction attempts retried after a failure",
-         executor.txns_retried),
-        ("txn_conflict_waits_total",
-         "Operation-lock acquisitions that had to wait",
-         executor.conflict_waits),
-    ])
-    latency_hist = registry.histogram(
-        "txn_latency_us", buckets=LATENCY_BUCKETS_US,
-        help="End-to-end committed-transaction latency",
-    )
-    for sample in executor.samples:
-        latency_hist.observe(sample)
 
     log = engine.log
     return TxnLoadTestResult(

@@ -183,7 +183,7 @@ def _geometry_for(
     )
 
 
-def _controller(config: SessionConfig, logical_pages: int, telemetry: Any) -> FlashDevice:
+def _controller(config: SessionConfig, logical_pages: int) -> FlashDevice:
     """One NoFTL or black-box controller over freshly sized flash."""
     openssd = config.platform == "openssd"
     if openssd:
@@ -200,12 +200,10 @@ def _controller(config: SessionConfig, logical_pages: int, telemetry: Any) -> Fl
         return BlockSSD(
             flash, capacity_pages=logical_pages, ipa_mode=mode,
             overprovisioning=config.overprovisioning, serialize_io=openssd,
-            telemetry=telemetry,
         )
     return single_region_device(
         flash, logical_pages=logical_pages, ipa_mode=mode,
         overprovisioning=config.overprovisioning, serialize_io=openssd,
-        telemetry=telemetry,
     )
 
 
@@ -217,16 +215,20 @@ def open_device(config: SessionConfig) -> FlashDevice:
     mirrors the platform's flash technology behind a black-box
     interface, ``sharded`` stripes K emulator-style NoFTL controllers
     over one logical space, rounding the page count up to a multiple of
-    K.
+    K.  A config carrying ``telemetry`` attaches it here, once, after
+    the device is built.
     """
     config.validate()
     if config.backend == "sharded":
         per_shard = math.ceil(config.logical_pages / config.shards)
-        return ShardedDevice(
-            [_controller(config, per_shard, None) for _ in range(config.shards)],
-            telemetry=config.telemetry,
+        device = ShardedDevice(
+            [_controller(config, per_shard) for _ in range(config.shards)]
         )
-    return _controller(config, config.logical_pages, config.telemetry)
+    else:
+        device = _controller(config, config.logical_pages)
+    if config.telemetry is not None:
+        config.telemetry.attach_device(device)
+    return device
 
 
 def open_session(config: SessionConfig | None = None, **overrides: Any) -> Session:

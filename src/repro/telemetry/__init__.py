@@ -101,8 +101,10 @@ __all__ = [
 class Telemetry:
     """One run's observability surface: event bus + metrics registry.
 
-    Construct, pass to the engine / device factories (``telemetry=``),
-    and read :attr:`metrics` or subscribe to :attr:`events` afterwards.
+    Construct, pass as ``SessionConfig(telemetry=)`` (or to
+    ``StorageEngine(telemetry=)``, or call :meth:`attach_device` on a
+    bare device), and read :attr:`metrics` or subscribe to
+    :attr:`events` afterwards.
     The ``on_*`` methods are the instrumentation entry points; they
     update histograms unconditionally and allocate events only while
     the bus has subscribers.

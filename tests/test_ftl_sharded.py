@@ -25,9 +25,10 @@ def make_child(logical_pages=12, chips=1, blocks_per_chip=8, ipa=True):
 
 
 def make_device(shards=4, telemetry=None, **kwargs):
-    return ShardedDevice(
-        [make_child(**kwargs) for _ in range(shards)], telemetry=telemetry
-    )
+    device = ShardedDevice([make_child(**kwargs) for _ in range(shards)])
+    if telemetry is not None:
+        telemetry.attach_device(device)
+    return device
 
 
 def image(fill=0x21):

@@ -20,7 +20,6 @@ def test_first_commit_leads_and_pays_the_force():
     assert gate.force_in_flight
     done, next_at = gate.force_done(150.0)
     assert done == [leader]
-    assert leader.completed_us == 150.0
     assert next_at is None
     assert gate.stats.forces == 1
 

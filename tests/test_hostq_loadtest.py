@@ -15,7 +15,6 @@ from repro.hostq import (
     run_loadtest,
     sweep_queue_depth,
 )
-from repro.telemetry.metrics import MetricsRegistry
 from repro.session import BACKENDS
 
 SMALL = dict(clients=4, queue_depth=4, requests=120, logical_pages=96)
@@ -79,18 +78,6 @@ def test_commit_profile_exercises_group_commit():
     assert result.gate_stats.commits == result.kind_counts["commit"]
 
 
-def test_metrics_registry_is_fed():
-    registry = MetricsRegistry()
-    result = run_loadtest(
-        LoadTestConfig(backend="noftl", **SMALL), registry=registry
-    )
-    assert registry.get("hostq_requests_total").value == result.generated
-    assert registry.get("hostq_completed_total").value == result.completed
-    hist = registry.get("hostq_request_latency_us")
-    assert hist.count == result.completed
-    assert hist.mean == pytest.approx(result.mean_latency_us)
-
-
 def test_cdf_covers_all_samples():
     result = run_loadtest(LoadTestConfig(backend="noftl", **SMALL))
     cdf = result.cdf()
@@ -119,6 +106,8 @@ def test_validation_rejects_bad_config():
         run_loadtest(LoadTestConfig(clients=0))
     with pytest.raises(ReproError):
         sweep_queue_depth(LoadTestConfig(), [])
+    with pytest.raises(ReproError, match="think time must be >= 0"):
+        LoadTestConfig(think_us=-5.0).validate()
 
 
 def test_every_config_field_is_a_cli_flag():
@@ -174,6 +163,9 @@ class TestCLI:
         (["--group-commit", "0"], "group commit must be >= 1"),
         (["--level", "txn", "--queue-depth", "0"], "queue depth must be >= 1"),
         (["--level", "txn", "--group-commit", "0"], "group commit must be >= 1"),
+        (["--think-us", "-5"], "think time must be >= 0"),
+        (["--level", "txn", "--think-us", "-5"], "think time must be >= 0"),
+        (["--level", "txn", "--ops-per-txn", "-1"], "ops per transaction must be >= 0"),
     ])
     def test_out_of_range_flags_exit_cleanly(self, capsys, monkeypatch, flags, message):
         """Rejected by ``validate()`` as ReproError, before any device exists."""

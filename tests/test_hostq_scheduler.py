@@ -1,5 +1,7 @@
 """HostScheduler: event ordering, die overlap, commit gating, determinism."""
 
+import gc
+
 import pytest
 
 import repro.hostq
@@ -46,14 +48,17 @@ def submit_reads(scheduler, lpns, at):
 
 
 def run_reads(lpns, queue_depth, chips=4):
+    """``(scheduler, makespan, completed requests in completion order)``."""
     device = make_device(chips)
     t0 = prefill(device)
+    completed = []
     scheduler = HostScheduler(
-        device, SubmissionQueue(queue_depth), read_executor(device)
+        device, SubmissionQueue(queue_depth), read_executor(device),
+        on_complete=lambda request, now: completed.append(request),
     )
     submit_reads(scheduler, lpns, t0)
     end = scheduler.run()
-    return scheduler, end - t0
+    return scheduler, end - t0, completed
 
 
 def test_independent_dies_overlap():
@@ -67,8 +72,8 @@ def test_independent_dies_overlap():
         by_chip.setdefault(device.channel_of(lpn, "read"), lpn)
     lpns = list(by_chip.values())
     assert len(lpns) == 4
-    scheduler, makespan = run_reads(lpns, queue_depth=8)
-    latencies = [request.latency_us for request in scheduler.completed]
+    __, makespan, completed = run_reads(lpns, queue_depth=8)
+    latencies = [request.latency_us for request in completed]
     assert makespan < 0.5 * sum(latencies)
     assert makespan == pytest.approx(max(latencies))
 
@@ -82,20 +87,20 @@ def test_queue_depth_one_serializes():
     for lpn in range(PAGES):
         by_chip.setdefault(device.channel_of(lpn, "read"), lpn)
     lpns = list(by_chip.values())
-    scheduler, makespan = run_reads(lpns, queue_depth=1)
+    __, makespan, completed = run_reads(lpns, queue_depth=1)
     service_times = [
         request.completed_us - request.dispatched_us
-        for request in scheduler.completed
+        for request in completed
     ]
     assert makespan == pytest.approx(sum(service_times))
     # End-to-end latency still includes the blocked-admission wait: the
     # last request's latency spans the whole run.
-    assert scheduler.completed[-1].latency_us == pytest.approx(makespan)
+    assert completed[-1].latency_us == pytest.approx(makespan)
 
 
 def test_same_page_requests_never_reorder():
-    scheduler, __ = run_reads([3, 3, 3], queue_depth=8)
-    completions = [request.seq for request in scheduler.completed]
+    scheduler, __, completed = run_reads([3, 3, 3], queue_depth=8)
+    completions = [request.seq for request in completed]
     assert completions == [1, 2, 3]
     assert scheduler.queue.stats.holb_bypasses == 0
 
@@ -138,12 +143,12 @@ def test_rejected_requests_surface_via_on_complete():
         device,
         SubmissionQueue(1, policy="reject"),
         read_executor(device),
-        on_complete=lambda request, now: seen.append(request.seq),
+        on_complete=lambda request, now: seen.append(request),
     )
     submit_reads(scheduler, [0, 1, 2], t0)
     scheduler.run()
-    assert len(scheduler.rejected) == 2
-    assert len(scheduler.completed) == 1
+    assert len([request for request in seen if request.rejected]) == 2
+    assert len([request for request in seen if not request.rejected]) == 1
     assert len(seen) == 3
 
 
@@ -151,10 +156,10 @@ def test_event_order_is_deterministic():
     """Two identical runs replay the same event sequence: identical
     completion orders and timestamps."""
     def trace():
-        scheduler, __ = run_reads([5, 9, 1, 9, 5, 2, 7], queue_depth=4)
+        __, __, completed = run_reads([5, 9, 1, 9, 5, 2, 7], queue_depth=4)
         return [
             (request.seq, request.dispatched_us, request.completed_us)
-            for request in scheduler.completed
+            for request in completed
         ]
 
     assert trace() == trace()
@@ -163,9 +168,43 @@ def test_event_order_is_deterministic():
 def test_poll_wakes_dispatch_when_all_dies_busy():
     """More requests than dies: the scheduler must wake itself at the
     earliest channel-free time instead of stalling."""
-    scheduler, __ = run_reads(list(range(16)), queue_depth=16, chips=2)
-    assert len(scheduler.completed) == 16
+    scheduler, __, completed = run_reads(list(range(16)), queue_depth=16, chips=2)
+    assert len(completed) == 16
     assert scheduler.stats.polls > 0
+
+
+def _live_requests() -> int:
+    gc.collect()
+    return sum(isinstance(obj, Request) for obj in gc.get_objects())
+
+
+def test_scheduler_keeps_no_finished_request():
+    """Counts, not requests: once ``on_complete`` has seen a request
+    (completed or rejected), the scheduler holds no reference to it."""
+    before = _live_requests()
+    device = make_device()
+    t0 = prefill(device)
+    seen = []
+    scheduler = HostScheduler(
+        device, SubmissionQueue(2, policy="reject"), read_executor(device),
+        gate=GroupCommitGate(force_latency_us=40.0),
+        on_complete=lambda request, now: seen.append(request.rejected),
+    )
+    submit_reads(scheduler, list(range(12)), t0)
+    for seq in (20, 21, 22):
+        commit = Request(seq=seq, client=1, kind=OpKind.COMMIT)
+        scheduler.schedule(t0, lambda now, r=commit: scheduler.submit(r, now))
+    del commit
+    scheduler.run()
+    assert len(seen) == 15 and any(seen)
+    assert _live_requests() == before
+    assert scheduler.stats.events > 0  # still referenced here
+
+
+def test_request_has_no_undeclared_attributes():
+    request = Request(seq=1, client=0, kind=OpKind.READ, lpn=3)
+    with pytest.raises(AttributeError):
+        request.payload = b"x"
 
 
 # ----------------------------------------------------------------------

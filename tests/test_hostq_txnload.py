@@ -5,15 +5,17 @@ accounting, the pin-leak quiesce assertion, and the typed buffer-pool
 exhaustion error the executor's retry path depends on.
 """
 
+import gc
+
 import pytest
 
 from repro.core.manager import IPAManager
 from repro.core.scheme import NxMScheme, SCHEME_OFF
 from repro.errors import BufferError_, BufferPoolExhaustedError, ReproError
-from repro.hostq import TxnLoadTestConfig, run_txn_loadtest
+from repro.hostq import Request, TxnExecutor, TxnLoadTestConfig, run_txn_loadtest
+from repro.hostq.txnexec import _TxnCtx
 from repro.storage.buffer import BufferPool, Frame
 from repro.storage.page_layout import SlottedPage
-from repro.telemetry.metrics import MetricsRegistry
 from repro.session import SessionConfig, open_device
 
 
@@ -70,12 +72,26 @@ class TestOutcomes:
         assert grouped.log_forces < grouped.committed
         assert grouped.commits_grouped == grouped.committed - grouped.log_forces
 
-    def test_txn_counters_land_in_the_registry(self):
-        registry = MetricsRegistry()
-        result = run_txn_loadtest(small_config(), registry=registry)
-        assert registry.get("txn_started_total").value == result.started
-        assert registry.get("txn_committed_total").value == result.committed
-        assert registry.get("txn_latency_us").count == result.committed
+    def test_executor_keeps_no_finished_transaction(self, monkeypatch):
+        """After a run, no transaction context (with its undo records and
+        page images) or request outlives it while the executor is alive."""
+        def live(cls):
+            gc.collect()
+            return sum(isinstance(obj, cls) for obj in gc.get_objects())
+
+        before = (live(_TxnCtx), live(Request))
+        executors = []
+        run = TxnExecutor.run
+
+        def keep(executor):
+            executors.append(executor)
+            return run(executor)
+
+        monkeypatch.setattr(TxnExecutor, "run", keep)
+        result = run_txn_loadtest(small_config())
+        assert result.committed > 0 and len(executors) == 1
+        assert executors[0].scheduler.stats.events > 0  # still referenced
+        assert (live(_TxnCtx), live(Request)) == before
 
     def test_to_dict_round_trips_the_headlines(self):
         result = run_txn_loadtest(small_config())
@@ -93,6 +109,16 @@ class TestValidation:
     def test_bad_rollback_rejected(self):
         with pytest.raises(ReproError):
             run_txn_loadtest(small_config(rollback=1.5))
+
+    def test_negative_ops_per_txn_rejected(self):
+        # A negative count used to survive as the override and leave the
+        # executor waiting forever for a transaction's first operation.
+        with pytest.raises(ReproError, match="ops per transaction must be >= 0"):
+            small_config(ops_per_txn=-1).validate()
+
+    def test_negative_think_time_rejected(self):
+        with pytest.raises(ReproError, match="think time must be >= 0"):
+            small_config(think_us=-5.0).validate()
 
     def test_ops_per_txn_override(self):
         result = run_txn_loadtest(small_config(txns=10, ops_per_txn=9))

@@ -80,6 +80,24 @@ def test_telemetry_threads_through_device_and_engine():
     assert session.engine.telemetry is telemetry
 
 
+@pytest.mark.parametrize("backend,counter", [
+    ("noftl", "device_host_reads"),
+    ("blockssd", "blockssd_reads"),
+    ("sharded", "shard0_device_host_reads"),
+])
+def test_open_device_attaches_telemetry_on_every_backend(backend, counter):
+    """``open_device`` is the one place a device gets its telemetry."""
+    telemetry = Telemetry()
+    device = open_device(SessionConfig(
+        backend=backend, logical_pages=64, telemetry=telemetry,
+    ))
+    assert device.telemetry is telemetry
+    assert telemetry.metrics.get(counter) is not None
+    device.write(0, bytes(device.page_size), 0.0)
+    device.read(0, 0.0)
+    assert telemetry.metrics.get(counter).value == 1
+
+
 def test_open_session_is_open_device_plus_engine():
     """``open_session`` = ``open_device`` + an engine over it."""
     config = SessionConfig(

@@ -213,7 +213,13 @@ class _StubDevice:
 def hostq_events() -> dict:
     device = _StubDevice(8)
     queue = SubmissionQueue(16)
-    scheduler = HostScheduler(device, queue, device.execute)
+    completed = 0
+
+    def count(request: Request, now: float) -> None:
+        nonlocal completed
+        completed += 1
+
+    scheduler = HostScheduler(device, queue, device.execute, on_complete=count)
     rng = random.Random(67)
     for seq in range(2000):
         request = Request(
@@ -232,7 +238,7 @@ def hostq_events() -> dict:
         "events": scheduler.stats.events,
         "polls": scheduler.stats.polls,
         "dispatch_rounds": scheduler.stats.dispatch_rounds,
-        "completed": len(scheduler.completed),
+        "completed": completed,
         "holb_bypasses": queue.stats.holb_bypasses,
         "max_depth_used": queue.stats.max_depth_used,
     }
