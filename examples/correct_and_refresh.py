@@ -36,7 +36,7 @@ def main():
     # Program a block of pages and store their ECC codes in the OOB.
     payloads = {}
     for index in range(8):
-        address = PhysicalAddress(0, 0, index)
+        address = geometry.ppn(PhysicalAddress(0, 0, index))
         payload = bytes((index * 37 + i * 11) % 251 for i in range(512))
         payloads[address] = payload
         memory.program(address, payload)
@@ -52,7 +52,7 @@ def main():
         flips = memory.age()
         print(f"retention interval {interval}: {flips} bit(s) drifted")
         for index in range(8):
-            address = PhysicalAddress(0, 0, index)
+            address = geometry.ppn(PhysicalAddress(0, 0, index))
             image = bytearray(memory.read(address).data)
             oob = memory.read_oob(address)
             corrected = ecc.verify(image, oob, programmed_segments=1)

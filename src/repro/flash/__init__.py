@@ -10,9 +10,9 @@ Public surface::
     from repro.flash import FlashGeometry, FlashMemory, CellType
 
     mem = FlashMemory(FlashGeometry(chips=2, page_size=4096))
-    addr = mem.geometry.address(0)
-    mem.program(addr, b"hello".ljust(4096, b"\xff"))
-    mem.program(addr, b"\x00\x01", offset=4000)   # in-place append
+    ppn = mem.geometry.ppn(PhysicalAddress(chip=1, block=0, page=0))
+    mem.program(ppn, b"hello".ljust(4096, b"\xff"))
+    mem.program(ppn, b"\x00\x01", offset=4000)   # in-place append
 """
 
 from .constants import CellType, PageKind, ENDURANCE_CYCLES, ERASED_BYTE

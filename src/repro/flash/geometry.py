@@ -1,8 +1,10 @@
 """Geometry of a simulated NAND flash array and physical addressing.
 
 A flash array is organized as ``chips -> blocks -> pages``.  A physical
-page is identified by a :class:`PhysicalAddress` or, equivalently, by a
-flat *physical page number* (PPN) used by the FTL mapping tables.
+page is identified by a flat *physical page number* (PPN) — the one
+address currency of the FTL and the flash array — and, at the
+boundaries (telemetry, error messages, inspection), by the equivalent
+:class:`PhysicalAddress`.
 """
 
 from __future__ import annotations
@@ -61,12 +63,11 @@ class FlashGeometry:
                 raise AddressError(f"geometry field {name!r} must be positive")
         if self.oob_size < 0:
             raise AddressError("oob_size must be non-negative")
-        # Derived values and the PPN <-> address cache are hot on the
-        # mapping paths; precompute them once (the dataclass is frozen,
-        # so object.__setattr__ is the sanctioned backdoor).
+        # Derived sizes are read on every ppn split; precompute them once
+        # (the dataclass is frozen, so object.__setattr__ is the
+        # sanctioned backdoor).
         object.__setattr__(self, "_pages_per_chip", self.blocks_per_chip * self.pages_per_block)
         object.__setattr__(self, "_total_pages", self.chips * self._pages_per_chip)
-        object.__setattr__(self, "_address_cache", {})
 
     @property
     def pages_per_chip(self) -> int:
@@ -107,21 +108,16 @@ class FlashGeometry:
         )
 
     def address(self, ppn: int) -> PhysicalAddress:
-        """Inverse of :meth:`ppn`.
+        """Inverse of :meth:`ppn`: the boundary form of a page number.
 
-        Addresses are immutable, so each PPN's object is built once and
-        cached — mapping lookups resolve to a dict hit.
+        The FTL and the flash array work on ppns; addresses are built
+        only for telemetry events, error messages and inspection.
         """
-        cached = self._address_cache.get(ppn)
-        if cached is not None:
-            return cached
         if not 0 <= ppn < self._total_pages:
             raise AddressError(f"ppn {ppn} out of range [0, {self._total_pages})")
         chip, rest = divmod(ppn, self._pages_per_chip)
         block, page = divmod(rest, self.pages_per_block)
-        address = PhysicalAddress(chip, block, page)
-        self._address_cache[ppn] = address
-        return address
+        return PhysicalAddress(chip, block, page)
 
     def check(self, address: PhysicalAddress) -> None:
         """Raise :class:`AddressError` unless ``address`` is in range."""

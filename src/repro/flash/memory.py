@@ -1,4 +1,4 @@
-"""The flash array facade: addressed reads, programs, appends, erases.
+"""The flash array facade: page reads, programs, appends, erases.
 
 :class:`FlashMemory` is the boundary the FTL / NoFTL layer talks to.
 It enforces the physical rules (ISPP charge increase, in-order first
@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import EraseError
+from ..errors import AddressError, EraseError
+from .block import FlashBlock
 from .chip import FlashChip
 from .constants import CellType, PageKind
 from .faults import FaultInjector
@@ -48,13 +49,22 @@ class OpResult:
 class FlashMemory:
     """A simulated NAND array of one or more chips.
 
+    Every page command (:meth:`read`, :meth:`program`,
+    :meth:`program_oob`, :meth:`read_oob`, :meth:`page_at`) names its
+    page by a flat physical page number (ppn, see
+    :meth:`FlashGeometry.ppn`): the page runs on chip
+    ``ppn // pages_per_chip`` at index ``ppn % pages_per_block`` of its
+    block.  Only :meth:`erase` names an erase unit as ``(chip, block)``.
+    :class:`PhysicalAddress` values are built for telemetry events only.
+
     Parameters
     ----------
     geometry:
         Shape and cell technology of the array.
     latency_model:
         Converts operations to microsecond costs.  Defaults to the
-        standard NAND timing tables.
+        standard NAND timing tables.  Read and program costs are
+        resolved from it once, at construction.
     fault_injector:
         Optional error model (retention leaks, program interference).
     endurance:
@@ -75,6 +85,20 @@ class FlashMemory:
         #: order on MLC/TLC (the physical requirement), not on SLC.
         self._ordered_programs = geometry.cell_type is not CellType.SLC
         self.chips = [FlashChip(geometry, endurance=endurance) for _ in range(geometry.chips)]
+        #: Every block and page in ppn order.  Pages persist across
+        #: erases, so the tables never go stale.
+        self._blocks = [block for chip in self.chips for block in chip.blocks]
+        self._pages = [page for block in self._blocks for page in block.pages]
+        self._total_pages = geometry.total_pages
+        self._pages_per_chip = geometry.pages_per_chip
+        self._pages_per_block = geometry.pages_per_block
+        #: Page kind and array times by page-index parity: the array has
+        #: one cell type, so each is one of two values.
+        cell_type = geometry.cell_type
+        self._kinds = (geometry.page_kind(0), geometry.page_kind(1))
+        self._read_us = tuple(self.latency.base("read", cell_type, k) for k in self._kinds)
+        self._program_us = tuple(self.latency.base("program", cell_type, k) for k in self._kinds)
+        self._transfer_us_per_kib = self.latency.transfer_us_per_kib
         #: Cached occupancy tuple, rebuilt lazily after any chip's
         #: pipeline advances (the chips call back on ``occupy``).
         self._occupancy_cache: tuple[float, ...] | None = None
@@ -92,22 +116,19 @@ class FlashMemory:
     # Addressing helpers
     # ------------------------------------------------------------------
 
-    def page_at(self, address: PhysicalAddress) -> FlashPage:
-        """The physical page object at an address (validated)."""
-        self.geometry.check(address)
-        return self.chips[address.chip].blocks[address.block].pages[address.page]
+    def page_at(self, ppn: int) -> FlashPage:
+        """The physical page object at a ppn (validated)."""
+        if not 0 <= ppn < self._total_pages:
+            raise AddressError(f"ppn {ppn} out of range [0, {self._total_pages})")
+        return self._pages[ppn]
 
-    def chip_of(self, address: PhysicalAddress) -> FlashChip:
-        """The chip whose pipeline executes commands for this address."""
-        return self.chips[address.chip]
+    def page_kind(self, ppn: int) -> PageKind:
+        """LSB or MSB kind of the page at a ppn."""
+        return self._kinds[(ppn % self._pages_per_block) & 1]
 
-    def page_kind(self, address: PhysicalAddress) -> PageKind:
-        """LSB or MSB kind of the page at an address."""
-        return self.geometry.page_kind(address.page)
-
-    def is_lsb(self, address: PhysicalAddress) -> bool:
+    def is_lsb(self, ppn: int) -> bool:
         """Whether the page may receive ISPP appends (LSB pages only)."""
-        return self.page_kind(address) is PageKind.LSB
+        return self.page_kind(ppn) is PageKind.LSB
 
     def _invalidate_occupancy(self) -> None:
         self._occupancy_cache = None
@@ -131,36 +152,34 @@ class FlashMemory:
     # Commands
     # ------------------------------------------------------------------
 
-    def read(
-        self, address: PhysicalAddress, offset: int = 0, length: int | None = None
-    ) -> OpResult:
-        """Read ``length`` bytes of a page (whole page by default)."""
-        page = self.page_at(address)
+    def read(self, ppn: int) -> OpResult:
+        """Read the whole data area of the page at ``ppn``."""
+        page = self.page_at(ppn)
         if self.crashkit is not None:
             self.crashkit.site("flash.read")
-        if length is None:
-            length = self.geometry.page_size - offset
-        if offset == 0 and length == len(page.data):
-            data = bytes(page.data)
-        else:
-            data = bytes(page.data[offset : offset + length])
-        kind = self.page_kind(address)
-        latency = self.latency.read(self.geometry.cell_type, kind, length)
+        data = bytes(page.data)
+        length = len(data)
+        parity = (ppn % self._pages_per_block) & 1
+        latency = self._read_us[parity] + self._transfer_us_per_kib * (length / 1024.0)
+        observer = self.latency.observer
+        if observer is not None:
+            observer("read", self.geometry.cell_type, self._kinds[parity], latency)
         self.stats.page_reads += 1
         self.stats.bytes_read += length
         self.stats.busy_time_us += latency
         if self.telemetry is not None:
             self.telemetry.on_flash_op(
-                "read", address, self.geometry.cell_type, kind, length, latency
+                "read", self.geometry.address(ppn), self.geometry.cell_type,
+                self._kinds[parity], length, latency,
             )
         return OpResult(data, latency)
 
-    def read_oob(self, address: PhysicalAddress) -> bytes:
+    def read_oob(self, ppn: int) -> bytes:
         """Read a page's spare area (no latency accounting: piggybacks on reads)."""
-        return self.page_at(address).read_oob()
+        return self.page_at(ppn).read_oob()
 
-    def program(self, address: PhysicalAddress, data: bytes, offset: int = 0) -> OpResult:
-        """Program a page (full write or in-place ISPP append).
+    def program(self, ppn: int, data: bytes, offset: int = 0) -> OpResult:
+        """Program the page at ``ppn`` (full write or in-place ISPP append).
 
         The first program of an erased page is the conventional write
         path and is checked against the block's in-order rule.  Any
@@ -168,45 +187,48 @@ class FlashMemory:
         ``write_delta`` physical realization — and triggers the program-
         interference model on neighbouring wordlines when enabled.
         """
-        page = self.page_at(address)
-        block = self.chips[address.chip].blocks[address.block]
+        page = self.page_at(ppn)
+        index = ppn % self._pages_per_block
+        block = self._blocks[ppn // self._pages_per_block]
         first = not page.programmed
+        size = len(data)
+        kind = self._kinds[index & 1]
+        latency = self._program_us[index & 1] + self._transfer_us_per_kib * (size / 1024.0)
+        observer = self.latency.observer
         if self.crashkit is not None:
             point = self.crashkit.tick("flash.program")
             if point is not None:
                 changed = page.program_torn(data, offset, self.crashkit.torn_decider(point))
                 if changed and first:
-                    block.note_first_program(address.page, enforce_order=False)
-                kind = self.page_kind(address)
-                partial = self.latency.interrupted(
-                    self.latency.program(self.geometry.cell_type, kind, len(data)),
-                    point.fraction,
-                )
-                self.chip_of(address).charge(partial)
+                    block.note_first_program(index, enforce_order=False)
+                if observer is not None:
+                    observer("program", self.geometry.cell_type, kind, latency)
+                partial = self.latency.interrupted(latency, point.fraction)
+                self.chips[ppn // self._pages_per_chip].charge(partial)
                 self.stats.busy_time_us += partial
                 self.crashkit.fail("flash.program", point)
         if first:
-            block.note_first_program(address.page, self._ordered_programs)
+            block.note_first_program(index, self._ordered_programs)
         page.program(data, offset)
-        kind = self.page_kind(address)
-        latency = self.latency.program(self.geometry.cell_type, kind, len(data))
-        self.stats.bytes_programmed += len(data)
+        if observer is not None:
+            observer("program", self.geometry.cell_type, kind, latency)
+        self.stats.bytes_programmed += size
         self.stats.busy_time_us += latency
         if first:
             self.stats.page_programs += 1
         else:
             self.stats.delta_programs += 1
-            self._interfere_neighbours(address, offset, len(data))
+            self._interfere_neighbours(block, index, offset, size)
         if self.telemetry is not None:
             self.telemetry.on_flash_op(
-                "program" if first else "delta_program",
-                address, self.geometry.cell_type, kind, len(data), latency,
+                "program" if first else "delta_program", self.geometry.address(ppn),
+                self.geometry.cell_type, kind, size, latency,
             )
         return OpResult(None, latency)
 
-    def program_oob(self, address: PhysicalAddress, data: bytes, offset: int = 0) -> None:
+    def program_oob(self, ppn: int, data: bytes, offset: int = 0) -> None:
         """ISPP-append spare-area bytes (ECC codes, IPA commit marks)."""
-        page = self.page_at(address)
+        page = self.page_at(ppn)
         if self.crashkit is not None:
             point = self.crashkit.tick("flash.program_oob")
             if point is not None:
@@ -245,12 +267,11 @@ class FlashMemory:
     # Fault model hooks
     # ------------------------------------------------------------------
 
-    def _interfere_neighbours(self, address: PhysicalAddress, offset: int, length: int) -> None:
-        """Run the program-interference model for one append."""
+    def _interfere_neighbours(self, block: FlashBlock, index: int, offset: int, length: int) -> None:
+        """Run the program-interference model for one append to ``index``."""
         if self.faults is None or self.faults.interference_rate == 0.0:
             return
-        block = self.chips[address.chip].blocks[address.block]
-        for neighbour_index in (address.page - 1, address.page + 1):
+        for neighbour_index in (index - 1, index + 1):
             if 0 <= neighbour_index < len(block.pages):
                 neighbour = block.pages[neighbour_index]
                 if neighbour.programmed:

@@ -42,10 +42,16 @@ class LatencyModel:
     #: model observation-free with zero overhead beyond one check.
     observer: Callable[[str, CellType, PageKind | None, float], None] | None = None
 
-    def _lookup(self, op: str, cell_type: CellType, kind: PageKind, table: dict) -> float:
+    def base(self, op: str, cell_type: CellType, kind: PageKind) -> float:
+        """Array time of a ``"read"`` or ``"program"`` (overrides first).
+
+        :class:`~repro.flash.memory.FlashMemory` resolves these once per
+        page kind at construction and adds the transfer term itself.
+        """
         override = self.overrides.get((op, cell_type, kind))
         if override is not None:
             return override
+        table = READ_LATENCY_US if op == "read" else PROGRAM_LATENCY_US
         return table[(cell_type, kind)]
 
     def transfer(self, num_bytes: int) -> float:
@@ -54,7 +60,7 @@ class LatencyModel:
 
     def read(self, cell_type: CellType, kind: PageKind, num_bytes: int) -> float:
         """Latency of reading ``num_bytes`` from a page of the given kind."""
-        latency = self._lookup("read", cell_type, kind, READ_LATENCY_US) + self.transfer(num_bytes)
+        latency = self.base("read", cell_type, kind) + self.transfer(num_bytes)
         if self.observer is not None:
             self.observer("read", cell_type, kind, latency)
         return latency
@@ -68,7 +74,7 @@ class LatencyModel:
         treatment of partial writes ("a partial write of 512B has the
         same latency as a write of a whole 2KB flash page").
         """
-        latency = self._lookup("program", cell_type, kind, PROGRAM_LATENCY_US) + self.transfer(num_bytes)
+        latency = self.base("program", cell_type, kind) + self.transfer(num_bytes)
         if self.observer is not None:
             self.observer("program", cell_type, kind, latency)
         return latency

@@ -9,21 +9,30 @@ counts, which the garbage collector's victim selection needs.
 from __future__ import annotations
 
 from ..errors import MappingError
-from ..flash.geometry import FlashGeometry, PhysicalAddress
+from ..flash.geometry import FlashGeometry
 
 #: Key identifying one erase unit: ``(chip, block)``.
 BlockKey = tuple[int, int]
 
 
 class PageMapping:
-    """Forward/reverse page map with per-block valid counters."""
+    """Forward/reverse page map with per-block valid counters.
+
+    Physical pages are flat page numbers (ppns, see
+    :meth:`FlashGeometry.ppn`).  The reverse map and the valid counts
+    are flat lists sized once from the geometry: P2L is indexed by ppn
+    (``-1`` marks a free or stale page) and the counts by global block
+    number ``ppn // pages_per_block``.  L2P is a dict, since only
+    written logical pages have an entry.
+    """
 
     def __init__(self, geometry: FlashGeometry) -> None:
-        self._geometry = geometry
         self._pages_per_chip = geometry.pages_per_chip
+        self._pages_per_block = geometry.pages_per_block
+        self._blocks_per_chip = geometry.blocks_per_chip
         self._l2p: dict[int, int] = {}
-        self._p2l: dict[int, int] = {}
-        self._valid_per_block: dict[BlockKey, int] = {}
+        self._p2l = [-1] * geometry.total_pages
+        self._valid = [0] * geometry.total_blocks
 
     def __contains__(self, lpn: int) -> bool:
         return lpn in self._l2p
@@ -34,84 +43,75 @@ class PageMapping:
     @property
     def pages_per_block(self) -> int:
         """Physical pages per erase unit (a block's full valid count)."""
-        return self._geometry.pages_per_block
+        return self._pages_per_block
 
-    def lookup(self, lpn: int) -> PhysicalAddress:
-        """Physical location of a logical page; raises if unmapped."""
+    def lookup(self, lpn: int) -> int:
+        """Ppn of a logical page's current home; raises if unmapped."""
         ppn = self._l2p.get(lpn)
         if ppn is None:
             raise MappingError(f"logical page {lpn} has never been written")
-        return self._geometry.address(ppn)
+        return ppn
 
     def chip_of(self, lpn: int) -> int | None:
         """Chip currently hosting a logical page, or ``None`` if unmapped.
 
         The scheduler's read-channel hint: one dict probe plus integer
-        division, with no :class:`PhysicalAddress` construction.
+        division.
         """
         ppn = self._l2p.get(lpn)
         if ppn is None:
             return None
         return ppn // self._pages_per_chip
 
-    def reverse(self, address: PhysicalAddress) -> int | None:
-        """Logical page stored at a physical address, or None if stale/free."""
-        return self._p2l.get(self._geometry.ppn(address))
+    def reverse(self, ppn: int) -> int | None:
+        """Logical page stored at a ppn, or None if stale/free."""
+        lpn = self._p2l[ppn]
+        return None if lpn < 0 else lpn
 
-    def bind(self, lpn: int, address: PhysicalAddress) -> PhysicalAddress | None:
+    def bind(self, lpn: int, ppn: int) -> int | None:
         """Point ``lpn`` at a new physical page.
 
-        Returns the previous physical address (now stale) or ``None``
-        if this is the first write of the logical page.
+        Returns the previous ppn (now stale) or ``None`` if this is the
+        first write of the logical page.
         """
-        ppn = self._geometry.ppn(address)
-        old_ppn = self._l2p.get(lpn)
-        old_address = None
-        if old_ppn is not None:
-            old_address = self._geometry.address(old_ppn)
-            self._invalidate_ppn(old_ppn, old_address)
+        old = self._l2p.get(lpn)
+        if old is not None:
+            self._invalidate(old)
         self._l2p[lpn] = ppn
         self._p2l[ppn] = lpn
-        key = (address.chip, address.block)
-        self._valid_per_block[key] = self._valid_per_block.get(key, 0) + 1
-        return old_address
+        self._valid[ppn // self._pages_per_block] += 1
+        return old
 
-    def unbind(self, lpn: int) -> PhysicalAddress | None:
-        """Drop the mapping of a logical page (TRIM); returns stale address."""
+    def unbind(self, lpn: int) -> int | None:
+        """Drop the mapping of a logical page (TRIM); returns the stale ppn."""
         ppn = self._l2p.pop(lpn, None)
-        if ppn is None:
-            return None
-        address = self._geometry.address(ppn)
-        self._invalidate_ppn(ppn, address)
-        return address
+        if ppn is not None:
+            self._invalidate(ppn)
+        return ppn
 
     def valid_count(self, key: BlockKey) -> int:
         """Number of valid (live) pages currently stored in a block."""
-        return self._valid_per_block.get(key, 0)
+        return self._valid[key[0] * self._blocks_per_chip + key[1]]
 
-    def valid_pages_in_block(self, key: BlockKey) -> list[tuple[int, PhysicalAddress]]:
-        """All ``(lpn, address)`` pairs of live pages inside one block."""
-        chip, block = key
-        pages_per_block = self._geometry.pages_per_block
-        base = PhysicalAddress(chip, block, 0)
-        base_ppn = self._geometry.ppn(base)
-        result = []
-        for page_index in range(pages_per_block):
-            lpn = self._p2l.get(base_ppn + page_index)
-            if lpn is not None:
-                result.append((lpn, PhysicalAddress(chip, block, page_index)))
-        return result
+    def valid_pages_in_block(self, key: BlockKey) -> list[tuple[int, int]]:
+        """All ``(lpn, ppn)`` pairs of live pages inside one block, in page order."""
+        base = (key[0] * self._blocks_per_chip + key[1]) * self._pages_per_block
+        p2l = self._p2l
+        return [
+            (p2l[ppn], ppn)
+            for ppn in range(base, base + self._pages_per_block)
+            if p2l[ppn] >= 0
+        ]
 
     def block_emptied(self, key: BlockKey) -> None:
         """Assert a block holds no valid data before it is erased."""
-        if self._valid_per_block.get(key, 0) != 0:
+        if self.valid_count(key) != 0:
             raise MappingError(f"block {key} still holds valid pages")
-        self._valid_per_block.pop(key, None)
 
-    def _invalidate_ppn(self, ppn: int, address: PhysicalAddress) -> None:
-        self._p2l.pop(ppn, None)
-        key = (address.chip, address.block)
-        count = self._valid_per_block.get(key, 0)
-        if count <= 0:
-            raise MappingError(f"valid count underflow on block {key}")
-        self._valid_per_block[key] = count - 1
+    def _invalidate(self, ppn: int) -> None:
+        self._p2l[ppn] = -1
+        block = ppn // self._pages_per_block
+        if self._valid[block] <= 0:
+            chip, index = divmod(block, self._blocks_per_chip)
+            raise MappingError(f"valid count underflow on block {(chip, index)}")
+        self._valid[block] -= 1

@@ -68,6 +68,7 @@ class NoFTL:
         self.crashkit = None
         self._device_busy_until = 0.0
         self._erase_counts: dict[BlockKey, int] = {}
+        self._pages_per_chip = flash.geometry.pages_per_chip
 
     # ------------------------------------------------------------------
     # Construction
@@ -152,7 +153,7 @@ class NoFTL:
 
     def physical_address(self, lpn: int) -> PhysicalAddress:
         """Current physical home of a logical page (raises if unmapped)."""
-        return self.mapping.lookup(lpn)
+        return self.flash.geometry.address(self.mapping.lookup(lpn))
 
     def is_mapped(self, lpn: int) -> bool:
         """Whether the logical page has ever been written."""
@@ -168,9 +169,9 @@ class NoFTL:
         The image contains the page body as last written plus any delta
         records appended since; applying them is the storage layer's job.
         """
-        address = self.mapping.lookup(lpn)
-        op = self.flash.read(address)
-        latency = self._execute(address, op.latency_us, now)
+        ppn = self.mapping.lookup(lpn)
+        op = self.flash.read(ppn)
+        latency = self._execute(ppn // self._pages_per_chip, op.latency_us, now)
         self.stats.host_reads += 1
         self.stats.bytes_host_read += len(op.data)
         self.stats.read_latency_us_total += latency
@@ -186,14 +187,14 @@ class NoFTL:
             )
         region = self.region_of(lpn)
         self._collect_if_needed(region, now)
-        address = region.allocate()
-        op = self.flash.program(address, data)
-        latency = self._execute(address, op.latency_us, now)
+        ppn = region.allocate()
+        op = self.flash.program(ppn, data)
+        latency = self._execute(ppn // self._pages_per_chip, op.latency_us, now)
         if self.crashkit is not None:
             # The new physical copy exists but the mapping still points
             # at the old one — a crash here must lose only the update.
             self.crashkit.site("noftl.map_update")
-        self.mapping.bind(lpn, address)
+        self.mapping.bind(lpn, ppn)
         self.stats.host_page_writes += 1
         self.stats.bytes_page_written += len(data)
         self.stats.write_latency_us_total += latency
@@ -205,14 +206,14 @@ class NoFTL:
         """Whether a delta of ``length`` bytes at ``offset`` can append in place."""
         if lpn not in self.mapping:
             return False
-        address = self.mapping.lookup(lpn)
+        ppn = self.mapping.lookup(lpn)
         region = self.region_of(lpn)
-        if not region.appends_allowed_at(address):
+        if not region.appends_allowed_at(ppn):
             return False
         if length <= 0 or offset < 0 or offset + length > self.page_size:
             return False
         # A delta slot must still be erased: the append may carry any bytes.
-        return self.flash.page_at(address).is_erased_range(offset, length)
+        return self.flash.page_at(ppn).is_erased_range(offset, length)
 
     def write_delta(self, lpn: int, offset: int, data: bytes, now: float = 0.0) -> HostIO:
         """In-place append of a delta record onto the page's current home.
@@ -225,19 +226,20 @@ class NoFTL:
             raise DeltaWriteError("empty delta")
         if lpn not in self.mapping:
             raise DeltaWriteError(f"logical page {lpn} not yet written")
-        address = self.mapping.lookup(lpn)
+        ppn = self.mapping.lookup(lpn)
         region = self.region_of(lpn)
-        if not region.appends_allowed_at(address):
+        if not region.appends_allowed_at(ppn):
             raise DeltaWriteError(
-                f"region {region.name!r} ({region.ipa_mode.value}) forbids appends at {address}"
+                f"region {region.name!r} ({region.ipa_mode.value}) forbids appends "
+                f"at {self.flash.geometry.address(ppn)}"
             )
-        page = self.flash.page_at(address)
+        page = self.flash.page_at(ppn)
         if not page.is_erased_range(offset, len(data)):
             raise DeltaWriteError(
                 f"delta at [{offset}, {offset + len(data)}) hits programmed cells"
             )
-        op = self.flash.program(address, data, offset)
-        latency = self._execute(address, op.latency_us, now)
+        op = self.flash.program(ppn, data, offset)
+        latency = self._execute(ppn // self._pages_per_chip, op.latency_us, now)
         self.stats.delta_writes += 1
         self.stats.bytes_delta_written += len(data)
         self.stats.write_latency_us_total += latency
@@ -356,8 +358,12 @@ class NoFTL:
     def _collect_one(self, region: Region, now: float) -> bool:
         """One GC round: pick victim, migrate valid pages, erase.
 
-        Every GC flash operation is scheduled on its chip's pipeline, so
-        host commands issued afterwards observe the GC delay.
+        Migration runs on ppns: each live page of the victim is read,
+        programmed to the region's next allocated ppn together with its
+        spare bytes, and rebound there.  Every GC flash operation is
+        scheduled on its chip's pipeline, so host commands issued
+        afterwards observe the GC delay.  Telemetry receives
+        :class:`PhysicalAddress` values, built only when it is attached.
         """
         candidates = [
             key
@@ -377,15 +383,16 @@ class NoFTL:
                 region.name, victim, self.mapping.valid_count(victim), len(candidates)
             )
         gc_time = 0.0
-        for lpn, address in self.mapping.valid_pages_in_block(victim):
-            read_op = self.flash.read(address)
-            gc_time += self._busy(address, read_op.latency_us, now)
+        pages_per_chip = self._pages_per_chip
+        for lpn, ppn in self.mapping.valid_pages_in_block(victim):
+            read_op = self.flash.read(ppn)
+            gc_time += self._busy(ppn // pages_per_chip, read_op.latency_us, now)
             target = region.allocate()
             program_op = self.flash.program(target, read_op.data)
-            gc_time += self._busy(target, program_op.latency_us, now)
+            gc_time += self._busy(target // pages_per_chip, program_op.latency_us, now)
             # The spare area travels with the page: ECC codes protect
             # content that is migrated verbatim, so they stay valid.
-            oob = self.flash.page_at(address).read_oob()
+            oob = self.flash.page_at(ppn).read_oob()
             if not ispp.is_erased(oob):
                 self.flash.program_oob(target, oob)
             if self.crashkit is not None:
@@ -396,12 +403,13 @@ class NoFTL:
             self.mapping.bind(lpn, target)
             self.stats.gc_page_migrations += 1
             if tele is not None:
-                tele.on_gc_migration(region.name, lpn, address, target)
+                geometry = self.flash.geometry
+                tele.on_gc_migration(
+                    region.name, lpn, geometry.address(ppn), geometry.address(target)
+                )
         self.mapping.block_emptied(victim)
         erase_op = self.flash.erase(victim[0], victim[1])
-        gc_time += self._busy(
-            PhysicalAddress(victim[0], victim[1], 0), erase_op.latency_us, now
-        )
+        gc_time += self._busy(victim[0], erase_op.latency_us, now)
         self._erase_counts[victim] = self._erase_counts.get(victim, 0) + 1
         self.stats.gc_erases += 1
         self.stats.gc_time_us_total += gc_time
@@ -414,9 +422,9 @@ class NoFTL:
     # Timing
     # ------------------------------------------------------------------
 
-    def _execute(self, address: PhysicalAddress, raw_latency: float, now: float) -> float:
-        """Schedule one command on its chip; returns observed latency."""
-        chip = self.flash.chip_of(address)
+    def _execute(self, chip_index: int, raw_latency: float, now: float) -> float:
+        """Schedule one command on a chip; returns observed latency."""
+        chip = self.flash.chips[chip_index]
         start = max(now, chip.busy_until)
         if self.serialize_io:
             start = max(start, self._device_busy_until)
@@ -425,7 +433,7 @@ class NoFTL:
             self._device_busy_until = end
         return end - now
 
-    def _busy(self, address: PhysicalAddress, raw_latency: float, now: float) -> float:
+    def _busy(self, chip_index: int, raw_latency: float, now: float) -> float:
         """Occupy a chip pipeline with device-internal (GC) work.
 
         Identical scheduling to :meth:`_execute`, but the caller does
@@ -433,7 +441,7 @@ class NoFTL:
         later host commands on the same chip.  Returns the raw latency
         for GC-time accounting.
         """
-        chip = self.flash.chip_of(address)
+        chip = self.flash.chips[chip_index]
         start = max(now, chip.busy_until)
         chip.occupy(start, raw_latency)
         if self.serialize_io:

@@ -20,7 +20,7 @@ from enum import Enum
 
 from ..errors import OutOfSpaceError, RegionError
 from ..flash.constants import CellType, PageKind
-from ..flash.geometry import FlashGeometry, PhysicalAddress
+from ..flash.geometry import FlashGeometry
 from .mapping import BlockKey
 
 
@@ -76,19 +76,23 @@ class Region:
         self.lpn_end = lpn_start + config.logical_pages  # exclusive
         self.blocks = list(blocks)
         self.free_blocks: deque[BlockKey] = deque(blocks)
-        #: Free blocks per chip — the O(1) probe behind
-        #: :meth:`peek_chip`; maintained by the two free-list mutators.
-        self._free_per_chip: dict[int, int] = {}
+        #: Free blocks per chip id — the O(1) probe behind
+        #: :meth:`allocate` and :meth:`peek_chip`; maintained by the two
+        #: free-list mutators.
+        self._free_per_chip = [0] * geometry.chips
         for chip, _ in blocks:
-            self._free_per_chip[chip] = self._free_per_chip.get(chip, 0) + 1
+            self._free_per_chip[chip] += 1
         #: Erased pages still available for allocation (free blocks plus
         #: the unconsumed tails of active blocks).  This — not the free
         #: block count — drives the GC trigger, so regions whose blocks
         #: are all "active" on some chip do not starve.
         self.erased_available = len(blocks) * self.usable_pages_per_block
-        #: Per-chip active block and next page cursor.
-        self._active: dict[int, tuple[BlockKey, int]] = {}
+        #: Per-chip active block: its key, its first ppn and the next
+        #: page index to hand out.
+        self._active: dict[int, tuple[BlockKey, int, int]] = {}
         self._chip_cursor = 0
+        #: pSLC hands out LSB pages only: every other page index.
+        self._stride = 2 if config.ipa_mode is IPAMode.PSLC else 1
         self._chips = sorted({chip for chip, _ in blocks})
         if not self._chips:
             raise RegionError(f"region {config.name!r} received no blocks")
@@ -125,13 +129,13 @@ class Region:
         """Whether a logical page number falls inside this region."""
         return self.lpn_start <= lpn < self.lpn_end
 
-    def appends_allowed_at(self, address: PhysicalAddress) -> bool:
-        """Whether a page resident at ``address`` may take an In-Place Append."""
+    def appends_allowed_at(self, ppn: int) -> bool:
+        """Whether a page resident at ``ppn`` may take an In-Place Append."""
         mode = self.config.ipa_mode
         if mode is IPAMode.NONE:
             return False
         if mode is IPAMode.ODD_MLC:
-            return self.geometry.page_kind(address.page) is PageKind.LSB
+            return self.geometry.page_kind(ppn % self.geometry.pages_per_block) is PageKind.LSB
         # NATIVE and PSLC only ever allocate appendable pages.
         return True
 
@@ -139,19 +143,34 @@ class Region:
     # Allocation
     # ------------------------------------------------------------------
 
-    def allocate(self) -> PhysicalAddress:
-        """Next erased physical page, round-robin across the region's chips.
+    def allocate(self) -> int:
+        """Ppn of the next erased page, round-robin across the region's chips.
 
-        Raises :class:`OutOfSpaceError` when no free block remains; the
-        controller must garbage-collect and retry.
+        The cursor visits each chip in turn; a chip with neither an
+        open block nor a free block is skipped on the spot.  Raises
+        :class:`OutOfSpaceError` when no chip has an erased page left;
+        the controller must garbage-collect and retry.
         """
-        for _ in range(len(self._chips)):
-            chip = self._chips[self._chip_cursor]
-            self._chip_cursor = (self._chip_cursor + 1) % len(self._chips)
-            address = self._allocate_on_chip(chip)
-            if address is not None:
+        chips, active, free = self._chips, self._active, self._free_per_chip
+        count = len(chips)
+        pages_per_block = self.geometry.pages_per_block
+        for _ in range(count):
+            chip = chips[self._chip_cursor]
+            self._chip_cursor = (self._chip_cursor + 1) % count
+            entry = active.get(chip)
+            if entry is not None:
+                key, base, cursor = entry
+                if cursor < pages_per_block:
+                    active[chip] = (key, base, cursor + self._stride)
+                    self.erased_available -= 1
+                    return base + cursor
+                del active[chip]
+            if free[chip]:
+                key = self._take_free_block(chip)
+                base = (chip * self.geometry.blocks_per_chip + key[1]) * pages_per_block
+                active[chip] = (key, base, self._stride)
                 self.erased_available -= 1
-                return address
+                return base
         raise OutOfSpaceError(f"region {self.name!r} has no erased pages left")
 
     def peek_chip(self) -> int | None:
@@ -166,46 +185,20 @@ class Region:
         for step in range(len(self._chips)):
             chip = self._chips[(self._chip_cursor + step) % len(self._chips)]
             active = self._active.get(chip)
-            if active is not None and active[1] < pages_per_block:
+            if active is not None and active[2] < pages_per_block:
                 return chip
-            if self._free_per_chip.get(chip, 0) > 0:
+            if self._free_per_chip[chip] > 0:
                 return chip
         return None
 
-    def _allocate_on_chip(self, chip: int) -> PhysicalAddress | None:
-        active = self._active.get(chip)
-        if active is not None:
-            key, cursor = active
-            address = self._cursor_address(key, cursor)
-            if address is not None:
-                self._active[chip] = (key, cursor + self._page_stride())
-                return address
-            del self._active[chip]
-        key = self._take_free_block(chip)
-        if key is None:
-            return None
-        first = 0
-        self._active[chip] = (key, first + self._page_stride())
-        return PhysicalAddress(key[0], key[1], first)
-
-    def _page_stride(self) -> int:
-        return 2 if self.config.ipa_mode is IPAMode.PSLC else 1
-
-    def _cursor_address(self, key: BlockKey, cursor: int) -> PhysicalAddress | None:
-        if cursor >= self.geometry.pages_per_block:
-            return None
-        return PhysicalAddress(key[0], key[1], cursor)
-
-    def _take_free_block(self, chip: int) -> BlockKey | None:
-        if self._free_per_chip.get(chip, 0) <= 0:
-            return None
-        for _ in range(len(self.free_blocks)):
+    def _take_free_block(self, chip: int) -> BlockKey:
+        """Pop the first free block on ``chip`` (the caller checked one exists)."""
+        while True:
             key = self.free_blocks.popleft()
             if key[0] == chip:
                 self._free_per_chip[chip] -= 1
                 return key
             self.free_blocks.append(key)
-        return None
 
     # ------------------------------------------------------------------
     # GC bookkeeping
@@ -221,7 +214,7 @@ class Region:
         """
         return {
             key
-            for key, cursor in self._active.values()
+            for key, _, cursor in self._active.values()
             if cursor < self.geometry.pages_per_block
         }
 
@@ -245,7 +238,7 @@ class Region:
         """
         best_chip = None
         best_rank: tuple[int, int] | None = None
-        for chip, (key, cursor) in self._active.items():
+        for chip, (key, _, cursor) in self._active.items():
             if cursor >= self.geometry.pages_per_block:
                 continue  # stale entry: already a regular GC candidate
             rank = (mapping.valid_count(key), cursor)
@@ -253,7 +246,7 @@ class Region:
                 best_chip, best_rank = chip, rank
         if best_chip is None:
             return None
-        key, cursor = self._active.pop(best_chip)
+        key, _, cursor = self._active.pop(best_chip)
         self.erased_available -= self._remaining_usable(cursor)
         return key
 
@@ -266,7 +259,7 @@ class Region:
     def release_block(self, key: BlockKey) -> None:
         """Return an erased block to the free list."""
         self.free_blocks.append(key)
-        self._free_per_chip[key[0]] = self._free_per_chip.get(key[0], 0) + 1
+        self._free_per_chip[key[0]] += 1
         self.erased_available += self.usable_pages_per_block
 
     def needs_gc(self) -> bool:

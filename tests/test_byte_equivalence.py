@@ -8,6 +8,7 @@ reference computation.  This suite pins that guarantee with explicit
 oracles, parametrized across SLC/MLC/pSLC modes and torn-write cases.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -297,6 +298,138 @@ def test_telemetry_fast_path_leaves_counters_identical():
             device.read(lpn, 0.0)
     assert quiet.snapshot() == loud.snapshot()
     assert quiet.occupancy() == loud.occupancy()
+
+
+#: Every backend and mode, sized so a few hundred writes keep GC busy:
+#: 64 logical pages on 8-page blocks give each region about a dozen
+#: blocks, one or two per chip, as on the device_write_gc bench.
+_SMALL = dict(logical_pages=64, page_size=512, pages_per_block=8)
+BACKENDS = [
+    pytest.param(SessionConfig(backend="noftl", **_SMALL), id="emulator-slc"),
+    pytest.param(
+        SessionConfig(backend="noftl", platform="openssd", mode=IPAMode.PSLC, **_SMALL),
+        id="openssd-pslc",
+    ),
+    pytest.param(
+        SessionConfig(backend="noftl", platform="openssd", mode=IPAMode.ODD_MLC, **_SMALL),
+        id="openssd-odd-mlc",
+    ),
+    pytest.param(SessionConfig(backend="blockssd", **_SMALL), id="blockssd-slc"),
+    pytest.param(SessionConfig(backend="sharded", shards=2, **_SMALL), id="sharded-2"),
+]
+
+
+def _controllers(device) -> list:
+    """The NoFTL controllers that own the flash under any backend."""
+    if hasattr(device, "shards"):
+        return list(device.shards)
+    if hasattr(device, "internal"):
+        return [device.internal]
+    return [device]
+
+
+def _home_channel(device, lpn: int) -> int:
+    """The channel a logical page's physical home is served on."""
+    if len(device.occupancy()) == 1:
+        return 0  # serialized (OpenSSD): one device-wide channel
+    if not hasattr(device, "shards"):
+        return _controllers(device)[0].physical_address(lpn).chip
+    shard, local = device.shard_of(lpn)
+    offset = sum(len(child.occupancy()) for child in device.shards[:shard])
+    return offset + device.shards[shard].physical_address(local).chip
+
+
+def _owning_region(device, lpn: int):
+    if hasattr(device, "shards"):
+        shard, local = device.shard_of(lpn)
+        return device.shards[shard].region_of(local)
+    return _controllers(device)[0].region_of(lpn)
+
+
+def _play_script(device, seed: int) -> list:
+    """Random page writes, 16-byte deltas and reads; returns every result."""
+    page_size = device.page_size
+    tail = 128
+    rng = random.Random(seed)
+    cursors = [None] * device.logical_pages
+    results = []
+    now = 0.0
+    for step in range(900):
+        lpn = rng.randrange(device.logical_pages)
+        roll = rng.random()
+        cursor = cursors[lpn]
+        if roll < 0.15 and cursor is not None:
+            io = device.read(lpn, now)
+        elif roll < 0.40 and cursor is not None and cursor + 16 <= tail:
+            offset = page_size - tail + cursor
+            if device.can_write_delta(lpn, offset, 16):
+                io = device.write_delta(lpn, offset, bytes([step % 256]) * 16, now)
+                cursors[lpn] = cursor + 16
+            else:
+                io = None
+        else:
+            image = bytes([step % 251]) * (page_size - tail) + b"\xff" * tail
+            io = device.write(lpn, image, now)
+            cursors[lpn] = 0
+        if io is not None:
+            results.append((io.data, io.latency_us))
+            now += io.latency_us / 4
+    return results
+
+
+def _device_state(device) -> dict:
+    state = {"device": device.snapshot(), "flash": []}
+    for controller in _controllers(device):
+        flash = controller.flash
+        state["flash"].append((
+            flash.stats.snapshot(),
+            [(chip.busy_until, chip.busy_time_us) for chip in flash.chips],
+            [block.erase_count for chip in flash.chips for block in chip.blocks],
+        ))
+    state["images"] = [
+        device.read(lpn, 0.0).data
+        for lpn in range(device.logical_pages)
+        if device.is_mapped(lpn)
+    ]
+    return state
+
+
+@pytest.mark.parametrize("config", BACKENDS)
+def test_telemetry_on_and_off_simulate_identically(config):
+    """Telemetry (with an event subscriber, so every address-building
+    path runs) changes no counter, clock, erase count or byte."""
+    quiet = open_device(config)
+    telemetry = Telemetry()
+    events = []
+    telemetry.events.subscribe_all(events.append)
+    loud = open_device(dataclasses.replace(config, telemetry=telemetry))
+    assert _play_script(quiet, 41) == _play_script(loud, 41)
+    assert _device_state(quiet) == _device_state(loud)
+    assert sum(c.stats.gc_erases for c in _controllers(loud)) > 0
+    assert events, "the subscriber saw no event"
+
+
+@pytest.mark.parametrize("config", BACKENDS)
+def test_channel_hints_name_the_serving_chip_after_gc(config):
+    """Read hints name the chip of every mapped page's home after heavy
+    GC; a write hint names the chip the write lands on whenever the
+    region needs no GC first."""
+    device = open_device(config)
+    rng = random.Random(59)
+    checked = 0
+    for step in range(700):
+        lpn = rng.randrange(device.logical_pages)
+        hint = device.channel_of(lpn, "write")
+        settled = not _owning_region(device, lpn).needs_gc()
+        device.write(lpn, bytes([step % 251]) * device.page_size, 0.0)
+        if settled:
+            assert hint == _home_channel(device, lpn), f"write step {step}"
+            checked += 1
+    assert checked > 0
+    assert sum(c.stats.gc_erases for c in _controllers(device)) > 0
+    for lpn in range(device.logical_pages):
+        if device.is_mapped(lpn):
+            assert device.channel_of(lpn, "read") == _home_channel(device, lpn), lpn
 
 
 # ----------------------------------------------------------------------

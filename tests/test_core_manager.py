@@ -254,7 +254,7 @@ class TestLoad:
         manager.flush(frame)
         # Flip one stored bit behind the manager's back.
         address = device.physical_address(0)
-        device.flash.page_at(address).data[40] ^= 0x01
+        device.flash.page_at(device.flash.geometry.ppn(address)).data[40] ^= 0x01
         image, __, __ = manager.load(0)
         assert manager.stats.ecc_corrected_bits == 1
         assert SlottedPage(image).read_record(0) == b"\x42" * 8

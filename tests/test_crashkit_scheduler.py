@@ -152,7 +152,7 @@ class TestTornPagePrimitives:
 
     def test_torn_erase_keeps_erase_count(self):
         memory = make_memory()
-        address = PhysicalAddress(0, 0, 0)
+        address = memory.geometry.ppn(PhysicalAddress(0, 0, 0))
         memory.program(address, b"\xab" * 512)
         block = memory.chips[0].blocks[0]
         before = block.erase_count
@@ -168,7 +168,7 @@ class TestMemoryInjection:
             [CrashPoint(at_op=1, sites=("flash.program",), fraction=0.5)], seed=5
         )
         memory.crashkit = sched
-        address = PhysicalAddress(0, 0, 0)
+        address = memory.geometry.ppn(PhysicalAddress(0, 0, 0))
         with pytest.raises(PowerFailureError):
             memory.program(address, b"\x00" * 512)
         torn = memory.page_at(address).read()
@@ -178,7 +178,7 @@ class TestMemoryInjection:
 
     def test_partial_latency_is_a_fraction_of_full(self):
         full = make_memory()
-        address = PhysicalAddress(0, 0, 0)
+        address = full.geometry.ppn(PhysicalAddress(0, 0, 0))
         full.program(address, b"\x00" * 512)
         full_busy = full.stats.busy_time_us
 
@@ -193,7 +193,7 @@ class TestMemoryInjection:
 
     def test_torn_erase_failure(self):
         memory = make_memory()
-        address = PhysicalAddress(0, 0, 0)
+        address = memory.geometry.ppn(PhysicalAddress(0, 0, 0))
         memory.program(address, b"\x00" * 512)
         sched = CrashScheduler(
             [CrashPoint(at_op=1, sites=("flash.erase",), fraction=1.0)]

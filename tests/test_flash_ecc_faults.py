@@ -153,9 +153,9 @@ class TestFaultInjector:
         mem = FlashMemory(geometry, fault_injector=injector)
         # program pages 0..2 in order, leave tails erased
         for index in range(3):
-            mem.program(PhysicalAddress(0, 0, index), b"\x00" * 48 + b"\xff" * 16)
+            mem.program(geometry.ppn(PhysicalAddress(0, 0, index)), b"\x00" * 48 + b"\xff" * 16)
         # append to LSB page 1's erased tail: neighbours 0 and 2 can be hit
-        mem.program(PhysicalAddress(0, 0, 2), b"\x33" * 4, offset=48)
+        mem.program(geometry.ppn(PhysicalAddress(0, 0, 2)), b"\x33" * 4, offset=48)
         assert injector.interference_flips >= 1
 
     def test_memory_age_counts_flips(self):
@@ -163,5 +163,5 @@ class TestFaultInjector:
                                  page_size=32, oob_size=4)
         injector = FaultInjector(retention_rate=0.2, seed=11)
         mem = FlashMemory(geometry, fault_injector=injector)
-        mem.program(PhysicalAddress(0, 0, 0), b"\x00" * 32)
+        mem.program(geometry.ppn(PhysicalAddress(0, 0, 0)), b"\x00" * 32)
         assert mem.age() > 0

@@ -123,7 +123,7 @@ class TestUncorrectable:
         frame = Frame(0, page)
         manager.flush(frame)
         address = device.physical_address(0)
-        stored = device.flash.page_at(address)
+        stored = device.flash.page_at(device.flash.geometry.ppn(address))
         stored.data[40] ^= 0x01
         stored.data[41] ^= 0x01  # two bit errors in the body segment
         with pytest.raises(UncorrectableError):
@@ -143,12 +143,12 @@ class TestInterferenceConfinement:
         body = b"\xaa" * 192
         tail = b"\xff" * 64
         for index in range(4):
-            memory.program(PhysicalAddress(0, 0, index), body + tail)
+            memory.program(geometry.ppn(PhysicalAddress(0, 0, index)), body + tail)
         # Append into LSB page 2's tail; neighbours 1 and 3 (MSB) may
         # be disturbed, but only within the tail byte range.
         for k in range(8):
-            memory.program(PhysicalAddress(0, 0, 2), bytes([k]), offset=192 + k)
+            memory.program(geometry.ppn(PhysicalAddress(0, 0, 2)), bytes([k]), offset=192 + k)
         assert injector.interference_flips > 0
         for neighbour in (1, 3):
-            data = memory.read(PhysicalAddress(0, 0, neighbour)).data
+            data = memory.read(geometry.ppn(PhysicalAddress(0, 0, neighbour))).data
             assert data[:192] == body, "interference leaked into the body"

@@ -12,15 +12,21 @@ from repro.ftl.noftl import single_region_device
 from repro.ftl.region import IPAMode
 
 
+GEOMETRY = FlashGeometry(chips=1, blocks_per_chip=8, pages_per_block=4,
+                         page_size=64, oob_size=8)
+
+
+def ppn(chip, block, page):
+    return GEOMETRY.ppn(PhysicalAddress(chip, block, page))
+
+
 @pytest.fixture
 def mapping():
-    geometry = FlashGeometry(chips=1, blocks_per_chip=8, pages_per_block=4,
-                             page_size=64, oob_size=8)
-    m = PageMapping(geometry)
+    m = PageMapping(GEOMETRY)
     # block 0: 3 valid, block 1: 1 valid, block 2: 0 valid
     for i in range(3):
-        m.bind(i, PhysicalAddress(0, 0, i))
-    m.bind(10, PhysicalAddress(0, 1, 0))
+        m.bind(i, ppn(0, 0, i))
+    m.bind(10, ppn(0, 1, 0))
     return m
 
 
@@ -46,13 +52,13 @@ class TestPolicies:
     def test_cost_benefit_skips_full_blocks(self, mapping):
         # Block 3: completely valid — reclaiming it gains nothing.
         for i in range(4):
-            mapping.bind(20 + i, PhysicalAddress(0, 3, i))
+            mapping.bind(20 + i, ppn(0, 3, i))
         choice = cost_benefit([(0, 3), (0, 1)], mapping, {})
         assert choice == (0, 1)
 
     def test_cost_benefit_all_full_returns_none(self, mapping):
         for i in range(4):
-            mapping.bind(20 + i, PhysicalAddress(0, 3, i))
+            mapping.bind(20 + i, ppn(0, 3, i))
         assert cost_benefit([(0, 3)], mapping, {}) is None
 
     def test_cost_benefit_on_128_page_blocks(self):

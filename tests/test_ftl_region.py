@@ -24,12 +24,12 @@ def make_region(ipa_mode=IPAMode.NATIVE, cell_type=CellType.SLC,
 class TestAllocation:
     def test_round_robin_across_chips(self):
         region = make_region()
-        chips = [region.allocate().chip for __ in range(4)]
+        chips = [region.geometry.address(region.allocate()).chip for __ in range(4)]
         assert set(chips) == {0, 1}
 
     def test_sequential_pages_within_block(self):
         region = make_region(chips=1, blocks=[(0, 0)])
-        pages = [region.allocate().page for __ in range(8)]
+        pages = [region.geometry.address(region.allocate()).page for __ in range(8)]
         assert pages == list(range(8))
 
     def test_exhaustion_raises(self):
@@ -62,7 +62,7 @@ class TestPSLCStride:
     def test_only_even_pages_allocated(self):
         region = make_region(ipa_mode=IPAMode.PSLC, cell_type=CellType.MLC,
                              chips=1, blocks=[(0, 0)])
-        pages = [region.allocate().page for __ in range(4)]
+        pages = [region.geometry.address(region.allocate()).page for __ in range(4)]
         assert pages == [0, 2, 4, 6]
 
     def test_usable_halved(self):
@@ -78,16 +78,16 @@ class TestPSLCStride:
 class TestAppendPermission:
     def test_none_forbids(self):
         region = make_region(ipa_mode=IPAMode.NONE)
-        assert not region.appends_allowed_at(PhysicalAddress(0, 0, 0))
+        assert not region.appends_allowed_at(region.geometry.ppn(PhysicalAddress(0, 0, 0)))
 
     def test_native_allows_everywhere(self):
         region = make_region(ipa_mode=IPAMode.NATIVE)
-        assert region.appends_allowed_at(PhysicalAddress(0, 0, 3))
+        assert region.appends_allowed_at(region.geometry.ppn(PhysicalAddress(0, 0, 3)))
 
     def test_odd_mlc_lsb_only(self):
         region = make_region(ipa_mode=IPAMode.ODD_MLC, cell_type=CellType.MLC)
-        assert region.appends_allowed_at(PhysicalAddress(0, 0, 2))
-        assert not region.appends_allowed_at(PhysicalAddress(0, 0, 3))
+        assert region.appends_allowed_at(region.geometry.ppn(PhysicalAddress(0, 0, 2)))
+        assert not region.appends_allowed_at(region.geometry.ppn(PhysicalAddress(0, 0, 3)))
 
 
 class TestRetireActive:
