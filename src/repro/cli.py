@@ -35,6 +35,7 @@ static analyzer (:mod:`repro.lintkit`), over the source tree::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .analysis import UpdateSizeCollector, format_table, relative_change
@@ -316,62 +317,34 @@ def cmd_loadtest(args) -> int:
 
     ``--level device`` (the default) drives raw page operations;
     ``--level txn`` runs whole engine transactions — buffer pool, WAL,
-    group commit — under the same scheduler.  Both are deterministic
-    for a fixed seed and flag set — the printed report is byte-identical
-    across runs, which the CI smoke jobs assert.
+    group commit — under the same scheduler.  Every other flag sets the
+    level's config field named by its ``dest``; a flag the level lacks
+    is an error, an unset one keeps the config's default.  Both levels
+    are deterministic for a fixed seed and flag set — the printed
+    report is byte-identical across runs, which the CI smoke jobs assert.
     """
-    from .hostq import LoadTestConfig, format_sweep, run_loadtest, sweep_queue_depth
-
-    if args.level == "txn":
-        from .hostq import TxnLoadTestConfig, run_txn_loadtest
-
-        if args.sweep:
-            print("--sweep is a device-level option; drop it with --level txn",
-                  file=sys.stderr)
-            return 1
-        txn_config = TxnLoadTestConfig(
-            backend=args.backend,
-            clients=args.clients,
-            queue_depth=args.queue_depth,
-            seed=args.seed,
-            txns=args.txns,
-            profile=args.profile,
-            logical_pages=args.pages,
-            shards=args.shards,
-            scheme=parse_scheme(args.scheme),
-            buffer_fraction=args.buffer_fraction,
-            think_us=args.think_us,
-            group_commit=args.group_commit,
-            rollback=args.rollback,
-            ops_per_txn=args.ops_per_txn,
-        )
-        print(run_txn_loadtest(txn_config).report())
-        return 0
-
-    config = LoadTestConfig(
-        backend=args.backend,
-        clients=args.clients,
-        queue_depth=args.queue_depth,
-        arrival=args.arrival,
-        seed=args.seed,
-        requests=args.requests,
-        profile=args.profile,
-        logical_pages=args.pages,
-        shards=args.shards,
-        think_us=args.think_us,
-        rate_rps=args.rate,
-        admission=args.admission,
-        group_commit=args.group_commit,
+    from .hostq import (
+        LoadTestConfig, TxnLoadTestConfig, format_sweep, run_loadtest, sweep_queue_depth,
     )
-    if args.sweep:
-        try:
-            depths = [int(part) for part in args.sweep.split(",") if part]
-        except ValueError:
-            print(f"bad --sweep list {args.sweep!r}; use e.g. 1,2,4,8", file=sys.stderr)
-            return 1
-        print(format_sweep(sweep_queue_depth(config, depths)))
+
+    level, other = (
+        (TxnLoadTestConfig, "device") if args.level == "txn" else (LoadTestConfig, "txn")
+    )
+    fields = {field.name for field in dataclasses.fields(level)}
+    given = {dest: value for dest, value in vars(args).items() if dest in args.flags}
+    for dest in given:
+        if dest not in fields:
+            raise ReproError(f"{args.flags[dest]} applies to --level {other} only")
+    config = level(**given)
+    if not args.sweep:
+        print(run_loadtest(config).report())
         return 0
-    print(run_loadtest(config).report())
+    try:
+        depths = [int(part) for part in args.sweep.split(",") if part]
+    except ValueError:
+        print(f"bad --sweep list {args.sweep!r}; use e.g. 1,2,4,8", file=sys.stderr)
+        return 1
+    print(format_sweep(sweep_queue_depth(config, depths)))
     return 0
 
 
@@ -502,50 +475,50 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-pulse completion chance of torn operations")
     p.set_defaults(func=cmd_crashtest)
 
-    p = sub.add_parser("loadtest", help="concurrent-client load test (hostq)")
+    # Defaults live in the level's config class only: an unset flag
+    # stays out of the namespace.
+    p = sub.add_parser("loadtest", help="concurrent-client load test (hostq)",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--level", choices=("device", "txn"), default="device",
                    help="drive raw page ops (device) or whole engine "
                         "transactions (txn)")
-    p.add_argument("--backend", choices=BACKENDS, default="noftl",
-                   help="storage backend under load")
-    p.add_argument("--shards", type=int, default=4,
-                   help="controller count for the sharded backend")
-    p.add_argument("--clients", type=int, default=8,
-                   help="concurrent client sessions")
-    p.add_argument("--queue-depth", type=int, default=8,
-                   help="NCQ depth: pending + in-flight bound")
-    p.add_argument("--arrival", choices=("closed", "open"), default="closed",
-                   help="closed loop (think time) or open loop (Poisson)")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--requests", type=int, default=2000,
-                   help="total operations to generate")
-    p.add_argument("--profile", choices=("uniform", "tpcb", "tpcc", "tatp",
-                                         "linkbench"),
-                   default="uniform", help="per-client operation mix")
-    p.add_argument("--pages", type=int, default=512,
-                   help="logical pages in the device (all prefilled)")
-    p.add_argument("--think-us", type=float, default=0.0,
-                   help="closed-loop mean think time [us]")
-    p.add_argument("--rate", type=float, default=20000.0,
-                   help="open-loop arrival rate [req/s]")
-    p.add_argument("--admission", choices=("block", "reject"), default="block",
-                   help="backpressure policy when the queue is full")
-    p.add_argument("--group-commit", type=int, default=8,
-                   help="max commits batched per WAL force")
     p.add_argument("--sweep", default="",
                    help="comma-separated queue depths: print the sweep table")
-    p.add_argument("--txns", type=int, default=200,
-                   help="[txn level] total transactions across all clients")
-    p.add_argument("--scheme", default="2x4",
-                   help="[txn level] IPA scheme, e.g. 2x4, 2x4x12, or off")
-    p.add_argument("--buffer-fraction", type=float, default=0.5,
-                   help="[txn level] buffer pool as a fraction of the pages")
-    p.add_argument("--rollback", type=float, default=None,
-                   help="[txn level] deliberate-rollback fraction "
-                        "(default: the profile's)")
-    p.add_argument("--ops-per-txn", type=int, default=0,
-                   help="[txn level] ops per transaction (0 = profile default)")
-    p.set_defaults(func=cmd_loadtest)
+    flags: dict[str, str] = {}  # config field -> the flag that sets it
+
+    def field_flag(flag, **kwargs):
+        flags[p.add_argument(flag, **kwargs).dest] = flag
+
+    field_flag("--backend", choices=BACKENDS, help="storage backend under load")
+    field_flag("--shards", type=int, help="controller count for the sharded backend")
+    field_flag("--clients", type=int, help="concurrent client sessions")
+    field_flag("--queue-depth", type=int, help="NCQ depth: pending + in-flight bound")
+    field_flag("--arrival", choices=("closed", "open"),
+               help="[device level] closed loop (think time) or open loop (Poisson)")
+    field_flag("--seed", type=int)
+    field_flag("--requests", type=int,
+               help="[device level] total operations to generate")
+    field_flag("--profile", choices=("uniform", "tpcb", "tpcc", "tatp", "linkbench"),
+               help="per-client operation mix")
+    field_flag("--pages", dest="logical_pages", metavar="PAGES", type=int,
+               help="logical pages in the device (all prefilled)")
+    field_flag("--think-us", type=float, help="closed-loop mean think time [us]")
+    field_flag("--rate", dest="rate_rps", metavar="RATE", type=float,
+               help="[device level] open-loop arrival rate [req/s]")
+    field_flag("--admission", choices=("block", "reject"),
+               help="[device level] backpressure policy when the queue is full")
+    field_flag("--group-commit", type=int, help="max commits batched per WAL force")
+    field_flag("--txns", type=int,
+               help="[txn level] total transactions across all clients")
+    field_flag("--scheme", type=parse_scheme,
+               help="[txn level] IPA scheme, e.g. 2x4, 2x4x12, or off")
+    field_flag("--buffer-fraction", type=float,
+               help="[txn level] buffer pool as a fraction of the pages")
+    field_flag("--rollback", type=float,
+               help="[txn level] deliberate-rollback fraction (default: the profile's)")
+    field_flag("--ops-per-txn", type=int,
+               help="[txn level] ops per transaction (0 = profile default)")
+    p.set_defaults(func=cmd_loadtest, flags=flags)
 
     p = sub.add_parser("lint", help="run the iplint invariant linter")
     p.add_argument("paths", nargs="*",

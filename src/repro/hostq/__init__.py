@@ -15,8 +15,9 @@ own subsystem:
 * :mod:`~repro.hostq.scheduler` — the deterministic discrete-event loop
   dispatching against the :class:`~repro.ftl.device.FlashDevice`
   occupancy hooks, so independent dies genuinely overlap;
-* :mod:`~repro.hostq.loadtest` — ``repro loadtest``: throughput,
-  end-to-end latency percentiles, and the queue-depth sweep;
+* :mod:`~repro.hostq.loadtest` — ``repro loadtest``: one run skeleton
+  for both levels (throughput, end-to-end latency percentiles, the
+  queue-depth sweep) and the device level, raw page operations;
 * :mod:`~repro.hostq.txnexec` — ``repro loadtest --level txn``: whole
   engine transactions (buffer pool, WAL, group commit) driven as
   resumable storage programs under the same scheduler.
@@ -34,17 +35,13 @@ from .loadtest import (
     LoadTestResult,
     format_sweep,
     run_loadtest,
+    run_txn_loadtest,
     sweep_queue_depth,
 )
 from .queueing import ADMISSION_POLICIES, QueueStats, SubmissionQueue
 from .request import OpKind, Request
 from .scheduler import HostScheduler, SchedulerStats
-from .txnexec import (
-    TxnExecutor,
-    TxnLoadTestConfig,
-    TxnLoadTestResult,
-    run_txn_loadtest,
-)
+from .txnexec import TxnExecutor, TxnLoadTestConfig
 
 __all__ = [
     "ADMISSION_POLICIES",
@@ -62,7 +59,6 @@ __all__ = [
     "SubmissionQueue",
     "TxnExecutor",
     "TxnLoadTestConfig",
-    "TxnLoadTestResult",
     "build_sessions",
     "format_sweep",
     "run_loadtest",

@@ -61,10 +61,6 @@ class ClosedLoopClient:
             return 0.0
         return self._rng.expovariate(1.0 / self.think_time_us)
 
-    def next_op(self) -> tuple[str, int, int]:
-        """The client's next operation from its session stream."""
-        return self.session.next_op()
-
 
 class OpenLoopArrivals:
     """Poisson arrival chain feeding round-robin client sessions."""

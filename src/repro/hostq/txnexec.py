@@ -1,10 +1,9 @@
 """The transaction executor: full engine transactions under the scheduler.
 
-The device-level load test (:mod:`repro.hostq.loadtest`) drives raw page
-operations; this module closes the gap to the paper's headline numbers,
-which are *transaction-level*: N concurrent clients each run whole
-transactions — reads and WAL-logged updates through the buffer pool,
-commit forces through group commit — and the end-to-end transaction
+The transaction level of :mod:`repro.hostq.loadtest`, closer to the
+paper's headline numbers than raw page operations: N concurrent clients
+each run whole transactions — reads and WAL-logged updates through the
+buffer pool, commit forces through group commit — and the end-to-end
 latency includes queueing, frame-pin conflicts and commit batching.
 
 The machinery is the storage-program refactor paying off: engine
@@ -33,40 +32,30 @@ is what makes a re-fetch racing a queued eviction write-back
 impossible.  Rollbacks (deliberate or failure-driven) acquire their
 undo set in sorted LPN order before undoing; operations never wait
 while holding a lock, so the lock graph is cycle-free.
-
-Everything is deterministic for a fixed seed: same-seed reports are
-byte-identical across runs and backends are exercised identically,
-which CI asserts with a cmp rerun.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
-from dataclasses import replace as dataclass_replace
+from dataclasses import dataclass, replace
+from typing import Any
 
-from ..analysis.report import format_table
-from ..core.scheme import NxMScheme, SCHEME_OFF
+from ..core.scheme import NxMScheme
 from ..errors import ReproError
 from ..storage.clock import DeferredClock
 from ..storage.page_layout import HEADER_SIZE, SlottedPage
 from ..storage.program import DeviceCommand
-from ..session import SessionConfig, backend_label, open_session
-from ..workloads.sessions import PROFILES, ClientSession
-from ._harness import DieMeter, summarize, validate_common
-from .clients import ClosedLoopClient, build_sessions
-from .groupcommit import GroupCommitGate
-from .queueing import SubmissionQueue
+from ..session import SessionConfig, open_session
+from ..workloads.sessions import PROFILES, ClientSession, SessionProfile
+from .clients import ClosedLoopClient
+from .groupcommit import GroupCommitGate, GroupCommitStats
+from .loadtest import LevelConfig
+from .queueing import QueueStats, SubmissionQueue
 from .request import OpKind, Request
 from .scheduler import HostScheduler
 
-__all__ = [
-    "TxnExecutor",
-    "TxnLoadTestConfig",
-    "TxnLoadTestResult",
-    "run_txn_loadtest",
-]
+__all__ = ["TxnExecutor", "TxnLoadTestConfig"]
 
 #: Bytes patched by a "write" (non-delta) update op — large enough to
 #: overflow any practical [N x M] budget, so it materializes as an
@@ -114,35 +103,43 @@ class _TxnCtx:
 
 
 @dataclass(frozen=True)
-class TxnLoadTestConfig:
-    """One transaction-level load-test configuration."""
+class TxnLoadTestConfig(LevelConfig):
+    """The transaction level: whole engine transactions per client, on an
+    engine that evicts eagerly, queued with blocking admission."""
 
-    backend: str = "noftl"
-    clients: int = 4
-    queue_depth: int = 8
-    seed: int = 7
     #: Total transactions across all clients.
     txns: int = 200
-    profile: str = "tpcb"
-    logical_pages: int = 256
-    shards: int = 4
-    scheme: NxMScheme = SCHEME_OFF
+    scheme: NxMScheme = NxMScheme(2, 4)
     #: Buffer pool as a fraction of the logical pages (floored so every
     #: client can hold a pin plus headroom for the victim scan).
     buffer_fraction: float = 0.5
-    eviction: str = "eager"
-    think_us: float = 0.0
-    #: Commits batched per WAL force (gate max_group).
-    group_commit: int = 8
     #: Override of the profile's rollback fraction (``None`` = profile).
     rollback: float | None = None
     #: Override of the profile's ops per transaction (0 = profile; a
     #: profile without commit cadence falls back to 4).
     ops_per_txn: int = 0
 
+    HEADER = ("profile", "scheme")
+    NOUN, UNIT, THROUGHPUT = "txn ", "txn", "throughput_tps"
+    HEAD = (
+        ("transactions committed", "committed"),
+        ("transactions aborted", "aborted"),
+        ("transactions retried", "retried"),
+        ("conflict waits", "conflict_waits"),
+    )
+    TAIL = (
+        ("log forces", "log_forces"),
+        ("commits grouped", "commits_grouped"),
+        ("commits per force", "commits_per_force"),
+        ("ipa flushes", "ipa_flushes"),
+        ("oop flushes", "oop_flushes"),
+        ("skipped flushes", "skipped_flushes"),
+        ("buffer hit ratio [%]", "buffer_hit_ratio"),
+    )
+
     def validate(self) -> None:
-        """Reject configurations the harness cannot run (ReproError)."""
-        validate_common(self)
+        """The shared checks, then the transaction level's."""
+        super().validate()
         if self.txns < 1:
             raise ReproError("need at least one transaction")
         if self.ops_per_txn < 0:
@@ -156,54 +153,42 @@ class TxnLoadTestConfig:
         """Ops per transaction after profile defaults and overrides."""
         return self.ops_per_txn or PROFILES[self.profile].ops_per_txn or 4
 
-    def rollback_fraction(self) -> float:
-        """Deliberate-rollback fraction after profile defaults."""
-        if self.rollback is not None:
-            return self.rollback
-        return PROFILES[self.profile].rollback_fraction
+    def session_profile(self) -> SessionProfile:
+        """The profile with this run's ops-per-transaction override."""
+        return replace(PROFILES[self.profile], ops_per_txn=self.effective_ops_per_txn())
 
-    def label(self) -> str:
-        """One-line run descriptor used in report titles."""
-        return (
-            f"backend={backend_label(self)} clients={self.clients} "
-            f"depth={self.queue_depth} "
-            f"profile={self.profile} scheme={self.scheme} seed={self.seed}"
+    def stack_fields(self) -> dict[str, Any]:
+        """The scheme, the buffer pool and the event loop's deferred clock."""
+        return dict(
+            scheme=self.scheme,
+            buffer_pages=max(self.clients + 2, int(self.logical_pages * self.buffer_fraction)),
+            clock=DeferredClock(),
         )
+
+    def driver(self, stack: SessionConfig) -> TxnExecutor:
+        """An engine built from ``stack``, under the transaction executor."""
+        return TxnExecutor(open_session(stack).engine, stack.clock, self)
 
 
 class TxnExecutor:
-    """Interleaves N clients' transactions over one scheduled engine.
+    """The transaction level's driver: N clients' transactions over one engine.
 
     The executor owns the per-LPN operation locks, the command-busy
     tracking, and the retry/rollback policy; the engine contributes the
     storage programs and the scheduler contributes time.
     """
 
-    def __init__(
-        self,
-        engine,
-        clock: DeferredClock,
-        queue: SubmissionQueue,
-        gate: GroupCommitGate,
-        sessions: list[ClientSession],
-        config: TxnLoadTestConfig,
-    ) -> None:
+    def __init__(self, engine, clock: DeferredClock, config: TxnLoadTestConfig) -> None:
         self.engine = engine
+        self.device = engine.device
+        #: The WAL the group-commit gate charges.
+        self.log = engine.log
         self.clock = clock
         self.config = config
-        self.scheduler = HostScheduler(
-            engine.device, queue, self._execute, gate=gate,
-            on_complete=self._on_complete,
+        self._rollback_fraction = (
+            PROFILES[config.profile].rollback_fraction
+            if config.rollback is None else config.rollback
         )
-        self._clients = [
-            ClosedLoopClient(index, session, config.think_us, seed=config.seed)
-            for index, session in enumerate(sessions)
-        ]
-        self._rollback_rngs = [
-            random.Random(config.seed * 9_176_087 + index + 1)
-            for index in range(len(sessions))
-        ]
-        self._rollback_fraction = config.rollback_fraction()
         #: lpn -> owning transaction context (operation lock).
         self._busy_ops: dict[int, _TxnCtx] = {}
         #: lpn -> queued/in-flight device command count.
@@ -223,16 +208,59 @@ class TxnExecutor:
     # Run control
     # ------------------------------------------------------------------
 
-    def start(self, t0: float) -> None:
-        """Arm every client's first transaction at time ``t0``."""
-        for client in range(len(self._clients)):
-            self.scheduler.schedule(
-                t0, lambda now, c=client: self._start_txn(c)
-            )
+    def load(self) -> None:
+        """The load phase: format every page as an empty slotted page
+        (erased delta tail), so engine fetches decode cleanly."""
+        area = self.config.scheme.area_size
+        for lpn in range(self.config.logical_pages):
+            page = SlottedPage.format(lpn, self.device.page_size, area)
+            self.device.write(lpn, bytes(page.image), 0.0)
+
+    def drive(self, queue: SubmissionQueue, gate: GroupCommitGate,
+              sessions: list[ClientSession], t0: float) -> float:
+        """Arm every client's first transaction at ``t0`` and run them all."""
+        config = self.config
+        self.clock.sync_to(t0)
+        self.scheduler = HostScheduler(
+            self.device, queue, self._execute, gate=gate,
+            on_complete=self._on_complete,
+        )
+        self._clients = [
+            ClosedLoopClient(index, session, config.think_us, seed=config.seed)
+            for index, session in enumerate(sessions)
+        ]
+        self._rollback_rngs = [
+            random.Random(config.seed * 9_176_087 + index + 1)
+            for index in range(len(sessions))
+        ]
+        for client in range(len(sessions)):
+            self.scheduler.schedule(t0, lambda now, c=client: self._start_txn(c))
+        end = self.run()
+        # Pin-leak assertion: every completed operation released its pins.
+        self.engine.pool.assert_no_pins()
+        return end
 
     def run(self) -> float:
         """Drain the event loop; returns the final simulated time."""
         return self.scheduler.run()
+
+    def counters(self, queue: QueueStats, gate: GroupCommitStats) -> dict[str, Any]:
+        """The transaction level's section of the result."""
+        ipa = self.engine.ipa.stats
+        return {
+            "started": self.txns_started,
+            "committed": self.txns_committed,
+            "aborted": self.txns_aborted,
+            "retried": self.txns_retried,
+            "conflict_waits": self.conflict_waits,
+            "log_forces": self.log.forces,
+            "commits_grouped": self.log.commits_grouped,
+            "commits_per_force": gate.commits_per_force,
+            "ipa_flushes": ipa.ipa_flushes,
+            "oop_flushes": ipa.oop_flushes,
+            "skipped_flushes": ipa.skipped_flushes,
+            "buffer_hit_ratio": self.engine.pool.stats.hit_ratio,
+        }
 
     # ------------------------------------------------------------------
     # Transaction assembly
@@ -476,167 +504,3 @@ class TxnExecutor:
         self.scheduler.schedule(
             now + delay, lambda t, c=client: self._start_txn(c)
         )
-
-
-@dataclass
-class TxnLoadTestResult:
-    """Everything one transaction-level load-test run measured."""
-
-    config: TxnLoadTestConfig
-    started: int
-    committed: int
-    aborted: int
-    retried: int
-    conflict_waits: int
-    makespan_us: float
-    throughput_tps: float
-    mean_latency_us: float
-    max_latency_us: float
-    percentiles: dict[str, float]
-    log_forces: int
-    commits_grouped: int
-    commits_per_force: float
-    ipa_flushes: int
-    oop_flushes: int
-    skipped_flushes: int
-    buffer_hit_ratio: float
-    channels: int
-    die_utilization: float
-    samples: list[float] = field(repr=False, default_factory=list)
-
-    def to_dict(self) -> dict:
-        """JSON-friendly summary (benchmark trajectory tracking)."""
-        return {
-            "backend": self.config.backend,
-            "clients": self.config.clients,
-            "queue_depth": self.config.queue_depth,
-            "profile": self.config.profile,
-            "scheme": str(self.config.scheme),
-            "seed": self.config.seed,
-            "started": self.started,
-            "committed": self.committed,
-            "aborted": self.aborted,
-            "retried": self.retried,
-            "conflict_waits": self.conflict_waits,
-            "makespan_us": self.makespan_us,
-            "throughput_tps": self.throughput_tps,
-            "mean_latency_us": self.mean_latency_us,
-            "max_latency_us": self.max_latency_us,
-            "percentiles": dict(self.percentiles),
-            "log_forces": self.log_forces,
-            "commits_grouped": self.commits_grouped,
-            "commits_per_force": self.commits_per_force,
-            "ipa_flushes": self.ipa_flushes,
-            "oop_flushes": self.oop_flushes,
-            "skipped_flushes": self.skipped_flushes,
-            "buffer_hit_ratio": self.buffer_hit_ratio,
-            "channels": self.channels,
-            "die_utilization": self.die_utilization,
-        }
-
-    def report(self) -> str:
-        """The deterministic report ``repro loadtest --level txn`` prints."""
-        rows = [
-            ["transactions committed", self.committed],
-            ["transactions aborted", self.aborted],
-            ["transactions retried", self.retried],
-            ["conflict waits", self.conflict_waits],
-            ["throughput [txn/s]", self.throughput_tps],
-            ["mean txn latency [us]", self.mean_latency_us],
-        ]
-        rows += [
-            [f"{name} txn latency [us]", value]
-            for name, value in self.percentiles.items()
-        ]
-        rows += [
-            ["max txn latency [us]", self.max_latency_us],
-            ["log forces", self.log_forces],
-            ["commits grouped", self.commits_grouped],
-            ["commits per force", self.commits_per_force],
-            ["ipa flushes", self.ipa_flushes],
-            ["oop flushes", self.oop_flushes],
-            ["skipped flushes", self.skipped_flushes],
-            ["buffer hit ratio [%]", 100.0 * self.buffer_hit_ratio],
-            ["die channels", self.channels],
-            ["die utilization [%]", 100.0 * self.die_utilization],
-            ["makespan [ms]", self.makespan_us / 1000.0],
-        ]
-        return format_table(
-            ["metric", "value"], rows, title=f"txn loadtest: {self.config.label()}"
-        )
-
-
-def run_txn_loadtest(config: TxnLoadTestConfig) -> TxnLoadTestResult:
-    """Run one transaction-level configuration end to end.
-
-    Deterministic for a fixed seed: the report is byte-identical across
-    runs on every backend.
-    """
-    config.validate()
-    profile = dataclass_replace(
-        PROFILES[config.profile], ops_per_txn=config.effective_ops_per_txn()
-    )
-    clock = DeferredClock()
-    buffer_pages = max(
-        config.clients + 2, int(config.logical_pages * config.buffer_fraction)
-    )
-    session = open_session(SessionConfig(
-        backend=config.backend,
-        logical_pages=config.logical_pages,
-        shards=config.shards,
-        scheme=config.scheme,
-        buffer_pages=buffer_pages,
-        eviction=config.eviction,
-        clock=clock,
-        seed=config.seed,
-    ))
-    device, engine = session.device, session.engine
-    # Load phase: materialize every page as a formatted, empty slotted
-    # page (erased delta tail) so engine fetches decode cleanly.
-    area = config.scheme.area_size
-    for lpn in range(config.logical_pages):
-        page = SlottedPage.format(lpn, device.page_size, area)
-        device.write(lpn, bytes(page.image), 0.0)
-    device.reset_stats()
-    meter = DieMeter(device)
-    clock.sync_to(meter.t0)
-
-    queue = SubmissionQueue(config.queue_depth, policy="block")
-    gate = GroupCommitGate(max_group=config.group_commit, log=engine.log)
-    sessions = build_sessions(
-        profile, config.clients, config.logical_pages, config.seed
-    )
-    executor = TxnExecutor(engine, clock, queue, gate, sessions, config)
-    executor.start(meter.t0)
-    end = executor.run()
-    # Pin-leak assertion: every completed operation released its pins.
-    engine.pool.assert_no_pins()
-
-    makespan, channels, utilization = meter.stop(end)
-    committed = executor.txns_committed
-    mean_latency, max_latency, percentiles = summarize(executor.samples)
-
-    log = engine.log
-    return TxnLoadTestResult(
-        config=config,
-        started=executor.txns_started,
-        committed=committed,
-        aborted=executor.txns_aborted,
-        retried=executor.txns_retried,
-        conflict_waits=executor.conflict_waits,
-        makespan_us=makespan,
-        throughput_tps=committed / (makespan / 1e6),
-        mean_latency_us=mean_latency,
-        max_latency_us=max_latency,
-        percentiles=percentiles,
-        log_forces=log.forces,
-        commits_grouped=log.commits_grouped,
-        commits_per_force=gate.stats.commits_per_force,
-        ipa_flushes=engine.ipa.stats.ipa_flushes,
-        oop_flushes=engine.ipa.stats.oop_flushes,
-        skipped_flushes=engine.ipa.stats.skipped_flushes,
-        buffer_hit_ratio=engine.pool.stats.hit_ratio,
-        channels=channels,
-        die_utilization=utilization,
-        samples=list(executor.samples),
-    )

@@ -216,7 +216,12 @@ def _subcommand_parsers(parser):
 def test_every_cli_option_is_read():
     """Each subcommand option's ``dest`` is read as ``args.<dest>``
     somewhere outside ``build_parser``: a flag nothing reads is a knob
-    that silently does nothing."""
+    that silently does nothing.
+
+    ``repro loadtest`` reads its config flags through one mapping
+    instead: each dest in ``args.flags`` becomes the keyword of the
+    level's config field of that name, or an error at the other level
+    (``test_hostq_loadtest`` pins the dests to the config fields)."""
     tree = ast.parse(Path(cli.__file__).read_text())
     read = set()
     for function in tree.body:
@@ -226,10 +231,13 @@ def test_every_cli_option_is_read():
                 if isinstance(node, ast.Attribute)
                 and isinstance(node.value, ast.Name) and node.value.id == "args"
             }
+    mapped = build_parser().parse_args(["loadtest"]).flags
+    assert "flags" in read
     unread = sorted(
         f"{name} --{action.dest}"
         for name, sub in _subcommand_parsers(build_parser())
         for action in sub._actions
         if action.dest != "help" and action.dest not in read
+        and not (name == "loadtest" and action.dest in mapped)
     )
     assert not unread, f"options parsed but never read: {unread}"

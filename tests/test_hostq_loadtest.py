@@ -1,16 +1,15 @@
 """End-to-end load-test harness: all backends, determinism, CLI."""
 
-import ast
 import dataclasses
-import inspect
 
 import pytest
 
-from repro import cli
-from repro.cli import main
+import repro.hostq.loadtest
+from repro.cli import build_parser, main
 from repro.errors import ReproError
 from repro.hostq import (
     LoadTestConfig,
+    TxnLoadTestConfig,
     format_sweep,
     run_loadtest,
     sweep_queue_depth,
@@ -110,16 +109,24 @@ def test_validation_rejects_bad_config():
         LoadTestConfig(think_us=-5.0).validate()
 
 
+def test_sweep_validates_every_depth_before_any_run(monkeypatch):
+    """A bad last depth fails the sweep before the first depth runs."""
+    runs = []
+    monkeypatch.setattr(repro.hostq.loadtest, "run_loadtest", runs.append)
+    with pytest.raises(ReproError, match="queue depth must be >= 1, got 0"):
+        sweep_queue_depth(LoadTestConfig(), [8, 8, 8, 0])
+    assert runs == []
+
+
 def test_every_config_field_is_a_cli_flag():
-    """``LoadTestConfig`` carries no option ``repro loadtest`` cannot set."""
-    tree = ast.parse(inspect.getsource(cli.cmd_loadtest))
-    (call,) = [
-        node for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "id", None) == "LoadTestConfig"
-    ]
-    fields = {field.name for field in dataclasses.fields(LoadTestConfig)}
-    assert {keyword.arg for keyword in call.keywords} == fields
+    """Neither level's config carries an option ``repro loadtest`` cannot
+    set, and every field flag belongs to some level."""
+    flags = build_parser().parse_args(["loadtest"]).flags
+    fields = {}
+    for level in (LoadTestConfig, TxnLoadTestConfig):
+        fields[level] = {field.name for field in dataclasses.fields(level)}
+        assert fields[level] <= flags.keys(), level
+    assert fields[LoadTestConfig] | fields[TxnLoadTestConfig] == flags.keys()
 
 
 class TestCLI:
@@ -151,6 +158,15 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "queue-depth sweep" in out
 
+    def test_sweep_runs_at_txn_level(self, capsys):
+        assert main([
+            "loadtest", "--level", "txn", "--clients", "4", "--txns", "20",
+            "--pages", "64", "--sweep", "1,4",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "queue-depth sweep" in out
+        assert "throughput [txn/s]" in out
+
     def test_bad_sweep_list_errors(self, capsys):
         assert main([
             "loadtest", "--sweep", "1,two",
@@ -178,4 +194,30 @@ class TestCLI:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert message in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("level,flag,value", [
+        ("txn", "--arrival", "open"),
+        ("txn", "--requests", "1"),
+        ("txn", "--rate", "5"),
+        ("txn", "--admission", "reject"),
+        ("device", "--txns", "0"),
+        ("device", "--scheme", "9x9"),
+        ("device", "--buffer-fraction", "7"),
+        ("device", "--rollback", "3"),
+        ("device", "--ops-per-txn", "-4"),
+    ])
+    def test_flag_of_the_other_level_is_rejected(
+        self, capsys, monkeypatch, level, flag, value
+    ):
+        """A level-only flag at the other level is an error, not ignored."""
+        def no_device(*args, **kwargs):
+            raise AssertionError("a rejected flag must not build a device")
+
+        monkeypatch.setattr("repro.hostq.loadtest.open_device", no_device)
+        monkeypatch.setattr("repro.hostq.txnexec.open_session", no_device)
+        assert main(["loadtest", "--level", level, flag, value]) == 1
+        other = "device" if level == "txn" else "txn"
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag} applies to --level {other} only\n"
         assert captured.out == ""

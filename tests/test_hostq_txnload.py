@@ -22,7 +22,7 @@ from repro.session import SessionConfig, open_device
 def small_config(**overrides):
     base = dict(
         backend="noftl", clients=4, queue_depth=4, txns=40,
-        logical_pages=64, seed=7, scheme=NxMScheme(2, 4),
+        logical_pages=64, seed=7, profile="tpcb", scheme=NxMScheme(2, 4),
         buffer_fraction=0.5,
     )
     base.update(overrides)

@@ -60,6 +60,7 @@ SURFACE = {
         "ClosedLoopClient", "OpenLoopArrivals", "build_sessions",
         "LoadTestConfig", "LoadTestResult", "run_loadtest",
         "sweep_queue_depth", "format_sweep",
+        "TxnExecutor", "TxnLoadTestConfig", "run_txn_loadtest",
     ],
     "repro.analysis": [
         "UpdateSizeCollector", "PerObjectCollector", "CDF",
@@ -91,12 +92,14 @@ def test_surface_importable(module_name):
 #: ``repro.ipl.replay_events``, ``run_on_clock``, one ``Rule`` shape in
 #: one ``RULES`` tuple, ``PATH_EXEMPTIONS`` as the only waiver,
 #: ``open_device``/``open_session`` over a ``SessionConfig`` as the one
-#: way to build a stack by name, ``repro.session.BACKENDS``).
+#: way to build a stack by name, ``repro.session.BACKENDS``,
+#: ``LoadTestResult`` for both load-test levels).
 #: ``DeviceAmplification`` had no caller.
 RETIRED_EXPORTS = [
     ("repro.storage", "CommandKind"),
     ("repro.storage.program", "CommandKind"),
     ("repro.hostq", "AdmissionPolicy"),
+    ("repro.hostq", "TxnLoadTestResult"),
     ("repro.hostq.queueing", "AdmissionPolicy"),
     ("repro.workloads", "replay"),
     ("repro.storage", "run_program"),
