@@ -35,7 +35,7 @@ def _one_update(scheme):
         table.insert(txn, (i, 10_000, "x"))
     engine.commit(txn)
     engine.flush_all()
-    device.stats.__init__()
+    device.reset_stats()
 
     txn = engine.begin()
     rid = table.lookup(7)

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 from .analysis import UpdateSizeCollector, format_table, relative_change
@@ -541,7 +542,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``): not a failure.  Point
+        # stdout at devnull so the interpreter's final flush cannot
+        # raise again, and exit as a shell reports SIGPIPE (128 + 13).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ReproError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1

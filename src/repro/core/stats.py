@@ -1,19 +1,23 @@
 """Counters kept by the IPA manager.
 
 Like :class:`~repro.ftl.stats.DeviceStats`, :class:`IPAStats` is a
-:class:`~repro.telemetry.metrics.CounterFacade`: its fields are
+plain dataclass; attached telemetry exports its fields as read-through
 registry counters named ``ipa_*``.
 """
 
 from __future__ import annotations
 
-from ..telemetry.metrics import CounterFacade
+from dataclasses import asdict, dataclass
+from typing import ClassVar
+
+from ..telemetry.metrics import counter_field
 
 
-class IPAStats(CounterFacade):
+@dataclass(slots=True)
+class IPAStats:
     """Flush-path outcomes of one engine run.
 
-    Field semantics (see also the registry help strings):
+    Field semantics (see also the help strings):
 
     * ``ipa_flushes`` — flushes materialized as In-Place Appends (one
       ``write_delta`` each); ``oop_flushes`` — full out-of-place page
@@ -25,17 +29,16 @@ class IPAStats(CounterFacade):
       because the tracked changes overflowed the [N x M] budget.
     """
 
-    PREFIX = "ipa_"
-    FIELDS = {
-        "ipa_flushes": "Flushes materialized as In-Place Appends",
-        "oop_flushes": "Flushes written out-of-place (full page writes)",
-        "skipped_flushes": "Dirty flushes with an empty tracked diff: no I/O",
-        "delta_records_written": "Delta records written across all IPA flushes",
-        "delta_bytes_written": "Payload bytes of all delta records",
-        "device_fallbacks": "IPA attempts rejected by the device",
-        "budget_overflows": "Flushes gone out-of-place on [N x M] budget overflow",
-        "ecc_corrected_bits": "Bits corrected by ECC during loads",
-    }
+    PREFIX: ClassVar[str] = "ipa_"
+    ipa_flushes: int = counter_field("Flushes materialized as In-Place Appends")
+    oop_flushes: int = counter_field("Flushes written out-of-place (full page writes)")
+    skipped_flushes: int = counter_field("Dirty flushes with an empty tracked diff: no I/O")
+    delta_records_written: int = counter_field("Delta records written across all IPA flushes")
+    delta_bytes_written: int = counter_field("Payload bytes of all delta records")
+    device_fallbacks: int = counter_field("IPA attempts rejected by the device")
+    budget_overflows: int = counter_field(
+        "Flushes gone out-of-place on [N x M] budget overflow")
+    ecc_corrected_bits: int = counter_field("Bits corrected by ECC during loads")
 
     @property
     def flushes(self) -> int:
@@ -55,6 +58,6 @@ class IPAStats(CounterFacade):
 
     def snapshot(self) -> dict:
         """Plain-dict copy including the derived IPA fraction."""
-        data = super().snapshot()
+        data = asdict(self)
         data["ipa_fraction"] = self.ipa_fraction
         return data

@@ -15,7 +15,8 @@ is exercised through the public :class:`~repro.ftl.device.FlashDevice`
 protocol, so the same harness drives NoFTL, the black-box BlockSSD and
 every shard of a ShardedDevice; each case's stack comes from
 :func:`repro.session.open_session` with a small geometry (two chips per
-controller, eight pages per block).
+controller, eight pages per block).  A matrix run reports only through
+its :class:`CrashMatrixResult` (cases, crashes, divergences).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from ..session import SessionConfig, open_session
 from ..storage.recovery import RecoveryReport, recover
 from ..storage.schema import Char, Column, Int32, Int64, Schema
 from ..storage.wal import LogKind
-from ..telemetry.metrics import MetricsRegistry
 from .scheduler import CrashPoint, CrashScheduler
 
 
@@ -93,7 +93,6 @@ class CrashTestHarness:
         buffer_pages: int = 8,
         txns: int = 40,
         rows: int = 100,
-        registry: MetricsRegistry | None = None,
     ) -> None:
         self.backend = backend
         self.shards = shards
@@ -104,7 +103,6 @@ class CrashTestHarness:
         self.buffer_pages = buffer_pages
         self.txns = txns
         self.rows = rows
-        self.metrics = registry if registry is not None else MetricsRegistry()
         self._script_cache: list[list[tuple]] | None = None
 
     # ------------------------------------------------------------------
@@ -219,7 +217,7 @@ class CrashTestHarness:
     def run_case(self, points: tuple[CrashPoint, ...] | list[CrashPoint]) -> CrashCase:
         """Run the script, crash as scheduled, recover, verify."""
         case = CrashCase(points=tuple(points))
-        scheduler = CrashScheduler(points, seed=self.seed, registry=self.metrics)
+        scheduler = CrashScheduler(points, seed=self.seed)
         engine, table = self._build(scheduler)
         txn_index_of: dict[int, int] = {}
         try:
@@ -244,11 +242,9 @@ class CrashTestHarness:
             case.divergences.append(
                 f"unexpected {type(unexpected).__name__} during workload: {unexpected}"
             )
-            self._count_case(case)
             return case
         scheduler.disarm()
         self._verify(engine, table, txn_index_of, case)
-        self._count_case(case)
         return case
 
     def _verify(self, engine, table, txn_index_of: dict[int, int], case: CrashCase) -> None:
@@ -282,16 +278,6 @@ class CrashTestHarness:
                 case.divergences.append(
                     f"key {key} resurrected from an uncommitted transaction"
                 )
-
-    def _count_case(self, case: CrashCase) -> None:
-        self.metrics.counter(
-            "crashkit_cases_total", help="crash-recovery cases executed"
-        ).inc()
-        if case.divergences:
-            self.metrics.counter(
-                "crashkit_divergences_total",
-                help="committed-data divergences found by the crash harness",
-            ).inc(len(case.divergences))
 
     # ------------------------------------------------------------------
     # Matrix

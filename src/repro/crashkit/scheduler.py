@@ -26,7 +26,9 @@ Site names form a small taxonomy (see DESIGN.md Section 10):
 Sharded devices wrap the scheduler in per-shard
 :class:`ScopedCrashScheduler` views that prefix sites with
 ``shard<i>/`` while sharing one global operation counter, so a single
-op-count trigger spans all controllers deterministically.
+op-count trigger spans all controllers deterministically.  The
+scheduler's counts are plain attributes (``total_ops``, the ``fired``
+log); it publishes to no metrics registry.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import random
 from dataclasses import dataclass, field
 
 from ..errors import PowerFailureError, ReproError
-from ..telemetry.metrics import MetricsRegistry
 
 
 @dataclass(frozen=True)
@@ -107,11 +108,9 @@ class CrashScheduler:
         self,
         points: list[CrashPoint] | tuple[CrashPoint, ...] = (),
         seed: int = 7,
-        registry: MetricsRegistry | None = None,
     ) -> None:
         self.points = list(points)
         self.rng = random.Random(seed)
-        self.metrics = registry if registry is not None else MetricsRegistry()
         self.total_ops = 0
         self.fired: list[FiredCrash] = []
         self.armed = True
@@ -145,9 +144,6 @@ class CrashScheduler:
         :meth:`site` instead.
         """
         self.total_ops += 1
-        self.metrics.counter(
-            "crashkit_ops_total", help="operations seen by the crash scheduler"
-        ).inc()
         if not self.armed:
             return None
         point = self.active_point
@@ -166,9 +162,6 @@ class CrashScheduler:
         self.fired.append(FiredCrash(site, self.total_ops, point or self.active_point))
         self._index += 1
         self._matched = 0
-        self.metrics.counter(
-            "crashkit_failures_total", help="power failures injected"
-        ).inc()
         raise PowerFailureError(site, self.total_ops)
 
     def site(self, name: str) -> None:

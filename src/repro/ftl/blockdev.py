@@ -31,42 +31,47 @@ protocol, so the whole engine stack — buffer pool, IPA manager,
 workloads, CLI — runs unmodified on top of the black-box device; the
 host-visible region view it publishes reflects the internal FTL's IPA
 mode so the storage layer reserves delta areas exactly as it would on
-native flash.  :class:`BlockSSDStats` is a registry façade like
-:class:`~repro.ftl.stats.DeviceStats`: its counters live in a metrics
-registry, so ``rmw_fraction`` inputs and the delta-command counters
+native flash.  :class:`BlockSSDStats` is a plain dataclass like
+:class:`~repro.ftl.stats.DeviceStats`; attached telemetry exports its
+fields, so ``rmw_fraction`` inputs and the delta-command counters
 export via ``repro metrics`` next to the NoFTL counters.
 """
 
 from __future__ import annotations
 
 import contextlib
+from dataclasses import asdict, dataclass
+from typing import ClassVar
 
 from ..errors import DeltaWriteError, FTLError
 from ..flash.constants import CellType
 from ..flash.memory import FlashMemory
-from ..telemetry.metrics import CounterFacade
+from ..telemetry.metrics import counter_field
 from .device import HostIO, HostRegionView
 from .noftl import NoFTL, single_region_device
 from .region import IPAMode, RegionConfig
 
 
-class BlockSSDStats(CounterFacade):
+@dataclass(slots=True)
+class BlockSSDStats:
     """Host-visible counters of the block device (``blockssd_*``)."""
 
-    PREFIX = "blockssd_"
-    FIELDS = {
-        "reads": "Block-device read commands served",
-        "writes": "Block-device write commands served",
-        "delta_commands": "write_delta commands received by the device",
-        "deltas_in_place": "Delta commands served as true In-Place Appends",
-        "deltas_rmw": "Delta commands absorbed as internal read-modify-writes",
-    }
+    PREFIX: ClassVar[str] = "blockssd_"
+    reads: int = counter_field("Block-device read commands served")
+    writes: int = counter_field("Block-device write commands served")
+    delta_commands: int = counter_field("write_delta commands received by the device")
+    deltas_in_place: int = counter_field("Delta commands served as true In-Place Appends")
+    deltas_rmw: int = counter_field("Delta commands absorbed as internal read-modify-writes")
 
     @property
     def rmw_fraction(self) -> float:
         if self.delta_commands == 0:
             return 0.0
         return self.deltas_rmw / self.delta_commands
+
+    def snapshot(self) -> dict:
+        """Plain dict of the counters, in field order."""
+        return asdict(self)
 
 
 class BlockSSD:
@@ -266,7 +271,7 @@ class BlockSSD:
     def bind_telemetry(self, telemetry) -> None:
         """Instrument the internal FTL and export the device counters."""
         self.telemetry = telemetry
-        self.stats.bind(telemetry.metrics)
+        telemetry.export_stats(self.stats)
         self._ftl.bind_telemetry(telemetry)
 
     def bind_crashkit(self, scheduler) -> None:

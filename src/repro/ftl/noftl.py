@@ -305,7 +305,7 @@ class NoFTL:
     def bind_telemetry(self, telemetry) -> None:
         """Instrument this controller and its flash array."""
         self.telemetry = telemetry
-        self.stats.bind(telemetry.metrics)
+        telemetry.export_stats(self.stats)
         self.flash.telemetry = telemetry
         self.flash.latency.observer = telemetry.on_raw_latency
 

@@ -48,10 +48,11 @@ class _ShardTelemetry:
     """Per-shard view of a Telemetry instance.
 
     Forwards every hook to the parent, translating local LPNs back to
-    global ones and prefixing region labels with the shard name, so one
-    event stream carries all shards distinguishably.  Everything not
-    overridden (metrics registry, flash hooks, histograms) delegates to
-    the parent unchanged.
+    global ones and prefixing region labels and exported counter names
+    with the shard name, so one event stream and one registry carry all
+    shards distinguishably.  Everything not overridden (metrics
+    registry, flash hooks, histograms) delegates to the parent
+    unchanged.
     """
 
     def __init__(self, parent, shard: int, stride: int) -> None:
@@ -70,6 +71,9 @@ class _ShardTelemetry:
         return getattr(self._parent, name)
 
     # -- NoFTL hooks, label-translated ---------------------------------
+
+    def export_stats(self, stats, prefix=""):
+        self._parent.export_stats(stats, f"{self._label}_{prefix}")
 
     def on_host_read(self, lpn, num_bytes, latency_us):
         self._parent.on_host_read(self._global(lpn), num_bytes, latency_us)
@@ -97,16 +101,13 @@ class ShardedStats:
     """Merged read-only view over the shards' device counters.
 
     Raw counter attributes (``host_reads``, ``gc_erases``, ...) sum the
-    children; derived ratios are recomputed from the sums.  Re-running
-    ``__init__()`` — the driver's reset idiom — resets every child.
+    children; derived ratios are recomputed from the sums.  The view
+    holds no counts of its own: ``ShardedDevice.reset_stats()`` resets
+    the children.
     """
 
-    def __init__(self, shards=None) -> None:
-        if shards is not None:
-            self._shards = list(shards)
-        else:
-            for shard in self._shards:
-                shard.reset_stats()
+    def __init__(self, shards) -> None:
+        self._shards = list(shards)
 
     def __getattr__(self, name: str):
         if name.startswith("_"):
@@ -146,9 +147,6 @@ class ShardedDevice:
                 raise FTLError(f"shard {index} region layout differs from shard 0")
         self.shards = shards
         self._stride = len(shards)
-        # Label each child's counters so one registry can hold them all.
-        for index, shard in enumerate(shards):
-            shard.stats.__init__(prefix=f"shard{index}_")
         self.regions = self._merge_regions(first)
         self.stats = ShardedStats(shards)
         self.telemetry = None

@@ -4,10 +4,9 @@ These counters are the raw material for every table in the paper's
 evaluation: host reads/writes, delta writes (In-Place Appends), garbage
 collection page migrations and erases, and host-observed latencies.
 
-Since the telemetry subsystem landed, :class:`DeviceStats` is a
-:class:`~repro.telemetry.metrics.CounterFacade`: attribute reads and
-writes (``stats.host_reads += 1``) delegate to registry-owned
-:class:`~repro.telemetry.metrics.Counter` objects named ``device_*``
+:class:`DeviceStats` is a plain dataclass: ``stats.host_reads += 1`` is
+an attribute update, telemetry or not.  Binding telemetry registers one
+read-through registry counter per field, named ``device_*``
 (``shard<i>_device_*`` inside a sharded device), so one Prometheus dump
 of the registry carries the device counters next to the latency
 histograms.
@@ -15,9 +14,11 @@ histograms.
 
 from __future__ import annotations
 
-from typing import Mapping
+from dataclasses import dataclass
+from functools import partial
+from typing import ClassVar
 
-from ..telemetry.metrics import CounterFacade
+from ..telemetry.metrics import counter_field
 
 #: ``snapshot()`` key derived from raw counters -> (numerator, denominator).
 DERIVED_RATIOS = {
@@ -29,39 +30,38 @@ DERIVED_RATIOS = {
 }
 
 
-def derived_ratio(raw: Mapping, key: str) -> float:
-    """One :data:`DERIVED_RATIOS` value from a dict of raw counters — a
-    device's own or the sum over shards (0.0 on an empty denominator)."""
+def derived_ratio(raw, key: str) -> float:
+    """One :data:`DERIVED_RATIOS` value from raw counters — a
+    :class:`DeviceStats`, or a dict of them (a device's snapshot or the
+    sum over shards); 0.0 on an empty denominator."""
     numerator, denominator = DERIVED_RATIOS[key]
-    base = raw.get(denominator, 0)
-    return raw.get(numerator, 0) / base if base else 0.0
+    get = raw.get if isinstance(raw, dict) else partial(getattr, raw)
+    base = get(denominator, 0)
+    return get(numerator, 0) / base if base else 0.0
 
 
-class DeviceStats(CounterFacade):
+@dataclass(slots=True)
+class DeviceStats:
     """Counters of one NoFTL device (or one region, when split).
 
-    Keyword construction, ``+=`` updates, the ``__init__()`` reset and
-    :meth:`bind` come from the façade base (see its docs); this class
-    adds the field table and the ratios the paper's tables report.
+    Re-running ``__init__()`` zeroes every field in place (the devices'
+    ``reset_stats``), so a bound registry keeps reading this object.
     """
 
-    PREFIX = "device_"
-    FIELDS = {
-        "host_reads": "Host read commands served",
-        "host_page_writes": "Full-page out-of-place host writes",
-        "delta_writes": "write_delta commands executed as In-Place Appends",
-        "gc_page_migrations": "Valid pages migrated by garbage collection",
-        "gc_erases": "Blocks erased by garbage collection",
-        "bytes_host_read": "Payload bytes returned to the host",
-        "bytes_page_written": "Payload bytes of out-of-place page writes",
-        "bytes_delta_written": "Payload bytes of in-place delta appends",
-        "read_latency_us_total": "Sum of observed host read latencies (us)",
-        "write_latency_us_total": "Sum of observed host write latencies (us)",
-        "gc_time_us_total": "Total time consumed by GC rounds (us)",
-    }
-    FLOAT_FIELDS = frozenset({
-        "read_latency_us_total", "write_latency_us_total", "gc_time_us_total",
-    })
+    PREFIX: ClassVar[str] = "device_"
+    host_reads: int = counter_field("Host read commands served")
+    host_page_writes: int = counter_field("Full-page out-of-place host writes")
+    delta_writes: int = counter_field("write_delta commands executed as In-Place Appends")
+    gc_page_migrations: int = counter_field("Valid pages migrated by garbage collection")
+    gc_erases: int = counter_field("Blocks erased by garbage collection")
+    bytes_host_read: int = counter_field("Payload bytes returned to the host")
+    bytes_page_written: int = counter_field("Payload bytes of out-of-place page writes")
+    bytes_delta_written: int = counter_field("Payload bytes of in-place delta appends")
+    read_latency_us_total: float = counter_field(
+        "Sum of observed host read latencies (us)", 0.0)
+    write_latency_us_total: float = counter_field(
+        "Sum of observed host write latencies (us)", 0.0)
+    gc_time_us_total: float = counter_field("Total time consumed by GC rounds (us)", 0.0)
 
     @property
     def host_writes(self) -> int:
@@ -71,17 +71,17 @@ class DeviceStats(CounterFacade):
     @property
     def ipa_fraction(self) -> float:
         """Fraction of write requests served as In-Place Appends."""
-        return self.snapshot()["ipa_fraction"]
+        return derived_ratio(self, "ipa_fraction")
 
     @property
     def migrations_per_host_write(self) -> float:
         """GC page migrations amortized over host write requests."""
-        return self.snapshot()["migrations_per_host_write"]
+        return derived_ratio(self, "migrations_per_host_write")
 
     @property
     def erases_per_host_write(self) -> float:
         """GC erases amortized over host write requests."""
-        return self.snapshot()["erases_per_host_write"]
+        return derived_ratio(self, "erases_per_host_write")
 
     def snapshot(self) -> dict:
         """Plain dict of raw and derived values for reporting."""

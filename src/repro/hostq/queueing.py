@@ -43,7 +43,6 @@ class QueueStats:
     """Counters of one submission queue's lifetime."""
 
     rejected: int = 0
-    blocked: int = 0
     max_depth_used: int = 0
     #: Dispatches that bypassed an older pending request stuck behind a
     #: busy die (the NCQ win).
@@ -97,7 +96,6 @@ class SubmissionQueue:
             self.stats.rejected += 1
             return "rejected"
         self._waiting.append(request)
-        self.stats.blocked += 1
         return "blocked"
 
     # ------------------------------------------------------------------

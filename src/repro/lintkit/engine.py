@@ -54,8 +54,6 @@ PATH_EXEMPTIONS: dict[str, tuple[str, ...]] = {
     # builds them by name, and the IPL replay builds its Table 2 device
     # with IPL-matched geometry.
     "device-layering": ("repro.ftl", "repro.ipl.ipa_replay", "repro.session"),
-    # The registry primitives take whatever name their caller chose.
-    "counter-naming": ("repro.telemetry.metrics",),
     # The crash harness catches anything a crash-recovery cycle throws
     # and reports it as a divergence: its blanket handlers are the
     # product, not an accident.

@@ -5,12 +5,8 @@ The first segment names the owning layer (``device_``, ``blockssd_``,
 by a composite-device prefix (``shard<i>_`` or a runtime ``{prefix}``
 slot), and the rest is lower_snake.  The rule checks every literal or
 f-string name passed to ``.counter()`` / ``.gauge()`` / ``.histogram()``.
-
-The registry primitives themselves (``repro.telemetry.metrics``) take
-arbitrary names and are waived in
-:data:`~repro.lintkit.engine.PATH_EXEMPTIONS`.  (The other telemetry
-discipline rule, **telemetry-guard**, needs dominance and lives in
-:mod:`repro.lintkit.rules.telemetry_guard`.)
+(The other telemetry discipline rule, **telemetry-guard**, needs
+dominance and lives in :mod:`repro.lintkit.rules.telemetry_guard`.)
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ _SLOT = "\x00"
 METRIC_LAYERS = frozenset({
     "device", "blockssd", "ipa", "host", "gc", "flash",
     "buffer", "chip", "wear", "flush", "engine", "wal",
-    "crashkit", "hostq", "txn",
+    "hostq", "txn",
 })
 
 _LAYER_HEAD_RE = re.compile(

@@ -19,9 +19,9 @@ one attribute load and allocates nothing.  Even with telemetry
 attached, events are only constructed while the bus has subscribers
 (:attr:`EventBus.active`); histograms and counters are always fed.
 
-One Telemetry instance observes one device/engine pair: the stats
-façades re-home their counters into the shared registry, so binding
-two devices to one Telemetry would alias their counters.
+One Telemetry instance observes one device/engine pair: binding
+exports the stats objects' fields as read-through counters, and the
+last device bound under a name wins.
 
 Typical use::
 
@@ -163,9 +163,13 @@ class Telemetry:
         self.attach_device(engine.device)
         engine.telemetry = self
         engine.ipa.telemetry = self
-        engine.ipa.stats.bind(self.metrics)
+        self.export_stats(engine.ipa.stats)
         engine.pool.telemetry = self
         self._pool = engine.pool
+
+    def export_stats(self, stats, prefix: str = "") -> None:
+        """Export a stats dataclass's fields as registry counters."""
+        self.metrics.read_fields(stats, prefix)
 
     def collect(self) -> None:
         """Refresh sampled gauges from the attached components.

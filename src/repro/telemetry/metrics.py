@@ -1,13 +1,12 @@
 """Metrics primitives: counters, gauges, fixed-bucket histograms.
 
-The :class:`MetricsRegistry` is the single home for every number the
-simulator reports.  The aggregate stats objects
-(:class:`~repro.ftl.stats.DeviceStats`,
-:class:`~repro.core.stats.IPAStats`,
-:class:`~repro.ftl.blockdev.BlockSSDStats`) are :class:`CounterFacade`
-subclasses — attribute access delegating to registry counters — so one
-registry snapshot, or one Prometheus dump, carries the whole stack's
-accounting.
+The :class:`MetricsRegistry` exports every number the simulator
+reports.  The aggregate stats objects (:class:`~repro.ftl.stats.DeviceStats`,
+:class:`~repro.core.stats.IPAStats`, :class:`~repro.ftl.blockdev.BlockSSDStats`)
+are plain dataclasses owning their counts; binding registers one
+:class:`FieldCounter` per field (:meth:`MetricsRegistry.read_fields`), so
+one Prometheus dump carries the whole stack's accounting while an
+increment stays a plain attribute update.
 
 Histograms use **fixed** bucket boundaries chosen at creation time
 (Prometheus-style cumulative ``le`` buckets at export).  Three default
@@ -18,6 +17,7 @@ microseconds, delta sizes in bytes, and appends-per-page counts.
 from __future__ import annotations
 
 import bisect
+from dataclasses import field, fields
 
 
 #: Latency buckets in microseconds (reads start ~25us, GC-delayed
@@ -54,6 +54,31 @@ class Counter:
     def reset(self) -> None:
         """Zero the counter."""
         self.value = 0
+
+
+class FieldCounter(Counter):
+    """A counter that reads, and resets in place, one field of a stats object."""
+
+    __slots__ = ("owner", "field")
+
+    def __init__(self, name: str, help: str, owner, field: str) -> None:
+        self.name = name
+        self.help = help
+        self.owner = owner
+        self.field = field
+
+    @property
+    def value(self):
+        return getattr(self.owner, self.field)
+
+    @value.setter
+    def value(self, value) -> None:
+        setattr(self.owner, self.field, value)
+
+
+def counter_field(help: str, zero: float = 0):
+    """A stats-dataclass field exported as a counter with ``help`` text."""
+    return field(default=zero, metadata={"help": help})
 
 
 class Gauge:
@@ -157,7 +182,7 @@ class MetricsRegistry:
 
     ``counter`` / ``gauge`` / ``histogram`` are get-or-create: asking
     for an existing name returns the registered instance (and raises
-    on a type clash), so façades and instrumentation can share metrics
+    on a type clash), so instrumentation sites can share metrics
     without coordination.
     """
 
@@ -202,14 +227,13 @@ class MetricsRegistry:
         """Get or create the histogram named ``name``."""
         return self._get_or_create(Histogram, name, help, buckets=buckets)
 
-    def adopt(self, metric) -> None:
-        """Register an already-built metric object under its own name.
-
-        Used by the stats façades to re-home their counters into a
-        telemetry registry while keeping accumulated values.  Adopting
-        over a different object of the same name replaces it.
-        """
-        self._metrics[metric.name] = metric
+    def read_fields(self, stats, prefix: str = "") -> None:
+        """Export each field of a stats dataclass as a :class:`FieldCounter`
+        named ``{prefix}{stats.PREFIX}{field}``.  A name registered before
+        keeps its position and now reads ``stats``: the last bound wins."""
+        for spec in fields(stats):
+            name = f"{prefix}{stats.PREFIX}{spec.name}"
+            self._metrics[name] = FieldCounter(name, spec.metadata["help"], stats, spec.name)
 
     def snapshot(self) -> dict:
         """Plain dict of every metric's current state.
@@ -236,101 +260,3 @@ class MetricsRegistry:
         """Zero every registered metric (run boundaries)."""
         for metric in self._metrics.values():
             metric.reset()
-
-
-def _counter_property(name: str, doc: str) -> property:
-    """A property delegating ``stats.<name>`` to a registry counter."""
-
-    def fget(self):
-        return self._metrics[name].value
-
-    def fset(self, value):
-        self._metrics[name].value = value
-
-    return property(fget, fset, doc=doc)
-
-
-class CounterFacade:
-    """Attribute façade over registry counters, driven by a field table.
-
-    A subclass declares :attr:`FIELDS` (field name -> help string) and
-    the metric-name :attr:`PREFIX` of its layer; every field becomes a
-    property over the registry :class:`Counter` named
-    ``{prefix}{PREFIX}{field}``, so ``stats.host_reads += 1`` updates
-    the number a Prometheus dump of the registry exports.
-
-    A stand-alone instance owns a private registry; :meth:`bind`
-    re-homes the counters into a shared telemetry registry without
-    losing accumulated values.  Re-running ``stats.__init__()`` (the
-    reset idiom of the drivers and the devices' ``reset_stats``) zeroes
-    the counters but keeps the registry home and the ``prefix`` label
-    (set by composite devices so per-shard counters do not collide).
-    """
-
-    #: field name -> help string; the façade exposes exactly these.
-    FIELDS: dict[str, str] = {}
-    #: Layer segment of the metric names (``device_``, ``ipa_``, ...).
-    PREFIX = ""
-    #: Fields that start (and reset) at ``0.0``: time sums, which
-    #: reports print as floats even while still zero.
-    FLOAT_FIELDS: frozenset[str] = frozenset()
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        for name, help_text in cls.FIELDS.items():
-            setattr(cls, name, _counter_property(name, help_text))
-
-    def __init__(
-        self,
-        registry: MetricsRegistry | None = None,
-        prefix: str | None = None,
-        **initial,
-    ) -> None:
-        unknown = sorted(initial.keys() - self.FIELDS.keys())
-        if unknown:
-            raise TypeError(
-                f"{type(self).__name__} has no counter field(s) {unknown}"
-            )
-        if registry is None:
-            registry = getattr(self, "_registry", None) or MetricsRegistry()
-        if prefix is None:
-            prefix = getattr(self, "_prefix", "")
-        self._registry = registry
-        self._prefix = prefix
-        self._metrics = {
-            name: registry.counter(f"{prefix}{self.PREFIX}{name}", help=help_text)
-            for name, help_text in self.FIELDS.items()
-        }
-        for name, metric in self._metrics.items():
-            zero = 0.0 if name in self.FLOAT_FIELDS else 0
-            metric.value = initial.get(name, zero)
-
-    def bind(self, registry: MetricsRegistry) -> None:
-        """Re-home the counters into ``registry``, keeping their values."""
-        if registry is self._registry:
-            return
-        for metric in self._metrics.values():
-            registry.adopt(metric)
-        self._registry = registry
-
-    def snapshot(self) -> dict:
-        """Plain dict of the raw counter values, in field-table order.
-
-        Subclasses with derived values extend or replace this; the key
-        order is part of the contract (reports iterate it).
-        """
-        return {name: metric.value for name, metric in self._metrics.items()}
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return all(
-            metric.value == other._metrics[name].value
-            for name, metric in self._metrics.items()
-        )
-
-    def __repr__(self) -> str:
-        fields = ", ".join(
-            f"{name}={metric.value!r}" for name, metric in self._metrics.items()
-        )
-        return f"{type(self).__name__}({fields})"

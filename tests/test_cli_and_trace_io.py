@@ -2,6 +2,9 @@
 
 import argparse
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -195,6 +198,19 @@ class TestCLIErrors:
         monkeypatch.setattr(cli, "_build", no_load)
         assert main(["trace-record", "--out", "/no/such/dir/x.trace"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_closed_stdout_exits_as_sigpipe_without_an_error(self):
+        """``repro run ... | head -1``: a reader that leaves early is not
+        a failure; the run exits 141 (128 + SIGPIPE) with empty stderr."""
+        src = Path(cli.__file__).resolve().parents[1]
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro", "run", "--workload", "tpcb", "--txns", "20"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        child.stdout.close()
+        stderr = child.stderr.read()
+        assert (child.wait(timeout=300), stderr) == (141, b"")
 
     @pytest.mark.parametrize("fraction", ["-0.5", "0", "1.5"])
     def test_buffer_fraction_outside_unit_interval_rejected(self, fraction, capsys):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import NxMScheme, SCHEME_OFF
-from repro.crashkit import CrashPoint, CrashScheduler, CrashTestHarness
+from repro.crashkit import CrashMatrixResult, CrashPoint, CrashScheduler, CrashTestHarness
 from repro.errors import PowerFailureError
 from repro.storage.recovery import RecoveryReport
 from repro.session import BACKENDS
@@ -61,10 +61,10 @@ class TestCrashMatrix:
 
     def test_case_counters(self):
         harness = small_harness("noftl")
-        harness.run_case((CrashPoint(at_op=5),))
-        assert harness.metrics.get("crashkit_cases_total").value == 1
-        fails = harness.metrics.get("crashkit_failures_total")
-        assert fails is not None and fails.value == 1
+        case = harness.run_case((CrashPoint(at_op=5),))
+        result = CrashMatrixResult(cases=[case])
+        assert result.crashes == 1
+        assert result.divergences == 0
 
     def test_committed_txns_grow_with_later_crashes(self):
         harness = small_harness("noftl")

@@ -107,8 +107,8 @@ class TestCrashScheduler:
         sched.site("a")
         with pytest.raises(PowerFailureError):
             sched.site("b")
-        assert sched.metrics.get("crashkit_ops_total").value == 2
-        assert sched.metrics.get("crashkit_failures_total").value == 1
+        assert sched.total_ops == 2
+        assert [(crash.site, crash.op_index) for crash in sched.fired] == [("b", 2)]
 
 
 class TestTornPagePrimitives:

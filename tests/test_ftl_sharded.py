@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import FTLError
 from repro.flash import CellType, FlashGeometry, FlashMemory
-from repro.ftl import IPAMode, ShardedDevice, single_region_device
+from repro.ftl import BlockSSD, IPAMode, ShardedDevice, single_region_device
 from repro.ftl.device import DERIVED_SNAPSHOT_KEYS, iter_shard_views, merge_snapshots
 from repro.telemetry import HostIOEvent, Telemetry
 
@@ -184,6 +184,26 @@ class TestTelemetry:
         assert metrics.get("shard0_device_host_page_writes").value == 1
         assert metrics.get("shard1_device_host_page_writes").value == 1
         assert metrics.get("shard0_device_host_reads").value == 1
+
+    def test_block_ssd_shards_export_their_internal_counters_per_shard(self):
+        """Every stats object under a shard exports under its label: the
+        black-box shards' internal FTL counters included, none shared."""
+        geometry = FlashGeometry(
+            chips=1, blocks_per_chip=8, pages_per_block=8,
+            page_size=PAGE_SIZE, oob_size=32, cell_type=CellType.SLC,
+        )
+        telemetry = Telemetry()
+        device = ShardedDevice(
+            [BlockSSD(FlashMemory(geometry), capacity_pages=12) for _ in range(2)]
+        )
+        telemetry.attach_device(device)
+        device.write(0, image())  # shard 0
+        device.read(0)
+        metrics = telemetry.metrics
+        assert metrics.get("device_host_reads") is None
+        assert metrics.get("shard0_blockssd_reads").value == 1
+        assert metrics.get("shard0_device_host_reads").value == 1
+        assert metrics.get("shard1_device_host_reads").value == 0
 
     def test_events_carry_global_lpns(self):
         telemetry = Telemetry()

@@ -114,14 +114,6 @@ class TestRegistry:
         assert registry.get("b") is None
         assert list(registry) == [counter]
 
-    def test_adopt_re_homes_a_metric(self):
-        private, shared = MetricsRegistry(), MetricsRegistry()
-        counter = private.counter("device_host_reads")
-        counter.inc(3)
-        shared.adopt(counter)
-        assert shared.get("device_host_reads") is counter
-        assert shared.get("device_host_reads").value == 3
-
     def test_snapshot_shape(self):
         registry = MetricsRegistry()
         registry.counter("c").inc(2)

@@ -1,17 +1,28 @@
-"""Overhead guard: a telemetry-disabled run allocates zero events.
+"""Overhead guard: a telemetry-disabled run makes zero telemetry calls.
 
 Every instrumentation site holds a ``telemetry`` handle that defaults to
-``None`` and is checked before any telemetry work; with a Telemetry
-attached but no bus subscribers, events are still never constructed.
-These tests pin both short-circuits by patching every event class to
-record construction and running a real TPC-B workload.
+``None`` and is checked before any telemetry work, and the stats objects
+own plain counter fields the registry only reads once bound.  So with
+``telemetry=None`` no function defined under ``repro/telemetry/`` runs
+at all — pinned by profiling a device script and a real TPC-B run.
+With a Telemetry attached but no bus subscribers, events are still
+never constructed — pinned by patching every event class to record
+construction.
 """
 
+import cProfile
+from pathlib import Path
+
+import pytest
+
+import repro.telemetry
 from repro.telemetry import Telemetry
 from repro.telemetry.events import EVENT_TYPES, HostIOEvent
-from repro.session import SessionConfig, open_session
+from repro.session import BACKENDS, SessionConfig, open_device, open_session
 from repro.testbed import load_scaled
 from repro.workloads import TPCB, TPCBConfig
+
+TELEMETRY_DIR = Path(repro.telemetry.__file__).resolve().parent
 
 
 def _count_event_allocations(monkeypatch):
@@ -41,7 +52,42 @@ def _run_tpcb(telemetry=None, transactions=150):
     return engine
 
 
+def _telemetry_calls(run):
+    """``{function: calls}`` of every Python function defined under
+    ``repro/telemetry/`` that ``run()`` entered."""
+    profiler = cProfile.Profile()
+    profiler.runcall(run)
+    return {
+        f"{entry.code.co_filename}:{entry.code.co_name}": entry.callcount
+        for entry in profiler.getstats()
+        if not isinstance(entry.code, str)
+        and TELEMETRY_DIR in Path(entry.code.co_filename).resolve().parents
+    }
+
+
+def _device_script(backend):
+    """Writes, in-place appends and reads over a small device until GC runs."""
+    device = open_device(SessionConfig(
+        backend=backend, logical_pages=64, chips=2, page_size=512, pages_per_block=8,
+    ))
+    page_size = device.page_size
+    image = b"\x21" * (page_size - 64) + b"\xff" * 64
+    for round_ in range(12):
+        for lpn in range(device.logical_pages):
+            device.write(lpn, image)
+            device.write_delta(lpn, page_size - 64 + round_ % 8, b"\x01")
+            device.read(lpn)
+    assert device.snapshot()["gc_erases"] > 0
+
+
 class TestNullSink:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_disabled_device_makes_no_telemetry_calls(self, backend):
+        assert _telemetry_calls(lambda: _device_script(backend)) == {}
+
+    def test_disabled_run_makes_no_telemetry_calls(self):
+        assert _telemetry_calls(_run_tpcb) == {}
+
     def test_disabled_run_allocates_no_events(self, monkeypatch):
         allocations = _count_event_allocations(monkeypatch)
         engine = _run_tpcb(telemetry=None)
