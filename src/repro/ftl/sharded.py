@@ -38,7 +38,8 @@ labels, and host-I/O events report *global* LPNs.
 from __future__ import annotations
 
 from ..errors import FTLError
-from .device import HostIO, HostRegionView, merge_snapshots
+from .device import DERIVED_SNAPSHOT_KEYS, HostIO, HostRegionView, merge_snapshots
+from .stats import derived_ratio
 from .region import RegionConfig
 
 __all__ = ["ShardedDevice", "ShardedStats"]
@@ -108,15 +109,24 @@ class ShardedStats:
 
     def __init__(self, shards) -> None:
         self._shards = list(shards)
+        #: The counters each shard's ``snapshot()`` reports: a black-box
+        #: shard's are those of its internal FTL.
+        self._sources = [getattr(shard, "internal", shard).stats for shard in self._shards]
+        self._raw_keys = frozenset(self._shards[0].snapshot()).difference(
+            DERIVED_SNAPSHOT_KEYS
+        )
 
     def __getattr__(self, name: str):
+        """A raw counter summed over the shards in shard order, or a
+        derived ratio of those sums — what :meth:`snapshot` holds under
+        ``name``, without building any snapshot."""
         if name.startswith("_"):
             raise AttributeError(name)
-        snapshot = merge_snapshots([shard.snapshot() for shard in self._shards])
-        try:
-            return snapshot[name]
-        except KeyError:
-            raise AttributeError(name) from None
+        if name in self._raw_keys:
+            return sum(getattr(source, name) for source in self._sources)
+        if name in DERIVED_SNAPSHOT_KEYS:
+            return derived_ratio(self, name)
+        raise AttributeError(name)
 
     def snapshot(self) -> dict:
         """Merged device summary (single-device snapshot keys)."""

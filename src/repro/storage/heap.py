@@ -166,7 +166,7 @@ class Table:
             raise SchemaError("primary-key columns cannot be updated")
         old_values = self.read(rid) if self.secondary_indexes else None
         relocated = False
-        if all(schema.is_fixed(i) for i in indexed):
+        if all(schema.fixed_fields[i] is not None for i in indexed):
             self._update_fixed(txn, rid, indexed)
         else:
             relocated = self._update_replace(txn, rid, indexed)
@@ -185,10 +185,11 @@ class Table:
         page = frame.page
         try:
             record_offset, length = page.record_extent(rid.slot)
+            fixed_fields = self.schema.fixed_fields
             patches = []
             for column_index, value in indexed.items():
-                field_offset = self.schema.fixed_offset(column_index)
-                new = self.schema.columns[column_index].type.pack(value)
+                field_offset, column_type = fixed_fields[column_index]
+                new = column_type.pack(value)
                 page_offset = record_offset + field_offset
                 old = bytes(page.image[page_offset : page_offset + len(new)])
                 if old == new:

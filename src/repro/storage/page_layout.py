@@ -21,11 +21,25 @@ records the offsets of bytes that actually changed.  That byte-granular
 tracking is what IPA encodes into delta records at eviction; it also
 implements the paper's observation that e.g. of an 8-byte PageLSN
 usually only the least-significant bytes change.
+
+Header fields and slot entries are big-endian ``struct`` codecs read
+and written in place on the image.  The slot count and free pointer
+are held as attributes: read once when the page is built and written
+through by their setters.  A constructed page's image is written only
+through ``write_bytes`` (and the internal writer behind it), so a byte
+patch landing in the header — a redo or an undo — re-reads them.  A
+free-slot hint (every slot below it is live) lets an insert skip the
+live prefix of the slot table; deleting a slot lowers it, and any other
+write into the slot table resets it.
 """
 
 from __future__ import annotations
 
+import struct
 import zlib
+from bisect import bisect_left
+from itertools import compress
+from operator import ne
 
 from ..errors import PageFormatError, PageFullError, RecordNotFoundError
 
@@ -43,6 +57,17 @@ _OFF_DELTA_SIZE = 20
 #: Optional CRC32 over the page content (InnoDB-style FIL checksum).
 _OFF_CHECKSUM = 24
 
+_U16 = struct.Struct(">H")
+_U32 = struct.Struct(">I")
+_U64 = struct.Struct(">Q")
+#: One slot entry ``(offset, length)``; also the adjacent header pair
+#: ``(slot_count, free_ptr)`` at ``_OFF_SLOT_COUNT``.
+_PAIR = struct.Struct(">HH")
+#: Writes up to this many bytes (field patches, LSN and header stamps)
+#: are diffed byte by byte; longer ones (records) slice-compare first
+#: and diff in C, which only pays off past a few dozen bytes.
+_SHORT_WRITE = 16
+
 
 def delta_area_size_of(image: bytes) -> int:
     """Delta-area size stored in a raw page image's header.
@@ -52,7 +77,7 @@ def delta_area_size_of(image: bytes) -> int:
     because under selective placement different regions' pages reserve
     different amounts (possibly none).
     """
-    return int.from_bytes(image[_OFF_DELTA_SIZE:_OFF_DELTA_SIZE + 2], "big")
+    return _U16.unpack_from(image, _OFF_DELTA_SIZE)[0]
 
 
 class SlottedPage:
@@ -68,12 +93,16 @@ class SlottedPage:
         "track_overflowed",
         "_page_size",
         "_delta_size",
+        "_delta_off",
+        "_slot_count",
+        "_free_ptr",
+        "_hint",
     )
 
     def __init__(self, image: bytearray) -> None:
         if len(image) < HEADER_SIZE:
             raise PageFormatError("image smaller than a page header")
-        if int.from_bytes(image[_OFF_MAGIC:_OFF_MAGIC + 2], "big") != MAGIC:
+        if _U16.unpack_from(image, _OFF_MAGIC)[0] != MAGIC:
             raise PageFormatError("bad page magic")
         self.image = image
         self.tracked: set[int] = set()
@@ -82,7 +111,12 @@ class SlottedPage:
         #: that flush's :meth:`reset_tracking` clears it.
         self.track_overflowed = False
         self._page_size = len(image)
-        self._delta_size = int.from_bytes(image[_OFF_DELTA_SIZE:_OFF_DELTA_SIZE + 2], "big")
+        self._delta_size = _U16.unpack_from(image, _OFF_DELTA_SIZE)[0]
+        self._delta_off = self._page_size - self._delta_size
+        self._slot_count, self._free_ptr = _PAIR.unpack_from(image, _OFF_SLOT_COUNT)
+        #: Free-slot hint: every slot below it is live, and it never
+        #: exceeds the slot count.
+        self._hint = 0
 
     # ------------------------------------------------------------------
     # Construction
@@ -96,36 +130,58 @@ class SlottedPage:
                 f"page of {page_size}B cannot host a {delta_area_size}B delta area"
             )
         image = bytearray(page_size)
-        image[_OFF_MAGIC:_OFF_MAGIC + 2] = MAGIC.to_bytes(2, "big")
-        image[_OFF_PAGE_ID:_OFF_PAGE_ID + 4] = page_id.to_bytes(4, "big")
-        image[_OFF_FREE_PTR:_OFF_FREE_PTR + 2] = HEADER_SIZE.to_bytes(2, "big")
-        image[_OFF_DELTA_SIZE:_OFF_DELTA_SIZE + 2] = delta_area_size.to_bytes(2, "big")
+        _U16.pack_into(image, _OFF_MAGIC, MAGIC)
+        _U32.pack_into(image, _OFF_PAGE_ID, page_id)
+        _U16.pack_into(image, _OFF_FREE_PTR, HEADER_SIZE)
+        _U16.pack_into(image, _OFF_DELTA_SIZE, delta_area_size)
         if delta_area_size:
             image[page_size - delta_area_size :] = b"\xff" * delta_area_size
-        page = cls(image)
-        page.tracked.clear()  # formatting is not an update
-        return page
+        return cls(image)
 
     # ------------------------------------------------------------------
     # Raw byte access with tracking
     # ------------------------------------------------------------------
 
     def write_bytes(self, offset: int, data: bytes) -> None:
-        """Overwrite page bytes, tracking the offsets that changed."""
+        """Overwrite page bytes, tracking the offsets that changed.
+
+        A write that starts in the header re-reads the cached slot count
+        and free pointer; a write into the header or the slot table
+        resets the free-slot hint, since it may have turned a live slot
+        dead.
+        """
         end = offset + len(data)
         if offset < 0 or end > self._page_size:
             raise PageFormatError(f"write [{offset}, {end}) outside page")
+        self._write(offset, end, data)
+        if offset < HEADER_SIZE:
+            self._slot_count, self._free_ptr = _PAIR.unpack_from(self.image, _OFF_SLOT_COUNT)
+            self._hint = 0
+        elif end > self._delta_off - SLOT_SIZE * self._slot_count:
+            self._hint = 0
+
+    def _write(self, offset: int, end: int, data: bytes) -> None:
+        """Store ``data`` at ``[offset, end)``, tracking the offsets that
+        change.  Leaves the cached header fields and the free-slot hint
+        to the caller."""
         image = self.image
-        if not self.track_overflowed:
-            tracked = self.tracked
-            for i, value in enumerate(data):
-                if image[offset + i] != value:
-                    tracked.add(offset + i)
-                    image[offset + i] = value
-            if len(tracked) > self.TRACK_LIMIT:
-                self.track_overflowed = True
-        else:
+        if self.track_overflowed:
             image[offset:end] = data
+            return
+        tracked = self.tracked
+        if end - offset <= _SHORT_WRITE:
+            for index, value in enumerate(data, offset):
+                if image[index] != value:
+                    tracked.add(index)
+                    image[index] = value
+        else:
+            old = image[offset:end]
+            if old == data:
+                return
+            tracked.update(compress(range(offset, end), map(ne, old, data)))
+            image[offset:end] = data
+        if len(tracked) > self.TRACK_LIMIT:
+            self.track_overflowed = True
 
     def reset_tracking(self) -> None:
         """Forget tracked changes (after a flush materialized them)."""
@@ -138,15 +194,10 @@ class SlottedPage:
         Metadata is the page header plus the slot table (the paper's
         header/footer); everything between them is tuple data.
         """
-        floor = self.slot_table_floor
-        body: list[int] = []
-        meta: list[int] = []
-        for offset in sorted(self.tracked):
-            if HEADER_SIZE <= offset < floor:
-                body.append(offset)
-            else:
-                meta.append(offset)
-        return body, meta
+        ordered = sorted(self.tracked)
+        low = bisect_left(ordered, HEADER_SIZE)
+        high = bisect_left(ordered, self._delta_off - SLOT_SIZE * self._slot_count, low)
+        return ordered[low:high], ordered[:low] + ordered[high:]
 
     # ------------------------------------------------------------------
     # Header fields
@@ -158,36 +209,38 @@ class SlottedPage:
 
     @property
     def page_id(self) -> int:
-        return int.from_bytes(self.image[_OFF_PAGE_ID:_OFF_PAGE_ID + 4], "big")
+        return _U32.unpack_from(self.image, _OFF_PAGE_ID)[0]
 
     @property
     def lsn(self) -> int:
-        return int.from_bytes(self.image[_OFF_LSN:_OFF_LSN + 8], "big")
+        return _U64.unpack_from(self.image, _OFF_LSN)[0]
 
     def set_lsn(self, lsn: int) -> None:
         """Stamp the PageLSN (tracked: usually 1-2 bytes change)."""
-        self.write_bytes(_OFF_LSN, lsn.to_bytes(8, "big"))
+        self._write(_OFF_LSN, _OFF_LSN + 8, _U64.pack(lsn))
 
     @property
     def slot_count(self) -> int:
-        return int.from_bytes(self.image[_OFF_SLOT_COUNT:_OFF_SLOT_COUNT + 2], "big")
+        return self._slot_count
 
     def _set_slot_count(self, count: int) -> None:
-        self.write_bytes(_OFF_SLOT_COUNT, count.to_bytes(2, "big"))
+        self._write(_OFF_SLOT_COUNT, _OFF_SLOT_COUNT + 2, _U16.pack(count))
+        self._slot_count = count
 
     @property
     def free_ptr(self) -> int:
-        return int.from_bytes(self.image[_OFF_FREE_PTR:_OFF_FREE_PTR + 2], "big")
+        return self._free_ptr
 
     def _set_free_ptr(self, value: int) -> None:
-        self.write_bytes(_OFF_FREE_PTR, value.to_bytes(2, "big"))
+        self._write(_OFF_FREE_PTR, _OFF_FREE_PTR + 2, _U16.pack(value))
+        self._free_ptr = value
 
     def compute_checksum(self) -> int:
         """CRC32 over the page content, excluding the checksum field
         itself and the delta area (whose flash twin evolves separately)."""
         image = self.image
-        head = bytes(image[:_OFF_CHECKSUM])
-        body = bytes(image[_OFF_CHECKSUM + 4 : self.delta_area_offset])
+        head = image[:_OFF_CHECKSUM]
+        body = image[_OFF_CHECKSUM + 4 : self._delta_off]
         return zlib.crc32(body, zlib.crc32(head)) & 0xFFFFFFFF
 
     def update_checksum(self) -> None:
@@ -197,12 +250,11 @@ class SlottedPage:
         flush; the ~4 changed bytes per flush are what give InnoDB its
         gross-update-size floor (see the LinkBench analysis).
         """
-        self.write_bytes(_OFF_CHECKSUM, self.compute_checksum().to_bytes(4, "big"))
+        self._write(_OFF_CHECKSUM, _OFF_CHECKSUM + 4, _U32.pack(self.compute_checksum()))
 
     def verify_checksum(self) -> bool:
         """Whether the stored checksum matches the page content."""
-        stored = int.from_bytes(self.image[_OFF_CHECKSUM:_OFF_CHECKSUM + 4], "big")
-        return stored == self.compute_checksum()
+        return _U32.unpack_from(self.image, _OFF_CHECKSUM)[0] == self.compute_checksum()
 
     @property
     def delta_area_size(self) -> int:
@@ -210,43 +262,43 @@ class SlottedPage:
 
     @property
     def delta_area_offset(self) -> int:
-        return self._page_size - self._delta_size
+        return self._delta_off
 
     @property
     def slot_table_floor(self) -> int:
         """Lowest byte used by the slot table (its current extent)."""
-        return self.delta_area_offset - SLOT_SIZE * self.slot_count
+        return self._delta_off - SLOT_SIZE * self._slot_count
 
     @property
     def free_space(self) -> int:
         """Bytes available for one more record *and* its slot entry."""
-        return max(0, self.slot_table_floor - self.free_ptr - SLOT_SIZE)
+        return max(
+            0, self._delta_off - SLOT_SIZE * (self._slot_count + 1) - self._free_ptr
+        )
 
     # ------------------------------------------------------------------
     # Slot table
     # ------------------------------------------------------------------
 
-    def _slot_entry_offset(self, slot: int) -> int:
-        return self.delta_area_offset - SLOT_SIZE * (slot + 1)
-
     def _read_slot(self, slot: int) -> tuple[int, int]:
-        if not 0 <= slot < self.slot_count:
+        if not 0 <= slot < self._slot_count:
             raise RecordNotFoundError(f"slot {slot} out of range")
-        base = self._slot_entry_offset(slot)
-        offset = int.from_bytes(self.image[base : base + 2], "big")
-        length = int.from_bytes(self.image[base + 2 : base + 4], "big")
-        return offset, length
+        return _PAIR.unpack_from(self.image, self._delta_off - SLOT_SIZE * (slot + 1))
 
     def _write_slot(self, slot: int, offset: int, length: int) -> None:
-        base = self._slot_entry_offset(slot)
-        self.write_bytes(base, offset.to_bytes(2, "big") + length.to_bytes(2, "big"))
+        base = self._delta_off - SLOT_SIZE * (slot + 1)
+        self._write(base, base + SLOT_SIZE, _PAIR.pack(offset, length))
+        if not offset and slot < self._hint:
+            self._hint = slot
 
-    def live_slots(self):
-        """Yield the slot numbers of live (non-deleted) records."""
-        for slot in range(self.slot_count):
-            offset, _ = self._read_slot(slot)
-            if offset != 0:
-                yield slot
+    def live_slots(self) -> list[int]:
+        """Slot numbers of live (non-deleted) records, ascending."""
+        image = self.image
+        top = self._delta_off - SLOT_SIZE
+        return [
+            slot for slot in range(self._slot_count)
+            if _U16.unpack_from(image, top - SLOT_SIZE * slot)[0]
+        ]
 
     # ------------------------------------------------------------------
     # Records
@@ -258,19 +310,19 @@ class SlottedPage:
         heap space nor a slot is available."""
         if not record:
             raise PageFormatError("empty record")
-        slot_count = self.slot_count
-        reuse = None
-        for slot in range(slot_count):
-            offset, _ = self._read_slot(slot)
-            if offset == 0:
-                reuse = slot
-                break
-        needed = len(record) + (0 if reuse is not None else SLOT_SIZE)
-        if self.slot_table_floor - self.free_ptr < needed:
+        image = self.image
+        top = self._delta_off - SLOT_SIZE
+        count = self._slot_count
+        slot = self._hint
+        while slot < count and _U16.unpack_from(image, top - SLOT_SIZE * slot)[0]:
+            slot += 1
+        self._hint = slot
+        needed = len(record) + (SLOT_SIZE if slot == count else 0)
+        if self._delta_off - SLOT_SIZE * count - self._free_ptr < needed:
             raise PageFullError(
                 f"record of {len(record)}B does not fit ({self.free_space}B free)"
             )
-        return slot_count if reuse is None else reuse
+        return slot
 
     def insert(self, record: bytes) -> int:
         """Store a record; returns its slot number (deleted slots are
@@ -286,29 +338,33 @@ class SlottedPage:
         the pre-insert page state, so recovery repeating history lands
         the record at the same heap offset as the original.
         """
-        offset = self.free_ptr
-        slot_count = self.slot_count
-        if self.delta_area_offset - SLOT_SIZE * max(slot_count, slot + 1) - offset < len(record):
+        offset = self._free_ptr
+        count = self._slot_count
+        end = offset + len(record)
+        if self._delta_off - SLOT_SIZE * max(count, slot + 1) < end:
             raise PageFullError("record placement does not fit; page state diverged")
-        self.write_bytes(offset, record)
-        self._set_free_ptr(offset + len(record))
-        if slot >= slot_count:
+        self._write(offset, end, record)
+        self._set_free_ptr(end)
+        if slot >= count:
             self._set_slot_count(slot + 1)
         self._write_slot(slot, offset, len(record))
 
     def read_record(self, slot: int) -> bytes:
         """Bytes of a live record."""
-        offset, length = self._read_slot(slot)
+        # _read_slot inlined: this is the hottest read accessor.
+        if not 0 <= slot < self._slot_count:
+            raise RecordNotFoundError(f"slot {slot} out of range")
+        offset, length = _PAIR.unpack_from(self.image, self._delta_off - SLOT_SIZE * (slot + 1))
         if offset == 0:
             raise RecordNotFoundError(f"slot {slot} is deleted")
         return bytes(self.image[offset : offset + length])
 
     def record_extent(self, slot: int) -> tuple[int, int]:
         """``(page_offset, length)`` of a live record."""
-        offset, length = self._read_slot(slot)
-        if offset == 0:
+        extent = self._read_slot(slot)
+        if extent[0] == 0:
             raise RecordNotFoundError(f"slot {slot} is deleted")
-        return offset, length
+        return extent
 
     def update_record_bytes(self, slot: int, field_offset: int, data: bytes) -> None:
         """Patch bytes inside a record (fixed-column in-place update)."""
@@ -325,11 +381,12 @@ class SlottedPage:
             if len(record) != length:
                 self._write_slot(slot, offset, len(record))
             return
-        if self.slot_table_floor - self.free_ptr < len(record):
+        new_offset = self._free_ptr
+        end = new_offset + len(record)
+        if self._delta_off - SLOT_SIZE * self._slot_count < end:
             raise PageFullError("no room to relocate the grown record")
-        new_offset = self.free_ptr
-        self.write_bytes(new_offset, record)
-        self._set_free_ptr(new_offset + len(record))
+        self._write(new_offset, end, record)
+        self._set_free_ptr(end)
         self._write_slot(slot, new_offset, len(record))
 
     def delete_record(self, slot: int) -> None:
@@ -340,14 +397,10 @@ class SlottedPage:
     def slot_entry_patch(self, slot: int, offset: int, length: int) -> tuple[int, bytes, bytes]:
         """``(page_offset, current_bytes, new_bytes)`` that points ``slot``
         at ``(offset, length)`` — a slot-table change as a byte patch."""
-        if not 0 <= slot < self.slot_count:
+        if not 0 <= slot < self._slot_count:
             raise RecordNotFoundError(f"slot {slot} out of range")
-        base = self._slot_entry_offset(slot)
-        return (
-            base,
-            bytes(self.image[base : base + SLOT_SIZE]),
-            offset.to_bytes(2, "big") + length.to_bytes(2, "big"),
-        )
+        base = self._delta_off - SLOT_SIZE * (slot + 1)
+        return base, bytes(self.image[base : base + SLOT_SIZE]), _PAIR.pack(offset, length)
 
     def compact(self) -> None:
         """Rewrite the record heap densely, reclaiming holes.
@@ -356,11 +409,12 @@ class SlottedPage:
         change tracker will almost always overflow the delta budget and
         the page will flush out-of-place — which is correct.
         """
+        image = self.image
         records = []
-        for slot in range(self.slot_count):
+        for slot in range(self._slot_count):
             offset, length = self._read_slot(slot)
             if offset:
-                records.append((slot, bytes(self.image[offset : offset + length])))
+                records.append((slot, bytes(image[offset : offset + length])))
         cursor = HEADER_SIZE
         for slot, record in records:
             self.write_bytes(cursor, record)
@@ -377,4 +431,4 @@ class SlottedPage:
         write must carry it erased so future appends stay possible.
         """
         if self._delta_size:
-            self.image[self.delta_area_offset :] = b"\xff" * self._delta_size
+            self.image[self._delta_off :] = b"\xff" * self._delta_size

@@ -6,10 +6,16 @@ column as a 2-byte length prefix plus payload.  Fixed-column updates
 can therefore patch bytes in place at a statically known offset — the
 access path that makes byte-granular change tracking (and hence IPA)
 effective.
+
+Each :class:`Schema` compiles one big-endian ``struct.Struct`` for its
+fixed-width columns, so a record's fixed part packs and unpacks in one
+call; the column types keep their own per-value codecs, which the
+schema falls back to for validation errors and for one-column patches.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 from ..errors import SchemaError
@@ -20,6 +26,8 @@ class ColumnType:
 
     #: Fixed byte width, or None for variable-length types.
     size: int | None = None
+    #: ``struct`` format code of a fixed-width type.
+    code: str | None = None
 
     def pack(self, value) -> bytes:
         """Serialize one value to its column bytes."""
@@ -34,6 +42,7 @@ class Int32(ColumnType):
     """Signed 32-bit integer (the TPC ``NUMBER`` work-horse)."""
 
     size = 4
+    code = "i"
 
     def pack(self, value) -> bytes:
         """Big-endian signed 32-bit encoding."""
@@ -51,6 +60,7 @@ class Int64(ColumnType):
     """Signed 64-bit integer (LSNs, timestamps, balances in cents)."""
 
     size = 8
+    code = "q"
 
     def pack(self, value) -> bytes:
         """Big-endian signed 64-bit encoding."""
@@ -71,6 +81,7 @@ class Char(ColumnType):
         if width <= 0:
             raise SchemaError("Char width must be positive")
         self.size = width
+        self.code = f"{width}s"
 
     def pack(self, value) -> bytes:
         """Encode and space-pad to the fixed width."""
@@ -112,6 +123,9 @@ class Column:
     type: ColumnType
 
 
+_U16 = struct.Struct(">H")
+
+
 class Schema:
     """An ordered list of named, typed columns."""
 
@@ -123,17 +137,31 @@ class Schema:
             raise SchemaError(f"duplicate column names in {names}")
         self.columns = list(columns)
         self._index = {column.name: i for i, column in enumerate(columns)}
-        self._fixed_offsets: list[int | None] = []
+        #: ``(record_offset, type)`` of each fixed column, ``None`` for
+        #: a variable-length one.
+        self.fixed_fields: list = []
         cursor = 0
         for column in columns:
             if column.type.size is None:
-                self._fixed_offsets.append(None)
+                self.fixed_fields.append(None)
             else:
-                self._fixed_offsets.append(cursor)
+                self.fixed_fields.append((cursor, column.type))
                 cursor += column.type.size
         self.fixed_size = cursor
+        self._fixed_indexes = [
+            i for i, field in enumerate(self.fixed_fields) if field is not None
+        ]
         self._var_indexes = [
-            i for i, column in enumerate(columns) if column.type.size is None
+            i for i, field in enumerate(self.fixed_fields) if field is None
+        ]
+        self._struct = struct.Struct(
+            ">" + "".join(columns[i].type.code for i in self._fixed_indexes)
+        )
+        #: ``(position in the fixed part, width)`` of each Char column.
+        self._chars = [
+            (position, columns[i].type.size)
+            for position, i in enumerate(self._fixed_indexes)
+            if isinstance(columns[i].type, Char)
         ]
 
     def __len__(self) -> int:
@@ -146,18 +174,14 @@ class Schema:
         except KeyError as exc:
             raise SchemaError(f"no column named {name!r}") from exc
 
-    def is_fixed(self, index: int) -> bool:
-        """Whether the column at ``index`` has a fixed width."""
-        return self._fixed_offsets[index] is not None
-
     def fixed_offset(self, index: int) -> int:
         """Record offset of a fixed column; raises for variable columns."""
-        offset = self._fixed_offsets[index]
-        if offset is None:
+        field = self.fixed_fields[index]
+        if field is None:
             raise SchemaError(
                 f"column {self.columns[index].name!r} is variable-length"
             )
-        return offset
+        return field[0]
 
     def pack(self, values) -> bytes:
         """Serialize one record from a value sequence (schema order)."""
@@ -165,6 +189,28 @@ class Schema:
             raise SchemaError(
                 f"{len(values)} values for {len(self.columns)} columns"
             )
+        fields = list(map(values.__getitem__, self._fixed_indexes))
+        for position, width in self._chars:
+            encoded = str(fields[position]).encode("utf-8")
+            if len(encoded) > width:
+                return self._pack_by_column(values)
+            fields[position] = encoded.ljust(width, b" ")
+        try:
+            fixed = self._struct.pack(*fields)
+        except struct.error:
+            # Not a plain in-range int: the column codecs convert it or
+            # raise the column's own SchemaError.
+            return self._pack_by_column(values)
+        if not self._var_indexes:
+            return fixed
+        columns = self.columns
+        return fixed + b"".join(
+            [columns[i].type.pack(values[i]) for i in self._var_indexes]
+        )
+
+    def _pack_by_column(self, values) -> bytes:
+        """:meth:`pack` one column codec at a time: the reference
+        encoding, raising the first failing column's :class:`SchemaError`."""
         fixed = bytearray()
         var = bytearray()
         for column, value in zip(self.columns, values):
@@ -177,30 +223,32 @@ class Schema:
 
     def unpack(self, data: bytes):
         """Deserialize one record into a value tuple."""
+        unpacked = self._struct.unpack_from(data)
+        if not self._chars and not self._var_indexes:
+            return unpacked
+        fixed = list(unpacked)
+        for position, __ in self._chars:
+            fixed[position] = fixed[position].rstrip(b" ").decode("utf-8")
+        if not self._var_indexes:
+            return tuple(fixed)
         values: list = [None] * len(self.columns)
-        for i, column in enumerate(self.columns):
-            if column.type.size is not None:
-                offset = self._fixed_offsets[i]
-                values[i] = column.type.unpack(data[offset : offset + column.type.size])
+        for position, i in enumerate(self._fixed_indexes):
+            values[i] = fixed[position]
         cursor = self.fixed_size
         for i in self._var_indexes:
-            length = int.from_bytes(data[cursor : cursor + 2], "big")
-            values[i] = self.columns[i].type.unpack(data[cursor + 2 : cursor + 2 + length])
+            (length,) = _U16.unpack_from(data, cursor)
+            values[i] = bytes(data[cursor + 2 : cursor + 2 + length])
             cursor += 2 + length
         return tuple(values)
 
     def var_field_slice(self, data: bytes, index: int) -> tuple[int, int]:
         """``(payload_offset, payload_length)`` of a variable column."""
-        if self.is_fixed(index):
+        if self.fixed_fields[index] is not None:
             raise SchemaError("var_field_slice on a fixed column")
         cursor = self.fixed_size
         for i in self._var_indexes:
-            length = int.from_bytes(data[cursor : cursor + 2], "big")
+            (length,) = _U16.unpack_from(data, cursor)
             if i == index:
                 return cursor + 2, length
             cursor += 2 + length
         raise SchemaError("variable column not found")  # pragma: no cover
-
-    def record_size(self, values) -> int:
-        """Serialized size of one record."""
-        return len(self.pack(values))

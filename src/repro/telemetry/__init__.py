@@ -140,6 +140,7 @@ class Telemetry:
             help="Delta-slot occupancy of a page after an IPA flush",
         )
         self._flash_latency: dict[str, Histogram] = {}
+        self._buffer_counters: dict[str, Counter] = {}
         self._device = None
         self._pool = None
 
@@ -317,8 +318,12 @@ class Telemetry:
 
     def on_buffer(self, action: str, lpn: int) -> None:
         """Buffer-pool hook: one miss / eviction / background flush."""
-        self.metrics.counter(
-            f"buffer_{action}_total", help=f"Buffer pool {action} events"
-        ).inc()
+        counter = self._buffer_counters.get(action)
+        if counter is None:
+            counter = self.metrics.counter(
+                f"buffer_{action}_total", help=f"Buffer pool {action} events"
+            )
+            self._buffer_counters[action] = counter
+        counter.inc()
         if self.events.active:
             self.events.emit(BufferEvent(action=action, lpn=lpn))

@@ -10,11 +10,14 @@ oracles, parametrized across SLC/MLC/pSLC modes and torn-write cases.
 
 import dataclasses
 import random
+import struct
+import zlib
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import NxMScheme
+from repro.errors import PageFormatError, PageFullError, RecordNotFoundError, SchemaError
 from repro.flash.ecc import (
     CODE_SIZE,
     ERASED_CODE,
@@ -26,11 +29,13 @@ from repro.ftl.gc import greedy
 from repro.ftl.region import IPAMode
 from repro.session import SessionConfig, open_device
 from repro.storage import (
+    Char,
     Column,
     EngineConfig,
     Int32,
     Int64,
     LogKind,
+    LogRecord,
     Schema,
     StorageEngine,
     VarChar,
@@ -42,7 +47,6 @@ from repro.storage.clock import ScalarClock
 from repro.storage.program import run_on_clock
 from repro.storage.wal import apply_record, inverse_of
 from repro.telemetry import Telemetry
-from repro.session import SessionConfig, open_device
 
 PAGE_SIZE = 512
 OOB_SIZE = 64
@@ -588,3 +592,644 @@ def test_recovery_reproduces_every_heap_page_image(buffer_pages, txns):
     recover(engine)
     assert images() == before
     assert sorted(table.scan()) == rows
+
+
+# ----------------------------------------------------------------------
+# Slotted page and schema vs their naive predecessors
+# ----------------------------------------------------------------------
+#
+# The two classes below are the record path as it was before the page
+# held its header fields as attributes and the schema compiled a
+# ``struct.Struct``, copied unchanged (only renamed).  Random histories
+# drive each pair side by side and compare everything observable.
+
+HEADER_SIZE = 32
+MAGIC = 0xD817
+SLOT_SIZE = 4
+
+_OFF_MAGIC = 0
+_OFF_PAGE_ID = 2
+_OFF_LSN = 6
+_OFF_SLOT_COUNT = 14
+_OFF_FREE_PTR = 16
+_OFF_FLAGS = 18
+_OFF_DELTA_SIZE = 20
+_OFF_CHECKSUM = 24
+
+
+class _NaivePage:
+    """``SlottedPage`` before the struct codecs and cached header: every
+    field decoded from the image on each access, every slot scanned per
+    insert, every byte diffed one at a time."""
+
+    #: Tracked-offset cap: far beyond any delta budget, it merely bounds
+    #: memory on pathological pages (e.g. after compaction).
+    TRACK_LIMIT = 4096
+
+    __slots__ = (
+        "image",
+        "tracked",
+        "track_overflowed",
+        "_page_size",
+        "_delta_size",
+    )
+
+    def __init__(self, image: bytearray) -> None:
+        if len(image) < HEADER_SIZE:
+            raise PageFormatError("image smaller than a page header")
+        if int.from_bytes(image[_OFF_MAGIC:_OFF_MAGIC + 2], "big") != MAGIC:
+            raise PageFormatError("bad page magic")
+        self.image = image
+        self.tracked: set[int] = set()
+        #: The one give-up state (paper Section 6.2): set when tracking
+        #: overflowed, it sends the next flush out of place, and only
+        #: that flush's :meth:`reset_tracking` clears it.
+        self.track_overflowed = False
+        self._page_size = len(image)
+        self._delta_size = int.from_bytes(image[_OFF_DELTA_SIZE:_OFF_DELTA_SIZE + 2], "big")
+
+    # ------------------------------------------------------------------
+    # Construction
+    # ------------------------------------------------------------------
+
+    @classmethod
+    def format(cls, page_id: int, page_size: int, delta_area_size: int = 0) -> "_NaivePage":
+        """Create a freshly formatted empty page."""
+        if HEADER_SIZE + SLOT_SIZE + delta_area_size >= page_size:
+            raise PageFormatError(
+                f"page of {page_size}B cannot host a {delta_area_size}B delta area"
+            )
+        image = bytearray(page_size)
+        image[_OFF_MAGIC:_OFF_MAGIC + 2] = MAGIC.to_bytes(2, "big")
+        image[_OFF_PAGE_ID:_OFF_PAGE_ID + 4] = page_id.to_bytes(4, "big")
+        image[_OFF_FREE_PTR:_OFF_FREE_PTR + 2] = HEADER_SIZE.to_bytes(2, "big")
+        image[_OFF_DELTA_SIZE:_OFF_DELTA_SIZE + 2] = delta_area_size.to_bytes(2, "big")
+        if delta_area_size:
+            image[page_size - delta_area_size :] = b"\xff" * delta_area_size
+        page = cls(image)
+        page.tracked.clear()  # formatting is not an update
+        return page
+
+    # ------------------------------------------------------------------
+    # Raw byte access with tracking
+    # ------------------------------------------------------------------
+
+    def write_bytes(self, offset: int, data: bytes) -> None:
+        """Overwrite page bytes, tracking the offsets that changed."""
+        end = offset + len(data)
+        if offset < 0 or end > self._page_size:
+            raise PageFormatError(f"write [{offset}, {end}) outside page")
+        image = self.image
+        if not self.track_overflowed:
+            tracked = self.tracked
+            for i, value in enumerate(data):
+                if image[offset + i] != value:
+                    tracked.add(offset + i)
+                    image[offset + i] = value
+            if len(tracked) > self.TRACK_LIMIT:
+                self.track_overflowed = True
+        else:
+            image[offset:end] = data
+
+    def reset_tracking(self) -> None:
+        """Forget tracked changes (after a flush materialized them)."""
+        self.tracked.clear()
+        self.track_overflowed = False
+
+    def classify_tracked(self) -> tuple[list[int], list[int]]:
+        """Split tracked offsets into (body, metadata) lists, sorted.
+
+        Metadata is the page header plus the slot table (the paper's
+        header/footer); everything between them is tuple data.
+        """
+        floor = self.slot_table_floor
+        body: list[int] = []
+        meta: list[int] = []
+        for offset in sorted(self.tracked):
+            if HEADER_SIZE <= offset < floor:
+                body.append(offset)
+            else:
+                meta.append(offset)
+        return body, meta
+
+    # ------------------------------------------------------------------
+    # Header fields
+    # ------------------------------------------------------------------
+
+    @property
+    def page_size(self) -> int:
+        return self._page_size
+
+    @property
+    def page_id(self) -> int:
+        return int.from_bytes(self.image[_OFF_PAGE_ID:_OFF_PAGE_ID + 4], "big")
+
+    @property
+    def lsn(self) -> int:
+        return int.from_bytes(self.image[_OFF_LSN:_OFF_LSN + 8], "big")
+
+    def set_lsn(self, lsn: int) -> None:
+        """Stamp the PageLSN (tracked: usually 1-2 bytes change)."""
+        self.write_bytes(_OFF_LSN, lsn.to_bytes(8, "big"))
+
+    @property
+    def slot_count(self) -> int:
+        return int.from_bytes(self.image[_OFF_SLOT_COUNT:_OFF_SLOT_COUNT + 2], "big")
+
+    def _set_slot_count(self, count: int) -> None:
+        self.write_bytes(_OFF_SLOT_COUNT, count.to_bytes(2, "big"))
+
+    @property
+    def free_ptr(self) -> int:
+        return int.from_bytes(self.image[_OFF_FREE_PTR:_OFF_FREE_PTR + 2], "big")
+
+    def _set_free_ptr(self, value: int) -> None:
+        self.write_bytes(_OFF_FREE_PTR, value.to_bytes(2, "big"))
+
+    def compute_checksum(self) -> int:
+        """CRC32 over the page content, excluding the checksum field
+        itself and the delta area (whose flash twin evolves separately)."""
+        image = self.image
+        head = bytes(image[:_OFF_CHECKSUM])
+        body = bytes(image[_OFF_CHECKSUM + 4 : self.delta_area_offset])
+        return zlib.crc32(body, zlib.crc32(head)) & 0xFFFFFFFF
+
+    def update_checksum(self) -> None:
+        """Stamp the checksum (tracked like any metadata change).
+
+        Engines emulating InnoDB's FIL checksum call this on every
+        flush; the ~4 changed bytes per flush are what give InnoDB its
+        gross-update-size floor (see the LinkBench analysis).
+        """
+        self.write_bytes(_OFF_CHECKSUM, self.compute_checksum().to_bytes(4, "big"))
+
+    def verify_checksum(self) -> bool:
+        """Whether the stored checksum matches the page content."""
+        stored = int.from_bytes(self.image[_OFF_CHECKSUM:_OFF_CHECKSUM + 4], "big")
+        return stored == self.compute_checksum()
+
+    @property
+    def delta_area_size(self) -> int:
+        return self._delta_size
+
+    @property
+    def delta_area_offset(self) -> int:
+        return self._page_size - self._delta_size
+
+    @property
+    def slot_table_floor(self) -> int:
+        """Lowest byte used by the slot table (its current extent)."""
+        return self.delta_area_offset - SLOT_SIZE * self.slot_count
+
+    @property
+    def free_space(self) -> int:
+        """Bytes available for one more record *and* its slot entry."""
+        return max(0, self.slot_table_floor - self.free_ptr - SLOT_SIZE)
+
+    # ------------------------------------------------------------------
+    # Slot table
+    # ------------------------------------------------------------------
+
+    def _slot_entry_offset(self, slot: int) -> int:
+        return self.delta_area_offset - SLOT_SIZE * (slot + 1)
+
+    def _read_slot(self, slot: int) -> tuple[int, int]:
+        if not 0 <= slot < self.slot_count:
+            raise RecordNotFoundError(f"slot {slot} out of range")
+        base = self._slot_entry_offset(slot)
+        offset = int.from_bytes(self.image[base : base + 2], "big")
+        length = int.from_bytes(self.image[base + 2 : base + 4], "big")
+        return offset, length
+
+    def _write_slot(self, slot: int, offset: int, length: int) -> None:
+        base = self._slot_entry_offset(slot)
+        self.write_bytes(base, offset.to_bytes(2, "big") + length.to_bytes(2, "big"))
+
+    def live_slots(self):
+        """Yield the slot numbers of live (non-deleted) records."""
+        for slot in range(self.slot_count):
+            offset, _ = self._read_slot(slot)
+            if offset != 0:
+                yield slot
+
+    # ------------------------------------------------------------------
+    # Records
+    # ------------------------------------------------------------------
+
+    def slot_for_insert(self, record: bytes) -> int:
+        """Slot the next insert of ``record`` will use: the first deleted
+        slot, else a new one.  Raises :class:`PageFullError` when neither
+        heap space nor a slot is available."""
+        if not record:
+            raise PageFormatError("empty record")
+        slot_count = self.slot_count
+        reuse = None
+        for slot in range(slot_count):
+            offset, _ = self._read_slot(slot)
+            if offset == 0:
+                reuse = slot
+                break
+        needed = len(record) + (0 if reuse is not None else SLOT_SIZE)
+        if self.slot_table_floor - self.free_ptr < needed:
+            raise PageFullError(
+                f"record of {len(record)}B does not fit ({self.free_space}B free)"
+            )
+        return slot_count if reuse is None else reuse
+
+    def insert(self, record: bytes) -> int:
+        """Store a record; returns its slot number (deleted slots are
+        reused, see :meth:`slot_for_insert`)."""
+        slot = self.slot_for_insert(record)
+        self.place_record(slot, record)
+        return slot
+
+    def place_record(self, slot: int, record: bytes) -> None:
+        """Put ``record`` at the heap's free pointer and point ``slot`` at it.
+
+        The one insert placement, forward and redo: deterministic given
+        the pre-insert page state, so recovery repeating history lands
+        the record at the same heap offset as the original.
+        """
+        offset = self.free_ptr
+        slot_count = self.slot_count
+        if self.delta_area_offset - SLOT_SIZE * max(slot_count, slot + 1) - offset < len(record):
+            raise PageFullError("record placement does not fit; page state diverged")
+        self.write_bytes(offset, record)
+        self._set_free_ptr(offset + len(record))
+        if slot >= slot_count:
+            self._set_slot_count(slot + 1)
+        self._write_slot(slot, offset, len(record))
+
+    def read_record(self, slot: int) -> bytes:
+        """Bytes of a live record."""
+        offset, length = self._read_slot(slot)
+        if offset == 0:
+            raise RecordNotFoundError(f"slot {slot} is deleted")
+        return bytes(self.image[offset : offset + length])
+
+    def record_extent(self, slot: int) -> tuple[int, int]:
+        """``(page_offset, length)`` of a live record."""
+        offset, length = self._read_slot(slot)
+        if offset == 0:
+            raise RecordNotFoundError(f"slot {slot} is deleted")
+        return offset, length
+
+    def update_record_bytes(self, slot: int, field_offset: int, data: bytes) -> None:
+        """Patch bytes inside a record (fixed-column in-place update)."""
+        offset, length = self.record_extent(slot)
+        if field_offset + len(data) > length:
+            raise PageFormatError("field write beyond record bounds")
+        self.write_bytes(offset + field_offset, data)
+
+    def replace_record(self, slot: int, record: bytes) -> None:
+        """Replace a record wholesale; may relocate it within the page."""
+        offset, length = self.record_extent(slot)
+        if len(record) <= length:
+            self.write_bytes(offset, record)
+            if len(record) != length:
+                self._write_slot(slot, offset, len(record))
+            return
+        if self.slot_table_floor - self.free_ptr < len(record):
+            raise PageFullError("no room to relocate the grown record")
+        new_offset = self.free_ptr
+        self.write_bytes(new_offset, record)
+        self._set_free_ptr(new_offset + len(record))
+        self._write_slot(slot, new_offset, len(record))
+
+    def delete_record(self, slot: int) -> None:
+        """Mark-delete a record (the slot becomes reusable)."""
+        self.record_extent(slot)  # raises if already gone
+        self._write_slot(slot, 0, 0)
+
+    def slot_entry_patch(self, slot: int, offset: int, length: int) -> tuple[int, bytes, bytes]:
+        """``(page_offset, current_bytes, new_bytes)`` that points ``slot``
+        at ``(offset, length)`` — a slot-table change as a byte patch."""
+        if not 0 <= slot < self.slot_count:
+            raise RecordNotFoundError(f"slot {slot} out of range")
+        base = self._slot_entry_offset(slot)
+        return (
+            base,
+            bytes(self.image[base : base + SLOT_SIZE]),
+            offset.to_bytes(2, "big") + length.to_bytes(2, "big"),
+        )
+
+    def compact(self) -> None:
+        """Rewrite the record heap densely, reclaiming holes.
+
+        Touches most of the page's bytes, so after compaction the
+        change tracker will almost always overflow the delta budget and
+        the page will flush out-of-place — which is correct.
+        """
+        records = []
+        for slot in range(self.slot_count):
+            offset, length = self._read_slot(slot)
+            if offset:
+                records.append((slot, bytes(self.image[offset : offset + length])))
+        cursor = HEADER_SIZE
+        for slot, record in records:
+            self.write_bytes(cursor, record)
+            self._write_slot(slot, cursor, len(record))
+            cursor += len(record)
+        self._set_free_ptr(cursor)
+
+    def reset_delta_area(self) -> None:
+        """Return the delta area to the erased state.
+
+        Bypasses change tracking: the buffered delta area is a scratch
+        mirror of the on-flash slots, not page content — fetch resets
+        it after applying the decoded records, and an out-of-place
+        write must carry it erased so future appends stay possible.
+        """
+        if self._delta_size:
+            self.image[self.delta_area_offset :] = b"\xff" * self._delta_size
+
+
+class _NaiveSchema:
+    """``Schema`` before the compiled ``Struct``: one column codec per value."""
+
+    def __init__(self, columns: list[Column]) -> None:
+        if not columns:
+            raise SchemaError("a schema needs at least one column")
+        names = [column.name for column in columns]
+        if len(set(names)) != len(names):
+            raise SchemaError(f"duplicate column names in {names}")
+        self.columns = list(columns)
+        self._index = {column.name: i for i, column in enumerate(columns)}
+        self._fixed_offsets: list[int | None] = []
+        cursor = 0
+        for column in columns:
+            if column.type.size is None:
+                self._fixed_offsets.append(None)
+            else:
+                self._fixed_offsets.append(cursor)
+                cursor += column.type.size
+        self.fixed_size = cursor
+        self._var_indexes = [
+            i for i, column in enumerate(columns) if column.type.size is None
+        ]
+
+    def __len__(self) -> int:
+        return len(self.columns)
+
+    def column_index(self, name: str) -> int:
+        """Position of a column by name."""
+        try:
+            return self._index[name]
+        except KeyError as exc:
+            raise SchemaError(f"no column named {name!r}") from exc
+
+    def is_fixed(self, index: int) -> bool:
+        """Whether the column at ``index`` has a fixed width."""
+        return self._fixed_offsets[index] is not None
+
+    def fixed_offset(self, index: int) -> int:
+        """Record offset of a fixed column; raises for variable columns."""
+        offset = self._fixed_offsets[index]
+        if offset is None:
+            raise SchemaError(
+                f"column {self.columns[index].name!r} is variable-length"
+            )
+        return offset
+
+    def pack(self, values) -> bytes:
+        """Serialize one record from a value sequence (schema order)."""
+        if len(values) != len(self.columns):
+            raise SchemaError(
+                f"{len(values)} values for {len(self.columns)} columns"
+            )
+        fixed = bytearray()
+        var = bytearray()
+        for column, value in zip(self.columns, values):
+            packed = column.type.pack(value)
+            if column.type.size is None:
+                var += packed
+            else:
+                fixed += packed
+        return bytes(fixed) + bytes(var)
+
+    def unpack(self, data: bytes):
+        """Deserialize one record into a value tuple."""
+        values: list = [None] * len(self.columns)
+        for i, column in enumerate(self.columns):
+            if column.type.size is not None:
+                offset = self._fixed_offsets[i]
+                values[i] = column.type.unpack(data[offset : offset + column.type.size])
+        cursor = self.fixed_size
+        for i in self._var_indexes:
+            length = int.from_bytes(data[cursor : cursor + 2], "big")
+            values[i] = self.columns[i].type.unpack(data[cursor + 2 : cursor + 2 + length])
+            cursor += 2 + length
+        return tuple(values)
+
+    def var_field_slice(self, data: bytes, index: int) -> tuple[int, int]:
+        """``(payload_offset, payload_length)`` of a variable column."""
+        if self.is_fixed(index):
+            raise SchemaError("var_field_slice on a fixed column")
+        cursor = self.fixed_size
+        for i in self._var_indexes:
+            length = int.from_bytes(data[cursor : cursor + 2], "big")
+            if i == index:
+                return cursor + 2, length
+            cursor += 2 + length
+        raise SchemaError("variable column not found")  # pragma: no cover
+
+
+class _LowLimitPage(SlottedPage):
+    __slots__ = ()
+    TRACK_LIMIT = 40
+
+
+class _LowLimitNaivePage(_NaivePage):
+    __slots__ = ()
+    TRACK_LIMIT = 40
+
+
+def _outcome(call):
+    """``("ok", value)`` or ``("raised", type, message)`` of ``call()``."""
+    try:
+        return "ok", call()
+    except Exception as exc:  # noqa: BLE001 - the oracle compares any failure
+        return "raised", type(exc), str(exc)
+
+
+def _observe(page) -> dict:
+    return {
+        "image": bytes(page.image),
+        "tracked": set(page.tracked),
+        "track_overflowed": page.track_overflowed,
+        "slot_count": page.slot_count,
+        "free_ptr": page.free_ptr,
+        "free_space": page.free_space,
+        "lsn": page.lsn,
+        "page_id": page.page_id,
+        "live_slots": list(page.live_slots()),
+        "checksum_ok": page.verify_checksum(),
+        "classify_tracked": page.classify_tracked(),
+        "slot_for_insert_small": _outcome(lambda: page.slot_for_insert(b"p")),
+        "slot_for_insert_large": _outcome(lambda: page.slot_for_insert(b"q" * 150)),
+    }
+
+
+def _page_step(page, op, last):
+    """Apply one history step; returns ``(page, outcome, last)``.
+
+    ``last`` is the log record of the latest logged change (forward or
+    compensation), which an ``undo`` step inverts with ``inverse_of`` —
+    so undoing twice re-applies the change as a raw slot-table patch.
+    """
+    name, *args = op
+    count = page.slot_count
+
+    def logged(kind, slot, payload):
+        apply_record(page, kind, slot, payload)
+        return LogRecord(0, 0, kind, 0, slot, payload)
+
+    if name == "insert":
+        record = bytes([args[1]]) * args[0]
+        slot = page.slot_for_insert(record)
+        return page, slot, logged(LogKind.INSERT, slot, (record,))
+    if name == "delete":
+        slot = args[0] % (count + 1)
+        return page, slot, logged(LogKind.DELETE, slot, page.record_extent(slot))
+    if name == "replace":
+        slot = args[0] % (count + 1)
+        offset, __ = page.record_extent(slot)
+        payload = (page.read_record(slot), bytes([args[2]]) * args[1], offset)
+        return page, slot, logged(LogKind.REPLACE, slot, payload)
+    if name in ("patch", "update"):
+        slot = args[0] % (count + 1)
+        offset, length = page.record_extent(slot)
+        field = args[1] % length
+        data = args[2][: length - field]
+        if name == "patch":
+            page.update_record_bytes(slot, field, data)
+            return page, None, None
+        start = offset + field
+        old = bytes(page.image[start : start + len(data)])
+        return page, None, logged(LogKind.UPDATE, slot, ((start, old, data),))
+    if name == "undo":
+        if last is None:
+            return page, None, None
+        kind, payload = inverse_of(page, last)
+        return page, (kind, payload), logged(kind, last.slot, payload)
+    if name == "header":
+        # A raw header patch, as redo replays one: optionally one more
+        # (dead) slot, and the free pointer moved up by args[1].
+        grow, bump = args
+        new_count = count + grow
+        new_free = page.free_ptr + bump
+        top = page.delta_area_offset - SLOT_SIZE * new_count
+        if top < new_free:
+            return page, "no room", last
+        if grow:
+            page.write_bytes(top, bytes(SLOT_SIZE))
+        page.write_bytes(_OFF_SLOT_COUNT, struct.pack(">HH", new_count, new_free))
+        return page, None, None
+    if name == "compact":
+        page.compact()
+        return page, None, None
+    if name == "lsn":
+        page.set_lsn(args[0])
+    elif name == "checksum":
+        page.update_checksum()
+    elif name == "reset":
+        page.reset_tracking()
+    elif name == "reload":
+        return type(page)(bytearray(page.image)), None, last
+    return page, None, last
+
+
+_PAGE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), st.integers(1, 90), st.integers(0, 255)),
+        st.tuples(st.just("delete"), st.integers(0, 40)),
+        st.tuples(st.just("replace"), st.integers(0, 40), st.integers(1, 90),
+                  st.integers(0, 255)),
+        st.tuples(st.sampled_from(["patch", "update"]), st.integers(0, 40),
+                  st.integers(0, 90), st.binary(min_size=1, max_size=8)),
+        # Weighted up: undoing an undo re-kills a slot by a raw patch.
+        st.tuples(st.just("undo")),
+        st.tuples(st.just("undo")),
+        st.tuples(st.just("undo")),
+        st.tuples(st.just("header"), st.integers(0, 1), st.integers(0, 8)),
+        st.tuples(st.sampled_from(["compact", "checksum", "reset", "reload"])),
+        st.tuples(st.just("lsn"), st.integers(0, 2**64 - 1)),
+    ),
+    max_size=60,
+)
+
+
+@pytest.mark.parametrize(
+    "page_cls, naive_cls",
+    [(SlottedPage, _NaivePage), (_LowLimitPage, _LowLimitNaivePage)],
+    ids=["default-track-limit", "track-limit-40"],
+)
+@settings(max_examples=150, deadline=None)
+@given(ops=_PAGE_OPS)
+@example(ops=[("insert", 8, 1), ("insert", 8, 2), ("delete", 0), ("undo",), ("undo",)])
+def test_slotted_page_matches_naive_page(page_cls, naive_cls, ops):
+    """Every step of a random page history — forward operations, their
+    undo patches (and the undo of those), raw header patches, compaction,
+    LSN and checksum stamps, tracking resets past ``TRACK_LIMIT`` — leaves
+    the page exactly as the naive page: image, tracked offsets, cached
+    header fields, the insert slot the free-slot hint picks."""
+    page = page_cls.format(7, PAGE_SIZE, 64)
+    naive = naive_cls.format(7, PAGE_SIZE, 64)
+    assert _observe(page) == _observe(naive)
+    last = last_naive = None
+    for op in ops:
+        try:
+            page, result, last = _page_step(page, op, last)
+        except Exception as exc:  # noqa: BLE001
+            result = (type(exc), str(exc))
+        try:
+            naive, naive_result, last_naive = _page_step(naive, op, last_naive)
+        except Exception as exc:  # noqa: BLE001
+            naive_result = (type(exc), str(exc))
+        assert result == naive_result, op
+        assert _observe(page) == _observe(naive), op
+
+
+_INT_VALUES = st.one_of(
+    st.integers(-(2**64), 2**64),
+    st.floats(),
+    st.text(alphabet="-0123456789x", max_size=4),
+)
+
+#: ``(column type, strategy of its values)``.
+_COLUMN = st.one_of(
+    st.tuples(st.builds(Int32), st.just(_INT_VALUES)),
+    st.tuples(st.builds(Int64), st.just(_INT_VALUES)),
+    st.integers(1, 12).flatmap(lambda width: st.tuples(
+        st.just(Char(width)),
+        st.just(st.one_of(st.text(max_size=width + 3), st.integers(-999, 99999))),
+    )),
+    st.integers(0, 12).flatmap(lambda limit: st.tuples(
+        st.just(VarChar(limit)),
+        st.just(st.one_of(st.binary(max_size=limit + 3), st.text(max_size=limit + 3))),
+    )),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(columns=st.lists(_COLUMN, min_size=1, max_size=7), data=st.data())
+def test_schema_matches_naive_schema(columns, data):
+    """``pack``/``unpack`` over Int32, Int64, Char and VarChar columns —
+    out-of-range and non-int numbers, over-long strings, wrong arity —
+    return or raise exactly what the per-column codecs did."""
+    spec = [Column(f"c{i}", column_type) for i, (column_type, __) in enumerate(columns)]
+    schema, naive = Schema(spec), _NaiveSchema(spec)
+    assert schema.fixed_size == naive.fixed_size
+    values = [data.draw(strategy) for __, strategy in columns]
+    arity = data.draw(st.sampled_from([0, 0, 0, 1, -1]))
+    values = values + [0] if arity > 0 else values[: len(values) + arity]
+    packed = _outcome(lambda: schema.pack(values))
+    assert packed == _outcome(lambda: naive.pack(values))
+    if packed[0] == "ok":
+        record = packed[1]
+        assert type(record) is bytes
+        assert schema.unpack(record) == naive.unpack(record)
+        for index in range(len(spec)):
+            assert _outcome(lambda: schema.var_field_slice(record, index)) == _outcome(
+                lambda: naive.var_field_slice(record, index)
+            )

@@ -161,6 +161,42 @@ class TestMergedReporting:
         assert device.stats.host_page_writes == 0
         assert device.snapshot()["host_writes"] == 0
 
+    @pytest.mark.parametrize("kind", ["noftl", "blockssd"])
+    def test_stats_attributes_read_the_merged_snapshot(self, kind):
+        """Every snapshot key read as an attribute equals the merged
+        snapshot's value exactly (same sums, same shard order)."""
+        if kind == "noftl":
+            device = make_device(shards=4, logical_pages=16, blocks_per_chip=6)
+        else:
+            geometry = FlashGeometry(
+                chips=1, blocks_per_chip=6, pages_per_block=8,
+                page_size=PAGE_SIZE, oob_size=32, cell_type=CellType.SLC,
+            )
+            device = ShardedDevice(
+                [BlockSSD(FlashMemory(geometry), capacity_pages=16) for _ in range(4)]
+            )
+        offset = PAGE_SIZE - TAIL
+        for round_number in range(10):  # enough rewrites to force GC
+            for lpn in range(0, 64, 1 + round_number % 3):
+                device.write(lpn, image(0x21 + round_number))
+                if lpn % 5 == 0:
+                    device.read(lpn)
+                if lpn % 7 == 0 and device.can_write_delta(lpn, offset, 2):
+                    device.write_delta(lpn, offset, bytes([round_number, lpn]))
+        snapshot = device.stats.snapshot()
+        assert snapshot["gc_erases"] > 0 and snapshot["delta_writes"] > 0
+        for key, value in snapshot.items():
+            read = getattr(device.stats, key)
+            assert (read, type(read)) == (value, type(value)), key
+
+    def test_stats_attribute_read_builds_no_snapshot(self, monkeypatch):
+        device = make_device(shards=4)
+        device.write(5, image())
+        for shard in device.shards:
+            monkeypatch.setattr(shard, "snapshot", None)
+        assert device.stats.host_page_writes == 1
+        assert device.stats.ipa_fraction == 0.0
+
     def test_gc_runs_independently_per_shard(self):
         """Churning pages of one shard erases only that shard's blocks."""
         device = make_device(shards=2, logical_pages=16, blocks_per_chip=6)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import repro
 import repro.storage
 from repro.errors import TransactionError
 from repro.storage import LogKind, LogManager, TransactionManager, TxnState
@@ -51,6 +52,42 @@ def test_only_apply_record_writes_logged_page_bytes():
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
         }
         assert not calls & mutators, f"{name} calls {sorted(calls & mutators)}"
+
+
+def _assigned_subscripts(node):
+    """Subscript nodes among an assignment's (possibly nested) targets."""
+    if isinstance(node, ast.Subscript):
+        yield node
+    elif isinstance(node, (ast.Tuple, ast.List)):
+        for element in node.elts:
+            yield from _assigned_subscripts(element)
+    elif isinstance(node, ast.Starred):
+        yield from _assigned_subscripts(node.value)
+
+
+def test_only_the_page_layout_writes_into_a_page_image():
+    """A constructed page's image changes only through ``write_bytes``
+    (or the internal writer behind it), which keeps the cached slot
+    count, free pointer and free-slot hint coherent: no other module
+    stores into a subscript of an attribute named ``image``."""
+    package = Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        if path == package / "storage" / "page_layout.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for subscript in _assigned_subscripts(target):
+                    value = subscript.value
+                    if isinstance(value, ast.Attribute) and value.attr == "image":
+                        offenders.append(f"{path.relative_to(package)}:{node.lineno}")
+    assert offenders == []
 
 
 class TestLogManager:

@@ -116,3 +116,21 @@ class TestNullSink:
         _run_tpcb(telemetry=telemetry, transactions=20)
         assert HostIOEvent.__name__ in allocations
         assert telemetry.events.events_emitted == len(allocations)
+
+
+class TestAttachedHooks:
+    def test_repeated_buffer_event_does_no_registry_lookup(self, monkeypatch):
+        """``on_buffer`` resolves its counter once per action; later events
+        of that action only increment it."""
+        telemetry = Telemetry()
+        telemetry.on_buffer("miss", 1)
+        lookups = []
+        registry = type(telemetry.metrics)
+        original = registry._get_or_create
+        monkeypatch.setattr(
+            registry, "_get_or_create",
+            lambda self, *args, **kwargs: lookups.append(args) or original(self, *args, **kwargs),
+        )
+        telemetry.on_buffer("miss", 2)
+        assert lookups == []
+        assert telemetry.metrics.get("buffer_miss_total").value == 2
