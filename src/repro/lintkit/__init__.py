@@ -10,15 +10,12 @@ invariant:
   :class:`~repro.ftl.device.FlashDevice` protocol is imported, and no
   call chain reaches a concrete controller;
 * **determinism** — no wall clocks, no process-global ``random.*``;
-* **counter-naming** — metric names follow ``{layer}_{noun}``;
 * **exception-discipline** — no bare/blind ``except``;
-* **clock-discipline** — simulated time moves via the Clock API;
-* **yield-discipline**, **lock-ordering**, **crash-window** and
-  **telemetry-guard** (every event emit is dominated by an
-  ``events.active`` check) — judged over the CFGs and the call graph of
-  :mod:`repro.lintkit.flow`.
+* **yield-discipline**, **lock-ordering** and **crash-window** — judged
+  over the CFGs of :mod:`repro.lintkit.flow`.
 
-Every rule has one shape (:class:`Rule`) and the whole set always runs;
+Each rule catches seeded mutations of real code that the rest of the
+test suite misses (``tests/test_lintkit_kill_matrix.py``).  Every rule has one shape (:class:`Rule`) and the whole set always runs;
 the only way to exempt code is an entry in
 :data:`~repro.lintkit.engine.PATH_EXEMPTIONS`.
 

@@ -4,9 +4,10 @@ A rule that judges one AST node at a time needs nothing from here; the
 rules that judge *paths* read these analyses from ``module.context``:
 
 * :mod:`~repro.lintkit.flow.cfg` — per-function control-flow graphs
-  with dominators, reaching definitions, and bounded path scans;
+  with reaching definitions (lock-ordering) and bounded path scans
+  (crash-window, yield-discipline);
 * :mod:`~repro.lintkit.flow.callgraph` — a conservative module-level
-  call graph with re-export resolution;
+  call graph with re-export resolution (device-layering's call chains);
 * :class:`FlowContext` — one run's shared, lazily built analyses.
 
 Import the analyses from their modules; this package exports only the

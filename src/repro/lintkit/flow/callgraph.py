@@ -74,7 +74,6 @@ class CallSite:
     caller: str
     callee: str
     node: ast.Call
-    module: str
 
 
 @dataclass
@@ -230,7 +229,6 @@ def _collect_edges(
     info: _ModuleInfo,
     definition: Definition,
 ) -> None:
-    module_name = info.module.module
     enclosing_class = (
         definition.qualname.split(".")[0] if "." in definition.qualname else None
     )
@@ -240,14 +238,7 @@ def _collect_edges(
         callee = _resolve_call(resolver, info, node, enclosing_class)
         if callee is None:
             continue
-        graph.add_edge(
-            CallSite(
-                caller=definition.key,
-                callee=callee,
-                node=node,
-                module=module_name,
-            )
-        )
+        graph.add_edge(CallSite(caller=definition.key, callee=callee, node=node))
 
 
 def _resolve_call(

@@ -4,9 +4,8 @@
 code) into basic blocks of statements connected by control-flow edges.
 The builder covers the constructs the repro tree actually uses:
 
-* ``if``/``elif``/``else`` — every branch gets its **own entry block**,
-  synthesized even when the branch is empty, so "execution took this
-  edge" is a dominance fact (the guarded-telemetry rule rests on it);
+* ``if``/``elif``/``else`` — every branch gets its own entry block,
+  synthesized even when the branch is empty;
 * ``while``/``for`` with ``else``, ``break`` and ``continue``
   (``break`` skips the ``else`` clause, ``continue`` re-enters the
   header — the back edge is real, so "after" includes the next
@@ -20,12 +19,12 @@ The builder covers the constructs the repro tree actually uses:
   ``yield from`` *terminates its block*, so every yield is the last
   statement of some block and "post-yield" is plain reachability.
 
-On top of the graph the module provides the three analyses the flow
-rules share: immediate-style :func:`dominators` (iterative dataflow),
-:func:`reaching_definitions` for function-local names, and the
-statement-granular path scans :func:`stmts_after` / :func:`stmts_before`
-("what can run between A and B without passing a blocker") used by the
-crash-window and yield-discipline rules.
+On top of the graph the module provides the analyses the flow rules
+share: :func:`reaching_definitions` for function-local names (the
+lock-ordering rule), and the statement-granular path scans
+:func:`stmts_after` / :func:`stmts_before` ("what can run between A and
+B without passing a blocker") used by the crash-window and
+yield-discipline rules.
 
 Nested function/class definitions are *not* descended into — each
 scope gets its own CFG; the ``def`` statement itself is an ordinary
@@ -35,17 +34,15 @@ binding in the enclosing scope.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 __all__ = [
     "BasicBlock",
-    "Branch",
     "CFG",
     "DefSite",
     "YieldPoint",
     "build_cfg",
-    "dominators",
     "own_nodes",
     "reaching_definitions",
     "stmts_after",
@@ -129,26 +126,6 @@ class BasicBlock:
         self.succ: list["BasicBlock"] = []
         self.pred: list["BasicBlock"] = []
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        lines = [getattr(s, "lineno", "?") for s in self.stmts]
-        return f"B{self.index}{lines}->{[b.index for b in self.succ]}"
-
-
-@dataclass(frozen=True)
-class Branch:
-    """One two-way branch (``if``/``while`` test) with labelled edges.
-
-    ``true_entry``/``false_entry`` are the synthetic blocks control
-    enters when the test evaluates truthy/falsy; a block dominated by
-    ``true_entry`` provably runs only when ``test`` held.
-    """
-
-    stmt: ast.stmt
-    test: ast.expr
-    cond: BasicBlock
-    true_entry: BasicBlock
-    false_entry: BasicBlock
-
 
 @dataclass(frozen=True)
 class YieldPoint:
@@ -188,26 +165,14 @@ class CFG:
     blocks: list[BasicBlock]
     entry: BasicBlock
     exit: BasicBlock
-    branches: list[Branch]
     yields: list[YieldPoint]
     #: id(stmt) -> (owning block, index within the block).
     position: dict[int, tuple[BasicBlock, int]]
-    _dominators: dict[int, frozenset[int]] | None = field(default=None, repr=False)
 
     def block_of(self, stmt: ast.stmt) -> BasicBlock | None:
         """The block holding ``stmt`` (None for unrecorded statements)."""
         entry = self.position.get(id(stmt))
         return entry[0] if entry else None
-
-    def dominators(self) -> dict[int, frozenset[int]]:
-        """Block index -> indexes of all its dominators (cached)."""
-        if self._dominators is None:
-            self._dominators = dominators(self)
-        return self._dominators
-
-    def dominates(self, a: BasicBlock, b: BasicBlock) -> bool:
-        """Whether every entry-to-``b`` path passes through ``a``."""
-        return a.index in self.dominators().get(b.index, frozenset())
 
 
 class _Builder:
@@ -216,7 +181,6 @@ class _Builder:
     def __init__(self, scope: ast.AST) -> None:
         self.scope = scope
         self.blocks: list[BasicBlock] = []
-        self.branches: list[Branch] = []
         self.yields: list[YieldPoint] = []
         self.position: dict[int, tuple[BasicBlock, int]] = {}
         self.entry = self.new_block()
@@ -318,7 +282,6 @@ class _Builder:
         false_entry = self.new_block()
         self.link(cond, true_entry)
         self.link(cond, false_entry)
-        self.branches.append(Branch(stmt, stmt.test, cond, true_entry, false_entry))
         body_end = self.build_body(stmt.body, true_entry)
         else_end = self.build_body(stmt.orelse, false_entry)
         join = self.new_block()
@@ -334,10 +297,6 @@ class _Builder:
         exit_entry = self.new_block()
         self.link(header, body_entry)
         self.link(header, exit_entry)
-        if isinstance(stmt, ast.While):
-            self.branches.append(
-                Branch(stmt, stmt.test, header, body_entry, exit_entry)
-            )
         join = self.new_block()
         self.loops.append((header, join))
         body_end = self.build_body(stmt.body, body_entry)
@@ -406,55 +365,9 @@ def build_cfg(scope: ast.AST) -> CFG:
         blocks=builder.blocks,
         entry=builder.entry,
         exit=builder.exit,
-        branches=builder.branches,
         yields=builder.yields,
         position=builder.position,
     )
-
-
-# ----------------------------------------------------------------------
-# Dominators
-# ----------------------------------------------------------------------
-
-
-def dominators(cfg: CFG) -> dict[int, frozenset[int]]:
-    """All-dominators sets by iterative dataflow over reachable blocks.
-
-    Unreachable blocks (parked dead code) get empty sets — they are
-    dominated by nothing and dominate nothing.
-    """
-    reachable: list[BasicBlock] = []
-    seen = {cfg.entry.index}
-    queue = [cfg.entry]
-    while queue:
-        block = queue.pop()
-        reachable.append(block)
-        for succ in block.succ:
-            if succ.index not in seen:
-                seen.add(succ.index)
-                queue.append(succ)
-    every = frozenset(b.index for b in reachable)
-    dom: dict[int, frozenset[int]] = {
-        b.index: every for b in reachable
-    }
-    dom[cfg.entry.index] = frozenset({cfg.entry.index})
-    changed = True
-    while changed:
-        changed = False
-        for block in reachable:
-            if block is cfg.entry:
-                continue
-            preds = [p for p in block.pred if p.index in seen]
-            inter: frozenset[int] | None = None
-            for pred in preds:
-                inter = dom[pred.index] if inter is None else inter & dom[pred.index]
-            new = (inter or frozenset()) | {block.index}
-            if new != dom[block.index]:
-                dom[block.index] = new
-                changed = True
-    for block in cfg.blocks:
-        dom.setdefault(block.index, frozenset())
-    return dom
 
 
 # ----------------------------------------------------------------------

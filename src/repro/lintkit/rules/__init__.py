@@ -4,7 +4,8 @@ Each rule lives in its own module and subclasses
 :class:`~repro.lintkit.engine.Rule`; :func:`default_rules` instantiates
 the set the CLI, the CI job and the regression test run over
 ``src/repro``.  Adding a rule means: implement the subclass, append it
-to :data:`RULES`, and give it passing/failing fixtures in the tests.
+to :data:`RULES`, and give it passing/failing fixtures and seeded
+mutations of real code in the tests.
 
 ==========================  ===========================================
 rule id                     invariant
@@ -12,41 +13,39 @@ rule id                     invariant
 ``ispp-safety``             flash cells change only via ISPP primitives
 ``device-layering``         no concrete backend, by import or call chain
 ``determinism``             no wall clocks, no process-global RNG
-``counter-naming``          metric names are ``{layer}_{noun}``
 ``exception-discipline``    no bare or swallowing blanket handlers
-``clock-discipline``        simulated time moves via the Clock API
 ``yield-discipline``        storage programs stay resume-safe
 ``lock-ordering``           multi-LPN acquire loops iterate sorted LPNs
 ``crash-window``            no state mutation between data and mark
-``telemetry-guard``         emits dominated by an ``.active`` check
 ==========================  ===========================================
+
+A rule stays while it catches something tier-1 does not: each has
+seeded mutations of real code in ``tests/test_lintkit_kill_matrix.py``
+that it must fire on, and at least one of them survives every other
+test.  Telemetry guards, metric names and clock arithmetic are checked
+at run time instead (``tests/test_telemetry_overhead.py``,
+``tests/test_metrics_reports.py``, the read-only engine clock).
 """
 
 from __future__ import annotations
 
 from ..engine import Rule
-from .clock import ClockDisciplineRule
 from .crash_window import CrashWindowRule
 from .determinism import DeterminismRule
 from .exceptions import ExceptionDisciplineRule
 from .ispp import IsppSafetyRule
 from .layering import DeviceLayeringRule
 from .lock_order import LockOrderingRule
-from .telemetry import CounterNamingRule
-from .telemetry_guard import TelemetryGuardRule
 from .yield_discipline import YieldDisciplineRule
 
 __all__ = [
     "RULES",
-    "ClockDisciplineRule",
-    "CounterNamingRule",
     "CrashWindowRule",
     "DeterminismRule",
     "DeviceLayeringRule",
     "ExceptionDisciplineRule",
     "IsppSafetyRule",
     "LockOrderingRule",
-    "TelemetryGuardRule",
     "YieldDisciplineRule",
     "default_rules",
     "rule_by_id",
@@ -57,13 +56,10 @@ RULES: tuple[type[Rule], ...] = (
     IsppSafetyRule,
     DeviceLayeringRule,
     DeterminismRule,
-    CounterNamingRule,
     ExceptionDisciplineRule,
-    ClockDisciplineRule,
     YieldDisciplineRule,
     LockOrderingRule,
     CrashWindowRule,
-    TelemetryGuardRule,
 )
 
 

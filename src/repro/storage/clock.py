@@ -15,10 +15,12 @@ the same engine code run in two worlds:
   :meth:`take_pending` and converts it into event delays before resuming
   the storage program.  ``sync_to()`` follows the scheduler's time.
 
-Direct arithmetic on a ``.clock`` attribute anywhere else in the tree is
-a lint error (iplint's ``clock-discipline`` rule): simulated time has
-exactly one owner per engine, which is what keeps standalone runs and
-scheduled runs byte-identical for the same command sequence.
+Engine code charges time only through this object, and
+``StorageEngine.clock`` is a read-only view of it, so a raw
+``engine.clock += latency`` raises instead of bypassing the owner:
+simulated time has exactly one owner per engine, which is what keeps
+standalone runs and scheduled runs byte-identical for the same command
+sequence.
 """
 
 from __future__ import annotations

@@ -103,7 +103,7 @@ class StorageEngine:
         #: The engine's simulated clock.  Standalone engines own a
         #: ScalarClock; a scheduler passes a DeferredClock so event time
         #: stays with the event loop.  All time charges go through this
-        #: object (see the clock-discipline lint rule).
+        #: object; the ``clock`` property below is read-only.
         self._clock: Clock = clock if clock is not None else ScalarClock()
         #: Telemetry handle (``repro.telemetry.Telemetry``); set via the
         #: constructor or ``Telemetry.attach_engine``, ``None`` when off.

@@ -16,6 +16,7 @@ update as (usually) a single changed least-significant byte.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from ..errors import PageFormatError, PageFullError, RecordNotFoundError, SchemaError
@@ -49,11 +50,12 @@ class Table:
         self._candidates: list[int] = []
         self._candidate_set: set[int] = set()
         self.key_columns = list(key) if key else None
-        self._key_indexes = (
-            [schema.column_index(name) for name in self.key_columns]
-            if self.key_columns
-            else None
-        )
+        key_indexes = [schema.column_index(name) for name in key or ()]
+        self._key_indexes = frozenset(key_indexes)
+        #: Value row -> primary-key value (a bare value for a one-column
+        #: key, which :meth:`key_of` wraps); None without a key.
+        self._key_getter = itemgetter(*key_indexes) if key_indexes else None
+        self._composite_key = len(key_indexes) > 1
         #: Primary-key hash index: key tuple -> RID.
         self.index: dict[tuple, RID] | None = {} if key else None
         #: Secondary B+-tree indexes, maintained on every mutation
@@ -67,9 +69,11 @@ class Table:
 
     def key_of(self, values) -> tuple:
         """Primary-key tuple of a value row."""
-        if self._key_indexes is None:
+        getter = self._key_getter
+        if getter is None:
             raise SchemaError(f"table {self.name!r} has no primary key")
-        return tuple(values[i] for i in self._key_indexes)
+        key = getter(values)
+        return key if self._composite_key else (key,)
 
     def lookup(self, *key) -> RID:
         """RID of the record with the given primary key."""
@@ -161,12 +165,21 @@ class Table:
         if not changes:
             return
         schema = self.schema
-        indexed = {schema.column_index(name): value for name, value in changes.items()}
-        if self._key_indexes and any(i in self._key_indexes for i in indexed):
-            raise SchemaError("primary-key columns cannot be updated")
+        column_index = schema.column_index
+        fixed_fields = schema.fixed_fields
+        key_indexes = self._key_indexes
+        indexed = {}
+        fixed = True
+        for name, value in changes.items():
+            index = column_index(name)
+            if index in key_indexes:
+                raise SchemaError("primary-key columns cannot be updated")
+            if fixed_fields[index] is None:
+                fixed = False
+            indexed[index] = value
         old_values = self.read(rid) if self.secondary_indexes else None
         relocated = False
-        if all(schema.fixed_fields[i] is not None for i in indexed):
+        if fixed:
             self._update_fixed(txn, rid, indexed)
         else:
             relocated = self._update_replace(txn, rid, indexed)

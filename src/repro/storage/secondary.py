@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import contextlib
 
-from ..errors import SchemaError
+from ..errors import RecordNotFoundError, SchemaError, StorageError
 from .btree import BTreeIndex
 from .heap import RID, Table
-from .schema import Char, ColumnType, Int32, Int64, Schema
+from .schema import Char, ColumnType, Int32, Int64
 
 _RID_SUFFIX = 6  # lpn (4B) + slot (2B)
 
@@ -91,15 +91,11 @@ class TableIndex:
         Idempotence matters on the recovery-undo path, where the
         on-flash tree may already agree with the state being restored.
         """
-        from ..errors import StorageError
-
         with contextlib.suppress(StorageError):
             self._tree.insert(self._full_key(values, rid), rid)
 
     def note_delete(self, values, rid: RID) -> None:
         """Idempotent: deleting an absent entry is a no-op (see above)."""
-        from ..errors import RecordNotFoundError
-
         with contextlib.suppress(RecordNotFoundError):
             self._tree.delete(self._full_key(values, rid))
 
@@ -113,10 +109,12 @@ class TableIndex:
 
     def rebuild(self) -> None:
         """Re-derive the index from a heap scan (recovery path)."""
-        # B-trees have no bulk delete; rebuild into a fresh tree.
-        engine = self.table._engine
+        # B-trees have no bulk delete; rebuild into a fresh tree, in
+        # the region the index was placed in.
         self._tree = BTreeIndex(
-            engine, self.name, key_width=self._prefix_width + _RID_SUFFIX,
+            self.table._engine, self.name,
+            key_width=self._prefix_width + _RID_SUFFIX,
+            region=self._tree.region.name,
         )
         for rid, values in self.table.scan():
             self.note_insert(values, rid)

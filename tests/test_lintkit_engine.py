@@ -142,13 +142,37 @@ class TestReporters:
 # CLI + standing repo regression
 # ----------------------------------------------------------------------
 
+@pytest.fixture(scope="module")
+def package_findings():
+    """The one whole-package lint of this suite, every rule included."""
+    return run_lint([REPRO_SRC])
+
+
+@pytest.fixture
+def linted_paths(monkeypatch, package_findings):
+    """Route ``repro lint`` to the shared package lint; the list records
+    the paths the command resolved."""
+    import repro.lintkit
+
+    paths = []
+
+    def shared_lint(requested):
+        paths.extend(Path(path).resolve() for path in requested)
+        return package_findings
+
+    monkeypatch.setattr(repro.lintkit, "run_lint", shared_lint)
+    return paths
+
+
 class TestLintCli:
-    def test_clean_tree_exits_zero(self, capsys):
+    def test_clean_tree_exits_zero(self, capsys, linted_paths):
         assert main(["lint", str(REPRO_SRC)]) == 0
         assert "no findings" in capsys.readouterr().out
+        assert linted_paths == [REPRO_SRC]
 
-    def test_default_paths_lint_the_package(self, capsys):
+    def test_default_paths_lint_the_package(self, capsys, linted_paths):
         assert main(["lint"]) == 0
+        assert linted_paths == [REPRO_SRC]
 
     def test_broken_fixture_exits_nonzero(self, tmp_path, capsys):
         path = tmp_path / "mod.py"
@@ -196,14 +220,13 @@ class TestLintCli:
         assert excinfo.value.code == 2
 
 
-def test_src_repro_is_iplint_clean():
+def test_src_repro_is_iplint_clean(package_findings):
     """The standing invariant: the shipped tree has zero findings.
 
     New code that violates a rule fails here (and in the CI lint job)
     rather than waiting for a reviewer to notice.
     """
-    findings = run_lint([REPRO_SRC])
-    assert findings == [], "\n".join(str(f) for f in findings)
+    assert package_findings == [], "\n".join(str(f) for f in package_findings)
 
 
 # ----------------------------------------------------------------------

@@ -121,9 +121,13 @@ RETIRED_EXPORTS = [
 #: Modules retired on purpose: the simulated-count gate ``repro.perfkit``
 #: held is ``tests/test_sim_counts.py``; the flow rules live in
 #: ``repro.lintkit.rules`` beside the others, ``FlowContext`` in
-#: ``repro.lintkit.flow``.
+#: ``repro.lintkit.flow``.  The clock, metric-name and telemetry-guard
+#: rules gave way to run-time checks that kill every seeded mutation
+#: they did (``tests/test_lintkit_kill_matrix.py``).
 RETIRED_MODULES = [
     "repro.perfkit", "repro.lintkit.flow.base", "repro.lintkit.flow.rules",
+    "repro.lintkit.rules.clock", "repro.lintkit.rules.telemetry",
+    "repro.lintkit.rules.telemetry_guard",
 ]
 
 #: Identifiers of retired forks: the second and third give-up flags,

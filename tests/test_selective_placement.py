@@ -61,6 +61,20 @@ class TestRecoveryKeepsPerRegionLayout:
         assert sorted(values[0] for __, values in hot.scan()) == list(range(60))
 
 
+    def test_rebuilt_secondary_index_stays_in_its_region(self):
+        """Recovery rebuilds a secondary index into the region it was
+        created in, not into the device's first region."""
+        engine, hot, cold = make_engine(retain_log=True)
+        index = engine.create_index("hot_by_v", "hot", ["v"], region="rgPlain")
+        engine.crash()
+        recover(engine)
+        assert len(index) == 60
+        assert index._tree.pages
+        assert {
+            engine.device.region_of(lpn).name for lpn in index._tree.pages
+        } == {"rgPlain"}
+
+
 class TestPerRegionDeltaAreas:
     def test_cold_pages_reserve_no_delta_area(self):
         engine, hot, cold = make_engine()

@@ -134,6 +134,16 @@ class TestIndexUpkeep:
         with pytest.raises(RecordNotFoundError):
             table.lookup(2, 2)
 
+    def test_key_of_is_a_tuple_for_one_and_many_key_columns(self):
+        engine = make_engine()
+        schema = Schema([Column("a", Int32()), Column("b", Int32()),
+                         Column("v", Int64())])
+        single = engine.create_table("one", schema, key=["b"])
+        composite = engine.create_table("two", schema, key=["b", "a"])
+        assert single.key_of((1, 2, 3)) == (2,)
+        assert single.key_of([1, 2, 3]) == (2,)
+        assert composite.key_of((1, 2, 3)) == (2, 1)
+
     def test_rebuild_index(self):
         engine = make_engine()
         schema = Schema([Column("k", Int32()), Column("v", Int64())])

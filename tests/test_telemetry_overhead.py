@@ -7,9 +7,11 @@ own plain counter fields the registry only reads once bound.  So with
 at all — pinned by profiling a device script and a real TPC-B run.
 With a Telemetry attached but no bus subscribers, events are still
 never constructed — pinned by patching every event class to record
-construction.
+construction, over a real run and over a direct call of every
+``Telemetry.on_*`` hook, the only place events are emitted.
 """
 
+import ast
 import cProfile
 from pathlib import Path
 
@@ -17,6 +19,7 @@ import pytest
 
 import repro.telemetry
 from repro.telemetry import Telemetry
+from repro.flash import CellType, PageKind, PhysicalAddress
 from repro.telemetry.events import EVENT_TYPES, HostIOEvent
 from repro.session import BACKENDS, SessionConfig, open_device, open_session
 from repro.testbed import load_scaled
@@ -116,6 +119,61 @@ class TestNullSink:
         _run_tpcb(telemetry=telemetry, transactions=20)
         assert HostIOEvent.__name__ in allocations
         assert telemetry.events.events_emitted == len(allocations)
+
+
+#: Arguments for every ``Telemetry.on_*`` hook, one call per entry.
+_ADDRESS = PhysicalAddress(0, 1, 2)
+_HOOK_CALLS = {
+    "on_raw_latency": [("program", CellType.SLC, PageKind.LSB, 200.0)],
+    "on_flash_op": [("program", _ADDRESS, CellType.SLC, PageKind.LSB, 64, 200.0)],
+    "on_host_read": [(1, 4096, 50.0)],
+    "on_host_write": [(1, 4096, 200.0)],
+    "on_write_delta": [(1, 32, 100.0)],
+    "on_gc_trigger": [("default", 3)],
+    "on_gc_victim": [("default", (0, 1), 2, 5)],
+    "on_gc_migration": [("default", 1, _ADDRESS, PhysicalAddress(1, 0, 0))],
+    "on_gc_erase": [("default", (0, 1), 900.0)],
+    "on_flush": [
+        (1, kind, 2, 3, False, False, False, 1, 1, 16, 100.0)
+        for kind in ("ipa", "oop", "new", "skip")
+    ],
+    "on_buffer": [
+        (action, 1)
+        for action in ("miss", "evict", "evict_flush", "cleaner_flush")
+    ],
+}
+
+
+class TestEveryHookIsGuarded:
+    """The event-bus contract, checked at run time for every hook: an
+    attached but unsubscribed bus constructs no event, on any path."""
+
+    def test_every_hook_on_an_unsubscribed_bus_allocates_no_events(self, monkeypatch):
+        allocations = _count_event_allocations(monkeypatch)
+        telemetry = Telemetry()
+        telemetry.attach_device(open_device(SessionConfig(logical_pages=64, chips=2)))
+        hooks = {name for name in dir(Telemetry) if name.startswith("on_")}
+        assert hooks == set(_HOOK_CALLS)
+        for name, calls in _HOOK_CALLS.items():
+            for args in calls:
+                getattr(telemetry, name)(*args)
+        assert allocations == []
+        assert telemetry.events.events_emitted == 0
+
+    def test_only_the_telemetry_hooks_emit(self):
+        """Events are built in one module, whose hooks the test above
+        runs; an ``.emit(`` call anywhere else would escape it."""
+        src = TELEMETRY_DIR.parent
+        others = set(src.rglob("*.py")) - {TELEMETRY_DIR / "__init__.py"}
+        emitters = sorted(
+            f"{path.relative_to(src)}:{node.lineno}"
+            for path in others
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "emit"
+        )
+        assert emitters == []
 
 
 class TestAttachedHooks:
