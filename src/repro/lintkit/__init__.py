@@ -6,17 +6,18 @@ invariant:
 
 * **ispp-safety** — flash cell buffers are only touched inside
   ``repro.flash``; hosts use accessors and program/write_delta;
-* **device-layering** — above the device layer only the
-  :class:`~repro.ftl.device.FlashDevice` protocol is imported, and no
-  call chain reaches a concrete controller;
+* **device-layering** — above the device layer, code imports from
+  ``repro.ftl`` only the :class:`~repro.ftl.device.FlashDevice`
+  protocol, the region config and the stats, at any depth;
 * **determinism** — no wall clocks, no process-global ``random.*``;
 * **exception-discipline** — no bare/blind ``except``;
 * **yield-discipline**, **lock-ordering** and **crash-window** — judged
   over the CFGs of :mod:`repro.lintkit.flow`.
 
 Each rule catches seeded mutations of real code that the rest of the
-test suite misses (``tests/test_lintkit_kill_matrix.py``).  Every rule has one shape (:class:`Rule`) and the whole set always runs;
-the only way to exempt code is an entry in
+test suite misses (``tests/test_lintkit_kill_matrix.py``).  Every rule
+has one shape (:class:`Rule`), sees one module at a time, and the whole
+set always runs; the only way to exempt code is an entry in
 :data:`~repro.lintkit.engine.PATH_EXEMPTIONS`.
 
 Run it as ``repro lint [--format json|github] [paths...]``
@@ -40,7 +41,6 @@ from .engine import (
     module_name_for,
     run_lint,
 )
-from .flow import FlowContext
 from .report import json_report, render_github, render_json, render_text
 from .rules import RULES, default_rules, rule_by_id
 
@@ -48,7 +48,6 @@ __all__ = [
     "Finding",
     "LintModule",
     "Rule",
-    "FlowContext",
     "RULES",
     "default_rules",
     "rule_by_id",

@@ -1,33 +1,28 @@
 """The iplint rule engine: findings, rules, waivers, the runner.
 
-``iplint`` is the repo's domain linter: a small AST-visitor framework
-whose rules machine-check the invariants the codebase is built on —
-the ISPP charge-increase rule, the device-layer protocol boundary,
-run determinism, and telemetry discipline (see DESIGN.md §9).
-
-The engine is deliberately tiny:
+``iplint`` is the repo's domain linter (DESIGN.md §9, §13): rules that
+machine-check the invariants the codebase is built on.  The engine is
+deliberately tiny:
 
 * :class:`Finding` — one diagnostic (rule id, location, message);
 * :class:`Rule` — one invariant: an AST check over one
   :class:`LintModule`, optionally scoped to the packages it governs;
 * :class:`LintModule` — a parsed source file, the dotted module name
-  rules use to decide applicability, and the run's shared
-  :class:`~repro.lintkit.flow.FlowContext` (CFGs, call graph);
+  rules use to decide applicability, and its memoized per-scope CFGs;
 * :data:`PATH_EXEMPTIONS` — the one waiver table;
-* :func:`run_lint` — walk paths, parse, apply every rule to every
-  module it governs and does not waive, return the sorted findings.
+* :func:`run_lint` — walk paths and, one module at a time, parse it
+  and apply every rule that governs it and is not waived; return the
+  sorted findings.  No rule looks beyond the module it checks.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-if TYPE_CHECKING:
-    from .flow import FlowContext
+from .flow.cfg import CFG, build_cfg
 
 __all__ = [
     "Finding",
@@ -98,21 +93,21 @@ class LintModule:
     path: Path
     module: str
     tree: ast.Module
+    _cfgs: dict[int, CFG] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def display_path(self) -> str:
         return str(self.path)
 
-    @cached_property
-    def context(self) -> FlowContext:
-        """The run's shared analyses.
-
-        :func:`run_lint` sets one context on every module it loads; a
-        module linted on its own builds a single-module one on first use.
-        """
-        from .flow import FlowContext  # the flow analyses import this module
-
-        return FlowContext([self])
+    def cfg(self, scope: ast.AST) -> CFG:
+        """The CFG of one function/module scope, built once and shared
+        by every rule that inspects it."""
+        cfg = self._cfgs.get(id(scope))
+        if cfg is None:
+            cfg = self._cfgs[id(scope)] = build_cfg(scope)
+        return cfg
 
 
 class Rule:
@@ -120,8 +115,8 @@ class Rule:
 
     Subclasses set :attr:`id` / :attr:`description` and implement
     :meth:`check`, yielding :class:`Finding` objects; :meth:`finding`
-    builds one with the rule's id filled in.  Analyses beyond one AST
-    (CFGs, the project call graph) come from ``module.context``.
+    builds one with the rule's id filled in.  A rule sees one module
+    at a time; its control-flow graphs come from :meth:`LintModule.cfg`.
     """
 
     id: str = "rule"
@@ -231,25 +226,18 @@ def run_lint(
 ) -> list[Finding]:
     """Lint files/directories with the given rules (default: all).
 
-    Returns every finding sorted by location.  All modules are parsed
-    up front and share one analysis context (one call-graph build per
-    run).  The rule set and the flow layer import this module, so their
-    imports live here rather than at module top.
+    Returns every finding sorted by location.  Each module is parsed,
+    linted and dropped before the next: no rule reads another module.
+    The rule set imports this module, so its import lives here rather
+    than at module top.
     """
-    from .flow import FlowContext
     from .rules import default_rules
 
     if rules is None:
         rules = default_rules()
     root_path = Path(root) if root is not None else None
-    modules = [
-        load_module(path, root_path)
-        for path in iter_python_files(Path(p) for p in paths)
-    ]
-    context = FlowContext(modules)
     findings: list[Finding] = []
-    for module in modules:
-        module.context = context
-        findings.extend(lint_module(module, rules))
+    for path in iter_python_files(Path(p) for p in paths):
+        findings.extend(lint_module(load_module(path, root_path), rules))
     findings.sort()
     return findings

@@ -11,7 +11,7 @@ mutations of real code in the tests.
 rule id                     invariant
 ==========================  ===========================================
 ``ispp-safety``             flash cells change only via ISPP primitives
-``device-layering``         no concrete backend, by import or call chain
+``device-layering``         from the FTL, only device, region, stats
 ``determinism``             no wall clocks, no process-global RNG
 ``exception-discipline``    no bare or swallowing blanket handlers
 ``yield-discipline``        storage programs stay resume-safe

@@ -1,4 +1,4 @@
-"""Small AST helpers shared by the flow rules.
+"""Small AST helpers shared by the rules.
 
 "Shared-state store" is the notion several rules agree on: an
 assignment, augmented assignment, or deletion whose target is an
@@ -18,12 +18,25 @@ from typing import Iterable
 from ..flow.cfg import _walk_scope
 
 __all__ = [
+    "attribute_chain",
     "call_attr_name",
     "function_locals",
     "root_name",
     "scope_functions",
     "store_targets",
 ]
+
+
+def attribute_chain(node: ast.AST) -> list[str]:
+    """``a.b.c`` -> ``["a", "b", "c"]`` (empty when not a pure chain)."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return []
+    parts.append(node.id)
+    return parts[::-1]
 
 
 def root_name(node: ast.expr) -> str | None:

@@ -76,7 +76,7 @@ class CrashWindowRule(Rule):
     def check(self, module: LintModule) -> Iterable[Finding]:
         """Scan every function that performs both halves of the protocol."""
         for func in scope_functions(module.tree):
-            cfg = module.context.cfg(func)
+            cfg = module.cfg(func)
             yield from self._check_function(module, func, cfg)
 
     def _check_function(

@@ -11,9 +11,13 @@ nondeterminism sneaks in:
   ``datetime.utcnow()``, ``date.today()``;
 * module-level RNG — any ``random.<fn>()`` call on the ``random``
   module itself (``random.random()``, ``random.choice()``, ...), which
-  draws from the shared, process-global generator.  Constructing
-  ``random.Random(seed)`` / ``random.SystemRandom()`` is what the
-  injection pattern looks like and stays allowed.
+  draws from the shared, process-global generator;
+* generators that no seed replays — ``random.Random()`` and
+  ``random.Random(None)`` seed themselves from the OS, and
+  ``random.SystemRandom`` draws OS entropy on every call.
+
+Constructing ``random.Random(seed)`` is what the injection pattern
+looks like and stays allowed.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import ast
 from typing import Iterable
 
 from ..engine import Finding, LintModule, Rule
+from .common import attribute_chain
 
 #: Banned ``time.<fn>`` calls (wall or process clocks).
 _TIME_FUNCS = frozenset({
@@ -32,21 +37,13 @@ _TIME_FUNCS = frozenset({
 #: Banned ``datetime``/``date`` constructors of "now".
 _DATETIME_FUNCS = frozenset({"now", "utcnow", "today"})
 
-#: ``random.<name>`` attributes that are fine: seeded-generator classes.
-_RANDOM_ALLOWED = frozenset({"Random", "SystemRandom"})
 
-
-def _attribute_chain(node: ast.AST) -> list[str]:
-    """``a.b.c`` -> ``["a", "b", "c"]`` (empty when not a pure chain)."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        parts.reverse()
-        return parts
-    return []
+def _unseeded(call: ast.Call) -> bool:
+    """Whether a ``random.Random(...)`` call passes no seed, or ``None``."""
+    seeds = [*call.args, *(kw.value for kw in call.keywords)]
+    return not seeds or (
+        isinstance(seeds[0], ast.Constant) and seeds[0].value is None
+    )
 
 
 class DeterminismRule(Rule):
@@ -63,7 +60,7 @@ class DeterminismRule(Rule):
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
-            chain = _attribute_chain(node.func)
+            chain = attribute_chain(node.func)
             if len(chain) < 2:
                 continue
             base, func = chain[-2], chain[-1]
@@ -79,7 +76,15 @@ class DeterminismRule(Rule):
                     f"calls `{base}.{func}()`; wall-clock timestamps make "
                     "runs unreproducible — thread times through parameters",
                 )
-            elif base == "random" and func not in _RANDOM_ALLOWED:
+            elif base == "random" and (
+                func == "SystemRandom" or (func == "Random" and _unseeded(node))
+            ):
+                yield self.finding(
+                    module, node,
+                    f"constructs `random.{func}` from OS entropy, which "
+                    "no seed replays; pass random.Random an explicit seed",
+                )
+            elif base == "random" and func != "Random":
                 yield self.finding(
                     module, node,
                     f"draws from the process-global RNG via `random.{func}()`; "

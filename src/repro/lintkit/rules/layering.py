@@ -1,36 +1,24 @@
 """device-layering: the host stack programs against ``FlashDevice`` only.
 
-The device layer's architectural invariant: everything above it (the
-IPA manager, the storage engine, workloads, the CLI) depends on the
+Everything above the device layer (the IPA manager, the storage
+engine, workloads, the CLI) depends on the
 :class:`repro.ftl.device.FlashDevice` protocol, never on a concrete
-controller.  Outside the modules that define or compose backends (the
-``device-layering`` entries of
-:data:`~repro.lintkit.engine.PATH_EXEMPTIONS`) it is a finding to
+controller.  The rule is an import whitelist: outside the modules that
+define or compose backends (the ``device-layering`` entries of
+:data:`~repro.lintkit.engine.PATH_EXEMPTIONS`), a module may take from
+``repro.ftl`` only the :data:`ALLOWED` modules — the protocol, the
+region configuration (``IPAMode``, ``RegionConfig``) and the stats.
 
-* import the concrete controller classes ``NoFTL`` / ``BlockSSD`` /
-  ``ShardedDevice``, or import from their home modules
-  (``repro.ftl.noftl``, ``repro.ftl.blockdev``, ``repro.ftl.sharded``)
-  at all — factories like ``single_region_device`` are re-exported by
-  ``repro.ftl``; relative imports are resolved, so
-  ``from ..ftl.noftl import ...`` is caught too;
-* reach a concrete backend through *any* call chain.  The import check
-  alone misses a two-hop breach: a helper that constructs a backend —
-  in ``repro.ftl`` itself, or anywhere else — called from a module that
-  imports only the innocent helper.  The project call graph (which
-  follows re-exports through package ``__init__`` modules) closes the
-  gap: for every function or method of the module, any reachable
-  definition in a concrete backend module (or an unresolved external
-  symbol living there) is a finding.  ``repro.session`` is the
-  composition root — edges into it are not expanded, so ``hostq``
-  calling ``open_device`` (which legitimately builds backends) stays
-  clean.  The walk does
-  not stop at ``repro.ftl``: a helper there that builds a backend is
-  exactly the loophole this check exists for.
-
-A chain finding is anchored at the first call of the offending chain
-(the only line the checked module controls) and the message spells out
-the whole chain, so the fix — route through ``open_device`` or a
-protocol — is obvious from the diagnostic alone.
+Every ``import`` counts, wherever it sits (module level, function or
+class body), with relative imports resolved.  So a backend module
+(``from ..ftl.noftl import NoFTL``), a backend class or factory reached
+through the package re-export (``from repro.ftl import BlockSSD``,
+``single_region_device``) and a helper in any other ``repro.ftl``
+submodule are all findings.  Binding the package object itself
+(``from . import ftl``, ``import repro.ftl as f``) is allowed — the
+package root exposes it as a namespace — but an attribute read through
+such a binding is a finding unless it names an allowed module.  Code
+that needs a backend goes through ``repro.session.open_device``.
 """
 
 from __future__ import annotations
@@ -39,102 +27,97 @@ import ast
 from typing import Iterable, Iterator
 
 from ..engine import Finding, LintModule, Rule
-from ..flow.callgraph import CallSite, resolve_relative
+from .common import attribute_chain
 
-#: Concrete controller class names (protocol-breaking to import).
-CONCRETE_CLASSES = frozenset({"NoFTL", "BlockSSD", "ShardedDevice"})
+#: The device layer's package.
+FTL = "repro.ftl"
 
-#: Modules that define concrete controllers.
-CONCRETE_MODULES = frozenset({
-    "repro.ftl.noftl",
-    "repro.ftl.blockdev",
-    "repro.ftl.sharded",
-})
-
-#: Composition roots the call-chain walk does not look through.
-SANCTIONED = ("repro.session",)
+#: What code above the device layer may import from it.
+ALLOWED = ("repro.ftl.device", "repro.ftl.region", "repro.ftl.stats")
 
 
-def _short(key: str) -> str:
-    """Display name of one definition key."""
-    if key.startswith("external:"):
-        _, module_name, symbol = key.split(":", 2)
-        return symbol or module_name
-    return key.split(":", 1)[1]
+def resolve_relative(name: str, is_package: bool, node: ast.ImportFrom) -> str:
+    """Absolute dotted path of an ``ImportFrom`` origin in module ``name``.
+
+    ``level`` counts leading dots: one dot is the current package, each
+    further dot climbs one.  A package ``__init__``'s dotted name
+    already *is* the package, so its first dot drops nothing.
+    """
+    if node.level == 0:
+        return node.module or ""
+    parts = name.split(".")
+    drop = node.level - is_package
+    base = parts[: len(parts) - drop]
+    if node.module:
+        base = base + node.module.split(".")
+    return ".".join(base)
 
 
-def _chain_text(chain: list[CallSite]) -> str:
-    """Human-readable rendering of one call chain."""
-    names = [_short(chain[0].caller)]
-    names.extend(_short(site.callee) for site in chain)
-    return " -> ".join(names)
+def _imports(
+    module: LintModule, node: ast.Import | ast.ImportFrom
+) -> Iterator[tuple[str, str, str]]:
+    """``(imported module or name, local name, what that name binds)``
+    for each alias of one import statement."""
+    if isinstance(node, ast.ImportFrom):
+        is_package = module.path.name == "__init__.py"
+        origin = resolve_relative(module.module, is_package, node)
+        for alias in node.names:
+            target = f"{origin}.{alias.name}"
+            yield target, alias.asname or alias.name, target
+        return
+    for alias in node.names:
+        # ``import a.b`` binds ``a``; ``import a.b as c`` binds ``a.b``.
+        bound = alias.name if alias.asname else alias.name.partition(".")[0]
+        yield alias.name, alias.asname or bound, bound
+
+
+def _forbidden(target: str) -> bool:
+    """Whether dotted ``target`` lies in ``repro.ftl`` outside :data:`ALLOWED`."""
+    return target.startswith(FTL + ".") and not any(
+        target == allowed or target.startswith(allowed + ".")
+        for allowed in ALLOWED
+    )
 
 
 class DeviceLayeringRule(Rule):
-    """No concrete backend above the device layer, by import or by call."""
+    """Above the device layer, import only the protocol side of the FTL."""
 
     id = "device-layering"
     description = (
-        "program against the FlashDevice protocol (repro.ftl.device): "
-        "never import a concrete controller or reach one through a call "
-        "chain (repro.session is the composition root)"
+        "program against the FlashDevice protocol: from repro.ftl import "
+        "only repro.ftl.device, .region and .stats, at any depth "
+        "(repro.session is the composition root)"
     )
 
     def check(self, module: LintModule) -> Iterable[Finding]:
-        """Flag concrete-backend imports and call chains into backends."""
-        yield from self._imports(module)
-        yield from self._call_chains(module)
-
-    def _imports(self, module: LintModule) -> Iterator[Finding]:
+        """Flag imports past the whitelist, then reads through a bound
+        package object."""
+        packages: dict[str, str] = {}  # local name -> package it binds
         for node in ast.walk(module.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name in CONCRETE_MODULES:
-                        yield self.finding(
-                            module, node,
-                            f"imports concrete backend module `{alias.name}`; "
-                            "program against repro.ftl.device.FlashDevice",
-                        )
-            elif isinstance(node, ast.ImportFrom):
-                origin = resolve_relative(module, node)
-                if origin in CONCRETE_MODULES:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for target, name, bound in _imports(module, node):
+                if _forbidden(target):
                     yield self.finding(
                         module, node,
-                        f"imports from concrete backend module `{origin}`; "
-                        "factories are re-exported by repro.ftl",
+                        f"imports `{target}`; above the device layer import "
+                        f"only {', '.join(ALLOWED)} and build backends "
+                        "through repro.session.open_device",
                     )
-                    continue
-                for alias in node.names:
-                    if alias.name in CONCRETE_CLASSES:
-                        yield self.finding(
-                            module, node,
-                            f"imports concrete controller `{alias.name}`; "
-                            "only repro.ftl and repro.session may name backends",
-                        )
-
-    def _call_chains(self, module: LintModule) -> Iterator[Finding]:
-        graph = module.context.call_graph
-        reported: set[tuple[int, str]] = set()
-        for definition in graph.definitions_in(module.module):
-            if isinstance(definition.node, ast.ClassDef):
+                if bound == FTL or FTL.startswith(bound + "."):
+                    packages[name] = bound  # repro.ftl or a package above it
+        if not packages:
+            return
+        for node in ast.walk(module.tree):
+            parts = attribute_chain(node)
+            if len(parts) < 2 or parts[0] not in packages:
                 continue
-            chains = graph.reach(definition.key, skip_modules=SANCTIONED)
-            for reached, chain in sorted(chains.items(), key=lambda kv: kv[0]):
-                if reached.startswith("external:"):
-                    _, target_module, _symbol = reached.split(":", 2)
-                else:
-                    target_module = reached.partition(":")[0]
-                if target_module not in CONCRETE_MODULES:
-                    continue
-                first = chain[0]
-                key = (id(first.node), reached)
-                if key in reported:
-                    continue
-                reported.add(key)
+            target = ".".join([packages[parts[0]], *parts[1:]])
+            # One finding per chain: at its ``repro.ftl.<name>`` prefix.
+            if target.count(".") == FTL.count(".") + 1 and _forbidden(target):
                 yield self.finding(
-                    module,
-                    first.node,
-                    f"call chain reaches concrete backend "
-                    f"`{target_module}` ({_chain_text(chain)}); route "
-                    "through repro.session.open_device or a device protocol",
+                    module, node,
+                    f"reads `{target}` through the package object; above "
+                    "the device layer use only its .device, .region and "
+                    ".stats modules",
                 )

@@ -11,9 +11,10 @@ opposite orders.  ``_rollback_steps`` is the canonical compliant shape::
         yield _Acquire(lpn)
 
 The rule finds every ``for`` loop that yields an acquire sentinel and
-demands its iterable be provably sorted: either a literal
-``sorted(...)`` call, or a name whose **every** reaching definition at
-the loop header is a ``sorted(...)`` call.  Reaching definitions (not
+demands its iterable be provably ascending: either a plain
+``sorted(x)`` call, or a name whose **every** reaching definition at
+the loop header is one.  Only the natural order counts: a ``key=`` or
+a ``reverse=`` other than a literal ``False`` breaks the proof.  Reaching definitions (not
 a same-line regex) is what lets the proof survive the assignment being
 hoisted away from the loop — and what makes a re-assignment on *any*
 path to the loop break the proof, which is exactly when a human
@@ -38,11 +39,18 @@ _RELEASE_NAMES = ("_Release", "Release")
 
 
 def _is_sorted_call(node: ast.expr | None) -> bool:
-    """Whether an expression is a direct ``sorted(...)`` call."""
+    """Whether an expression is a plain, ascending ``sorted(x)`` call."""
     return (
         isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)
         and node.func.id == "sorted"
+        and len(node.args) == 1
+        and all(
+            kw.arg == "reverse"
+            and isinstance(kw.value, ast.Constant)
+            and kw.value.value is False
+            for kw in node.keywords
+        )
     )
 
 
@@ -76,12 +84,12 @@ def _sentinel_key(node: ast.expr) -> str:
 
 
 class LockOrderingRule(Rule):
-    """Acquire loops must iterate a provably ``sorted(...)`` source."""
+    """Acquire loops must iterate a provably ascending ``sorted(x)``."""
 
     id = "lock-ordering"
     description = (
         "loops that yield lock-acquire sentinels must iterate a "
-        "sorted(...) sequence, proven by reaching definitions"
+        "plain sorted(x) sequence, proven by reaching definitions"
     )
 
     #: Only the host-side scheduler stack takes multi-LPN locks.
@@ -90,7 +98,7 @@ class LockOrderingRule(Rule):
     def check(self, module: LintModule) -> Iterable[Finding]:
         """Inspect every acquire loop in every function of the module."""
         for func in scope_functions(module.tree):
-            cfg = module.context.cfg(func)
+            cfg = module.cfg(func)
             in_sets: dict | None = None
             for loop in self._acquire_loops(func):
                 if _is_sorted_call(loop.iter):
@@ -104,16 +112,16 @@ class LockOrderingRule(Rule):
                         module,
                         loop.iter,
                         f"lock-acquire loop iterates `{loop.iter.id}`, "
-                        "which has a reaching definition that is not "
-                        "`sorted(...)`; unsorted multi-LPN acquisition "
+                        "which has a reaching definition that is not a "
+                        "plain `sorted(x)`; unsorted multi-LPN acquisition "
                         "can deadlock",
                     )
                     continue
                 yield self.finding(
                     module,
                     loop.iter,
-                    "lock-acquire loop must iterate `sorted(...)` or a "
-                    "name every definition of which is `sorted(...)`; "
+                    "lock-acquire loop must iterate a plain `sorted(x)` or "
+                    "a name every definition of which is one; "
                     "unsorted multi-LPN acquisition can deadlock",
                 )
 
@@ -163,7 +171,7 @@ class LockOrderingRule(Rule):
     @staticmethod
     def _provably_sorted(cfg: CFG, in_sets: dict, loop: ast.For) -> bool:
         """Every definition of the loop iterable reaching the loop is
-        a ``sorted(...)`` call."""
+        a plain ``sorted(x)`` call."""
         name = loop.iter.id  # type: ignore[union-attr]
         block = cfg.block_of(loop)
         if block is None:

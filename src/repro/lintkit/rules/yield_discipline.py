@@ -94,7 +94,7 @@ class YieldDisciplineRule(Rule):
     def check(self, module: LintModule) -> Iterable[Finding]:
         """Apply all three sub-checks to every storage program."""
         for func in scope_functions(module.tree):
-            cfg = module.context.cfg(func)
+            cfg = module.cfg(func)
             if not _is_storage_program(func, cfg):
                 continue
             yield from self._check_unwinding_yields(module, func)

@@ -48,11 +48,8 @@ def covered_files(prefix):
 
 @functools.cache
 def unwaived_findings(rule_id):
-    """The rule's findings over the whole tree with no waiver at all.
-
-    The whole tree, not just the waived files: the call-chain half of
-    device-layering needs every module in the call graph.
-    """
+    """The rule's findings over the whole tree with no waiver at all,
+    computed once per rule for every entry that waives it."""
     with mock.patch.dict(PATH_EXEMPTIONS, clear=True):
         return run_lint([SRC_ROOT], rules=[rule_by_id(rule_id)])
 

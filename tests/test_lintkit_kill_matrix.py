@@ -15,9 +15,11 @@ the matrix).  The rules whose mutations all died elsewhere are gone,
 with their entries: clock-discipline (the engine clock is read-only),
 counter-naming (``test_metrics_reports.py`` pins every registered
 name) and telemetry-guard (``test_telemetry_overhead.py`` runs every
-hook on an idle bus).  ``device-layering`` needs the project call graph; it is
-built once, over the package with every ``device-layering`` mutation
-applied (each lives in its own module).
+hook on an idle bus).
+
+:data:`GAP_MUTATIONS` are not matrix evidence but rule gaps found
+after it: seeded mutations of real code that an earlier version of the
+rule let through.  Each must fire from now on.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ from typing import NamedTuple
 import pytest
 
 import repro
-from repro.lintkit import LintModule, iter_python_files, lint_module, load_module
-from repro.lintkit.flow import FlowContext
+from repro.lintkit import LintModule, lint_module
 from repro.lintkit.rules import RULES, rule_by_id
 
 REPRO_SRC = Path(repro.__file__).resolve().parent
@@ -337,10 +338,65 @@ MUTATIONS = [
     ),
 ]
 
+GAP_MUTATIONS = [
+    # -- device-layering: a backend factory imported inside a function ----
+    Mutation(
+        "repro.testbed",
+        "MIN_BUFFER_PAGES = 8\n",
+        "MIN_BUFFER_PAGES = 8\n"
+        "\n"
+        "\n"
+        "def quick_device(flash, logical_pages: int):\n"
+        '    """A one-region device over ``flash``, for quick experiments."""\n'
+        "    from .ftl import single_region_device\n"
+        "\n"
+        "    return single_region_device(flash, logical_pages)\n",
+        "device-layering",
+    ),
+    # -- device-layering: a factory read through the bound package --------
+    Mutation(
+        "repro.hostq.loadtest",
+        "from .scheduler import HostScheduler\n",
+        "from .scheduler import HostScheduler\n"
+        "\n"
+        "import repro.ftl as ftl\n"
+        "\n"
+        "\n"
+        "def quick_device(flash, logical_pages: int):\n"
+        "    return ftl.single_region_device(flash, logical_pages)\n",
+        "device-layering",
+    ),
+    # -- determinism: generators that no seed replays ---------------------
+    Mutation(
+        "repro.hostq.clients",
+        "        self._rng = random.Random(seed * 7_368_787 + index + 1)\n",
+        "        self._rng = random.Random()\n",
+        "determinism",
+    ),
+    Mutation(
+        "repro.hostq.clients",
+        "        self._rng = random.Random(seed * 2_654_435 + 1)\n",
+        "        self._rng = random.SystemRandom(seed * 2_654_435 + 1)\n",
+        "determinism",
+    ),
+    # -- lock-ordering: the rollback acquires in descending order ---------
+    Mutation(
+        "repro.hostq.txnexec",
+        "            {record.lpn for record in txn.undo if record.lpn >= 0} - ctx.held\n"
+        "        )\n",
+        "            {record.lpn for record in txn.undo if record.lpn >= 0} - ctx.held,\n"
+        "            reverse=True,\n"
+        "        )\n",
+        "lock-ordering",
+    ),
+]
+
+ALL_MUTATIONS = MUTATIONS + GAP_MUTATIONS
+
 
 def _mutation_id(mutation: Mutation) -> str:
     """``rule-id/n``: the mutation's ordinal among its rule's entries."""
-    same = [m for m in MUTATIONS if m.rule_id == mutation.rule_id]
+    same = [m for m in ALL_MUTATIONS if m.rule_id == mutation.rule_id]
     return f"{mutation.rule_id}/{same.index(mutation) + 1}"
 
 
@@ -361,26 +417,6 @@ def mutated_source(mutation: Mutation) -> str:
     return source.replace(mutation.old_text, mutation.new_text)
 
 
-@pytest.fixture(scope="module")
-def layering_project() -> dict[str, LintModule]:
-    """The package with every device-layering mutation applied, sharing
-    one analysis context (one call-graph build)."""
-    mutated = {
-        m.module: m for m in MUTATIONS if m.rule_id == "device-layering"
-    }
-    assert len(mutated) == sum(m.rule_id == "device-layering" for m in MUTATIONS)
-    modules: dict[str, LintModule] = {}
-    for path in iter_python_files([REPRO_SRC]):
-        module = load_module(path)
-        if module.module in mutated:
-            module.tree = ast.parse(mutated_source(mutated[module.module]))
-        modules[module.module] = module
-    context = FlowContext(list(modules.values()))
-    for module in modules.values():
-        module.context = context
-    return modules
-
-
 def _parsed(mutation: Mutation, source: str) -> LintModule:
     return LintModule(
         path=module_path(mutation.module),
@@ -390,17 +426,13 @@ def _parsed(mutation: Mutation, source: str) -> LintModule:
 
 
 @pytest.mark.parametrize(
-    "mutation", MUTATIONS, ids=[_mutation_id(m) for m in MUTATIONS]
+    "mutation", ALL_MUTATIONS, ids=[_mutation_id(m) for m in ALL_MUTATIONS]
 )
-def test_rule_fires_on_mutation(mutation, request):
+def test_rule_fires_on_mutation(mutation):
     rule = rule_by_id(mutation.rule_id)
-    if mutation.rule_id == "device-layering":
-        # The unmutated package is clean: test_src_repro_is_iplint_clean.
-        module = request.getfixturevalue("layering_project")[mutation.module]
-    else:
-        original = module_path(mutation.module).read_text(encoding="utf-8")
-        assert lint_module(_parsed(mutation, original), [rule]) == []
-        module = _parsed(mutation, mutated_source(mutation))
+    original = module_path(mutation.module).read_text(encoding="utf-8")
+    assert lint_module(_parsed(mutation, original), [rule]) == []
+    module = _parsed(mutation, mutated_source(mutation))
     assert lint_module(module, [rule]), (
         f"{mutation.rule_id} does not fire on the mutated {mutation.module}"
     )

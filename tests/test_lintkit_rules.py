@@ -113,11 +113,12 @@ LAYERING_FAIL = """
 """
 
 LAYERING_PASS = """
-    from repro.ftl import single_region_device
     from repro.ftl.device import FlashDevice
+    from repro.ftl.region import IPAMode
+    from repro.ftl.stats import DeviceStats
 
-    def build(device: FlashDevice):
-        return device
+    def build(device: FlashDevice, mode: IPAMode) -> DeviceStats:
+        return device.stats
 """
 
 
@@ -146,6 +147,32 @@ class TestDeviceLayering:
             "import repro.ftl.sharded\n", DeviceLayeringRule()
         )
         assert len(findings) == 1
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "from repro.ftl import single_region_device\n",
+            "from repro.ftl.gc import greedy\n",
+            "def f(flash):\n    from ..ftl import single_region_device\n",
+            "class C:\n    from ..ftl.noftl import NoFTL\n",
+        ],
+        ids=["reexported-factory", "other-submodule", "function-local", "class-body"],
+    )
+    def test_whitelist_holds_at_any_depth(self, source):
+        (finding,) = lint_snippet(source, DeviceLayeringRule())
+        assert finding.rule == "device-layering"
+
+    def test_package_object_reads_checked(self):
+        source = """
+            import repro.ftl as ftl
+            from repro import ftl as f
+
+            def build(flash, device: ftl.device.FlashDevice):
+                return ftl.single_region_device(flash, 4), f.noftl
+        """
+        findings = lint_snippet(source, DeviceLayeringRule())
+        assert [f.line for f in findings] == [6, 6]
+        assert "repro.ftl.single_region_device" in findings[0].message
 
     @pytest.mark.parametrize(
         "module", ["repro.ftl.blockdev", "repro.session", "repro.ipl.ipa_replay"]
@@ -196,7 +223,8 @@ class TestDeterminism:
         "call",
         ["time.monotonic()", "time.perf_counter_ns()",
          "datetime.now()", "datetime.utcnow()", "date.today()",
-         "random.randint(0, 9)", "random.choice(items)", "random.seed(1)"],
+         "random.randint(0, 9)", "random.choice(items)", "random.seed(1)",
+         "random.Random()", "random.Random(None)", "random.SystemRandom()"],
     )
     def test_banned_calls(self, call):
         findings = lint_snippet(f"def f(items):\n    return {call}\n",
@@ -204,7 +232,7 @@ class TestDeterminism:
         assert len(findings) == 1
 
     @pytest.mark.parametrize(
-        "call", ["random.Random(7)", "random.SystemRandom()", "rng.random()"]
+        "call", ["random.Random(7)", "rng.random()"]
     )
     def test_allowed_calls(self, call):
         assert lint_snippet(f"def f(rng):\n    return {call}\n",

@@ -75,7 +75,6 @@ SURFACE = {
         "run_lint", "lint_module", "load_module", "iter_python_files",
         "module_name_for", "RULES", "default_rules", "rule_by_id",
         "json_report", "render_json", "render_text", "render_github",
-        "FlowContext",
     ],
 }
 
@@ -94,7 +93,9 @@ def test_surface_importable(module_name):
 #: ``open_device``/``open_session`` over a ``SessionConfig`` as the one
 #: way to build a stack by name, ``repro.session.BACKENDS``,
 #: ``LoadTestResult`` for both load-test levels).
-#: ``DeviceAmplification`` had no caller.
+#: ``DeviceAmplification`` had no caller.  ``FlowContext`` shared the
+#: project call graph between modules; no rule reads beyond its own
+#: module any more, and each module memoizes its CFGs.
 RETIRED_EXPORTS = [
     ("repro.storage", "CommandKind"),
     ("repro.storage.program", "CommandKind"),
@@ -108,6 +109,8 @@ RETIRED_EXPORTS = [
     ("repro.lintkit", "FLOW_RULE_CLASSES"),
     ("repro.lintkit", "RULE_CLASSES"),
     ("repro.lintkit", "Suppressions"),
+    ("repro.lintkit", "FlowContext"),
+    ("repro.lintkit.flow", "FlowContext"),
     ("repro.testbed", "emulator_device"),
     ("repro.testbed", "openssd_device"),
     ("repro.testbed", "blockssd_device"),
@@ -120,14 +123,14 @@ RETIRED_EXPORTS = [
 
 #: Modules retired on purpose: the simulated-count gate ``repro.perfkit``
 #: held is ``tests/test_sim_counts.py``; the flow rules live in
-#: ``repro.lintkit.rules`` beside the others, ``FlowContext`` in
-#: ``repro.lintkit.flow``.  The clock, metric-name and telemetry-guard
-#: rules gave way to run-time checks that kill every seeded mutation
-#: they did (``tests/test_lintkit_kill_matrix.py``).
+#: ``repro.lintkit.rules`` beside the others.  The clock, metric-name and
+#: telemetry-guard rules gave way to run-time checks that kill every
+#: seeded mutation they did (``tests/test_lintkit_kill_matrix.py``).
+#: ``device-layering`` is an import whitelist, so the call graph is gone.
 RETIRED_MODULES = [
     "repro.perfkit", "repro.lintkit.flow.base", "repro.lintkit.flow.rules",
     "repro.lintkit.rules.clock", "repro.lintkit.rules.telemetry",
-    "repro.lintkit.rules.telemetry_guard",
+    "repro.lintkit.rules.telemetry_guard", "repro.lintkit.flow.callgraph",
 ]
 
 #: Identifiers of retired forks: the second and third give-up flags,
